@@ -1,6 +1,6 @@
 """Radix-2 fixed-point FFT: twiddle storage, reference oracle and the
-cycle-accurate executor that drives stage/reorder schedules against the
-banked memory.
+cycle-accurate executor that runs compiled stage/reorder programs against
+the banked memory.
 
 Stages walk natural-order data with decreasing half-spans and leave a
 bit-reversed spectrum; the final reorder pass restores natural order.
@@ -19,12 +19,17 @@ from functools import lru_cache
 import numpy as np
 
 from .fixedpoint import (DataType, FixedComplex, OverflowFlag, ScalingPolicy,
-                         butterfly, dequantize, quantize)
-from .membank import (BankedMemory, CycleStats, Request, load_samples,
-                      pack_samples, read_samples, unpack_samples,
+                         butterfly_array, dequantize, pack_parts, quantize,
+                         unpack_parts)
+from .membank import (IDLE, STROBE_MASK, WRITE_COLUMN, BankedMemory,
+                      CycleStats, load_samples, read_samples,
                       words_per_samples)
-from .schedule import (REGISTER_CAPACITY, bit_reverse_index, schedule_reorder,
+from .schedule import (compile_reorder, compile_stage, schedule_reorder,
                        schedule_stage)
+
+# The scalar forms stay importable from here; the executor uses the arrays.
+from .fixedpoint import butterfly  # noqa: F401
+from .membank import pack_samples, unpack_samples  # noqa: F401
 
 
 class ConfigurationError(ValueError):
@@ -52,6 +57,8 @@ class TwiddleTable:
     dtype: DataType
     n_max: int
     entries: list[FixedComplex]
+    re: np.ndarray      # int64 raw parts of ``entries``, for the executor
+    im: np.ndarray
 
     @classmethod
     def build(cls, dtype: DataType) -> "TwiddleTable":
@@ -77,7 +84,12 @@ class TwiddleTable:
                 re, im = min(pool, key=lambda c: (c[0] - z.real * scale) ** 2
                              + (c[1] - z.imag * scale) ** 2)
             entries.append(FixedComplex(re, im, dtype))
-        return cls(dtype, n_max, entries)
+        # the array butterfly's int64 product sums stay below 2^63 only if |w| <= 1
+        if any(e.re * e.re + e.im * e.im > scale * scale for e in entries):
+            raise AssertionError(f"{dtype.name} twiddle outside the unit circle")
+        return cls(dtype, n_max, entries,
+                   np.array([e.re for e in entries], dtype=np.int64),
+                   np.array([e.im for e in entries], dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -183,140 +195,70 @@ class FftResultSummary:
     scaling_stages: int   # spectrum is DFT / 2**scaling_stages
 
 
-def _issue(memory, cycle, requests, stats, in_stage_phase):
-    """One port cycle plus solo retry of every rejected request.
-
-    Each rejection stalls exactly one cycle (retried alone, in port
-    order), which is what keeps conflicts == stall_cycles.
-    Returns (read_data, extra_cycles).
-    """
-    result = memory.access(cycle, requests)
-    data = dict(result.read_data)
-    extra = 0
-    for req in sorted(result.rejected, key=lambda r: r.port):
-        extra += 1
-        solo = memory.access(cycle + extra, [req])
-        data.update(solo.read_data)
-    stats.conflicts += result.conflicts
-    stats.stall_cycles += result.conflicts
-    if in_stage_phase:
-        stats.stage_conflicts += result.conflicts
-    return data, extra
+@lru_cache(maxsize=None)
+def _program(n_points: int, dtype: DataType):
+    """Compiled stages and reorder; they depend only on (n_points, dtype)."""
+    stages = tuple(compile_stage(schedule_stage(n_points, dtype, s))
+                   for s in range(n_points.bit_length() - 1))
+    return stages, compile_reorder(schedule_reorder(n_points, dtype))
 
 
-class _RegisterFile:
-    """Sample staging around the butterfly unit, capacity-checked."""
-
-    def __init__(self, dtype):
-        self.capacity = REGISTER_CAPACITY[dtype]
-        self.samples: dict[int, FixedComplex] = {}
-
-    def insert(self, index, value):
-        self.samples[index] = value
-
-    def take(self, index):
-        return self.samples.pop(index)
-
-    def check(self, what):
-        if len(self.samples) > self.capacity:
-            raise AssertionError(
-                f"{what} register overflow: {len(self.samples)} > {self.capacity}")
-
-
-def _run_stage(memory, job, table, stage, stats, flag, cycle):
-    sched = schedule_stage(job.n_points, job.dtype, stage)
-    dtype, base = job.dtype, job.base_address
-    inregs, outregs = _RegisterFile(dtype), _RegisterFile(dtype)
-    for entry in sched.cycles:
-        for ia, ib, exp in entry.butterflies:
-            a = inregs.take(ia)
-            b = inregs.take(ib)
-            w = twiddle_lookup(table, job.n_points, exp)
-            out0, out1 = butterfly(a, b, w, job.scaling, flag)
-            outregs.insert(ia, out0)
-            outregs.insert(ib, out1)
-        requests = [Request(p, base + addr) for p, addr in enumerate(entry.reads)]
-        if entry.writes:
-            first = entry.writes[0]
-            group = [outregs.take(i) for i in _group_samples(first, dtype)]
-            words = pack_samples(group, dtype)
-            requests += [Request(4 + p, base + addr, write=True, data=word)
-                         for p, (addr, word) in enumerate(zip(entry.writes, words))]
-        data, extra = _issue(memory, cycle, requests, stats, in_stage_phase=True)
-        if entry.reads:
-            stats.butterfly_cycles += 1
-            words = [data[p] for p in range(len(entry.reads))]
-            indices = _group_samples(entry.reads[0], dtype)
-            for i, s in zip(indices, unpack_samples(words, dtype, len(indices))):
-                inregs.insert(i, s)
-        else:
-            stats.overhead_cycles += 1
-        inregs.check("input")
-        outregs.check("output")
-        cycle += 1 + extra
-    return cycle
-
-
-def _group_samples(first_word: int, dtype: DataType) -> range:
-    """Sample indices held by the 4-word group starting at ``first_word``."""
-    if dtype is DataType.C64:
-        start = first_word // 2
-        return range(start, start + 2)
-    if dtype is DataType.C32:
-        return range(first_word, first_word + 4)
-    return range(2 * first_word, 2 * first_word + 8)
-
-
-def _run_reorder(memory, job, stats, cycle):
-    sched = schedule_reorder(job.n_points, job.dtype)
-    dtype, base, n = job.dtype, job.base_address, job.n_points
-    m = n.bit_length() - 1
-    before = read_samples(memory, base, n, dtype)
-    shuffled = [before[bit_reverse_index(i, m)] for i in range(n)]
-    for entry in sched.cycles:
-        requests = [Request(p, base + addr) for p, addr in enumerate(entry.reads)]
-        for p, (addr, strobe) in enumerate(entry.writes):
-            word = _packed_word(shuffled, addr, dtype)
-            requests.append(Request(4 + p, base + addr, write=True,
-                                    data=word, strobe=strobe))
-        _, extra = _issue(memory, cycle, requests, stats, in_stage_phase=False)
-        if entry.reads:
-            stats.reorder_cycles += 1
-        else:
-            stats.overhead_cycles += 1
-        cycle += 1 + extra
-    return cycle
-
-
-def _packed_word(samples, word_offset, dtype):
-    if dtype is DataType.C64:
-        idx = word_offset // 2
-        word = pack_samples([samples[idx]], dtype)[word_offset % 2]
-        return word
-    if dtype is DataType.C32:
-        return pack_samples([samples[word_offset]], dtype)[0]
-    return pack_samples(samples[2 * word_offset:2 * word_offset + 2], dtype)[0]
+def _issue(memory, base, ports, stats):
+    """Arbitrate every cycle of one phase.  Rejected requests retry alone,
+    one stall cycle each.  Returns the phase's read and write streams as
+    memory addresses, its count of cycles that read, and its stalls."""
+    addresses = np.where(ports == IDLE, IDLE, ports + base)
+    conflicts, _ = memory.access_batch(addresses, WRITE_COLUMN)
+    stalls = int(conflicts.sum())
+    stats.conflicts += stalls
+    stats.stall_cycles += stalls
+    reads, writes = addresses[:, ~WRITE_COLUMN], addresses[:, WRITE_COLUMN]
+    read_cycles = int((reads != IDLE).any(axis=1).sum())
+    stats.overhead_cycles += len(ports) - read_cycles
+    return reads[reads != IDLE], writes[writes != IDLE], read_cycles, stalls
 
 
 def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
     """In-place fixed-point FFT on the memory image, cycle-accounted.
 
-    On return the memory holds the natural-order spectrum scaled by
-    2**-scaling_stages; the summary carries the sticky overflow flag and
-    the cycle statistics.
+    Every phase is arbitrated cycle by cycle; its data moves as one gather
+    of the read stream, all of its butterflies (or reorder moves) at once,
+    and one scatter of the write stream.  The compiled programs prove that
+    this equals moving the data cycle by cycle.  On return the memory holds
+    the natural-order spectrum scaled by 2**-scaling_stages; the summary
+    carries the sticky overflow flag and the cycle statistics.
     """
     job.validate(memory)
     table = twiddle_table(job.dtype)
+    stages, reorder = _program(job.n_points, job.dtype)
     stats = CycleStats()
     flag = OverflowFlag()
-    m = job.n_points.bit_length() - 1
-    cycle = 0
-    for stage in range(m):
-        cycle = _run_stage(memory, job, table, stage, stats, flag, cycle)
-    cycle = _run_reorder(memory, job, stats, cycle)
+    words = memory.words
+    for prog in stages:
+        reads, writes, read_cycles, stalls = _issue(memory, job.base_address,
+                                                    prog.ports, stats)
+        stats.butterfly_cycles += read_cycles
+        stats.stage_conflicts += stalls
+        re, im = unpack_parts(words[reads], job.dtype)
+        a, b, w = prog.butterflies.T
+        re[a], im[a], re[b], im[b] = butterfly_array(
+            re[a], im[a], re[b], im[b], table.re[w], table.im[w], job.dtype,
+            job.scaling, flag)
+        words[writes] = pack_parts(re[prog.route], im[prog.route], job.dtype)
+
+    reads, writes, read_cycles, _ = _issue(memory, job.base_address,
+                                           reorder.ports, stats)
+    stats.reorder_cycles += read_cycles
+    got = words[reads]
+    halves = np.stack([got & 0xFFFF, got >> 16], axis=1).ravel()
+    out = np.zeros(2 * len(writes), dtype=np.uint32)
+    out[reorder.moves[:, 0]] = halves[reorder.moves[:, 1]]
+    mask = STROBE_MASK[reorder.strobes]
+    words[writes] = (words[writes] & ~mask) | ((out[0::2] | out[1::2] << 16) & mask)
+
     stats.total_cycles = (stats.butterfly_cycles + stats.reorder_cycles
                           + stats.stall_cycles + stats.overhead_cycles)
-    assert stats.total_cycles == cycle
+    m = job.n_points.bit_length() - 1
     scaling = m if job.scaling is ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE else 0
     return FftResultSummary(job, stats, flag.seen, scaling)
 

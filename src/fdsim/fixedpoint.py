@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class DataType(Enum):
     """Complex fixed-point format: (bits per re/im part, max FFT points)."""
@@ -173,14 +175,85 @@ def butterfly(a: FixedComplex, b: FixedComplex, w: FixedComplex,
     return out0, out1
 
 
-def to_unsigned(raw: int, bits: int) -> int:
-    """Two's-complement encode a signed raw value into ``bits`` bits."""
-    return raw & ((1 << bits) - 1)
+# -- array forms ---------------------------------------------------------------
+#
+# The executor moves whole stages at once, so it needs the same arithmetic on
+# int64 arrays of raw parts.  Every intermediate fits: C64 partial products
+# reach 2^62 and a complex product's real or imaginary sum stays within
+# |w| * |b| <= 2^62.5 because every twiddle has |w| <= 1 (checked when the
+# twiddle table is built).
 
 
-def to_signed(value: int, bits: int) -> int:
-    """Sign-extend the low ``bits`` of ``value``."""
-    value &= (1 << bits) - 1
-    if value & (1 << (bits - 1)):
-        value -= 1 << bits
-    return value
+def sat_round_array(values, width: int, shift: int = 0,
+                    flag: OverflowFlag | None = None) -> np.ndarray:
+    """Element-wise ``sat_round`` on an int64 array; the flag is set if any
+    element saturates."""
+    q = np.asarray(values, dtype=np.int64)
+    if shift:
+        rem = q & ((1 << shift) - 1)
+        half = 1 << (shift - 1)
+        q = q >> shift
+        q = q + ((rem > half) | ((rem == half) & (q & 1 == 1)))
+    hi = (1 << (width - 1)) - 1
+    lo = -(1 << (width - 1))
+    clipped = np.clip(q, lo, hi)
+    if flag is not None and not flag.seen and (clipped != q).any():
+        flag.seen = True
+    return clipped
+
+
+def butterfly_array(a_re, a_im, b_re, b_im, w_re, w_im, dtype: DataType,
+                    policy: ScalingPolicy = ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE,
+                    flag: OverflowFlag | None = None):
+    """``butterfly`` over int64 arrays of raw parts, bit-exact with the
+    scalar form.  Needs |w| <= 1.  Returns (out0 re, out0 im, out1 re,
+    out1 im)."""
+    width = dtype.part_width
+    shift = 1 if policy is ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE else 0
+    t_re = sat_round_array(w_re * b_re - w_im * b_im, width, width - 1, flag)
+    t_im = sat_round_array(w_re * b_im + w_im * b_re, width, width - 1, flag)
+    return (sat_round_array(a_re + t_re, width, shift, flag),
+            sat_round_array(a_im + t_im, width, shift, flag),
+            sat_round_array(a_re - t_re, width, shift, flag),
+            sat_round_array(a_im - t_im, width, shift, flag))
+
+
+# Sample packing into 32-bit memory words:
+# C64: one sample = 2 words (re word then im word).
+# C32: one sample = 1 word, re in the low half, im in the high half.
+# C16: two samples per word, sample 2i in the low half-word; within a
+#      half-word re is the low byte, im the high byte.
+
+_SIGNED = {DataType.C64: np.int32, DataType.C32: np.int16, DataType.C16: np.int8}
+
+
+def pack_parts(re, im, dtype: DataType) -> np.ndarray:
+    """Raw parts of a sample sequence -> uint32 memory words."""
+    bits = dtype.part_width
+    re = np.asarray(re, dtype=np.int64) & ((1 << bits) - 1)
+    im = np.asarray(im, dtype=np.int64) & ((1 << bits) - 1)
+    if dtype is DataType.C64:
+        words = np.stack([re, im], axis=1).ravel()
+    elif dtype is DataType.C32:
+        words = im << 16 | re
+    else:
+        if len(re) % 2:
+            raise ValueError("C16 arrays must have an even sample count")
+        half = im << 8 | re
+        words = half[1::2] << 16 | half[0::2]
+    return words.astype(np.uint32)
+
+
+def unpack_parts(words, dtype: DataType) -> tuple[np.ndarray, np.ndarray]:
+    """uint32 memory words -> int64 raw (re, im) of every sample they hold."""
+    words = np.asarray(words, dtype=np.uint32)
+    if dtype is DataType.C64:
+        re, im = words[0::2], words[1::2]
+    elif dtype is DataType.C32:
+        re, im = words & 0xFFFF, words >> 16
+    else:
+        halves = np.stack([words & 0xFFFF, words >> 16], axis=1).ravel()
+        re, im = halves & 0xFF, halves >> 8
+    signed = _SIGNED[dtype]
+    return (re.astype(signed).astype(np.int64),
+            im.astype(signed).astype(np.int64))

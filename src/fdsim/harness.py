@@ -13,6 +13,7 @@ import json
 import math
 import wave
 from dataclasses import asdict, dataclass, field
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -121,13 +122,20 @@ def _parse_input(d: dict) -> InputSpec:
     return spec
 
 
+def _parse_clock(d: dict) -> float:
+    clock_hz = float(d.get("clock_hz", DEFAULT_CLOCK_HZ))
+    if not (math.isfinite(clock_hz) and clock_hz > 0):
+        raise ConfigurationError(f"clock_hz must be a positive finite number, got {clock_hz}")
+    return clock_hz
+
+
 def _parse_fft_run(d: dict) -> FftRunSpec:
     return FftRunSpec(
         n_points=int(_require(d, "n_points", "fft")),
         dtype=DataType.from_tag(_require(d, "dtype", "fft")),
         base_address=int(d.get("base_address", 0)),
         scaling=ScalingPolicy(d.get("scaling", "divide-by-two-per-stage")),
-        clock_hz=float(d.get("clock_hz", DEFAULT_CLOCK_HZ)),
+        clock_hz=_parse_clock(d),
         input=_parse_input(d.get("input", {})),
         dump_memory_image=bool(d.get("dump_memory_image", False)),
     )
@@ -179,7 +187,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             spec = FftSweepSpec(
                 dtypes=dtypes,
                 n_points=tuple(int(n) for n in sizes) if sizes else None,
-                clock_hz=float(base.get("clock_hz", DEFAULT_CLOCK_HZ)),
+                clock_hz=_parse_clock(base),
                 input=_parse_input(base.get("input", {})))
         elif kind == "i2s-run":
             d = _require(raw, "i2s", kind)
@@ -264,8 +272,7 @@ def _json_safe(value):
         return [_json_safe(v) for v in value]
     if isinstance(value, DataType):
         return value.name
-    if isinstance(value, (ScalingPolicy, BusMode, Polarity, Alignment,
-                          FsyncStyle, Role)):
+    if isinstance(value, Enum):
         return value.value
     if isinstance(value, (np.floating, np.integer)):
         return value.item()

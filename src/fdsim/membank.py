@@ -4,7 +4,8 @@ Addresses are 32-bit word addresses; bank(addr) = addr mod 16.  The
 accelerator sees eight 32-bit ports: ports 0-3 read, ports 4-7 write.
 Requests hitting pairwise-distinct banks all complete in their cycle;
 same-bank collisions complete only the lowest-numbered port, the rest are
-rejected for retry and each rejection costs one stall cycle.
+rejected for retry and each rejection costs one stall cycle.  A rejected
+request retries alone, so its retry always completes.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .fixedpoint import DataType, FixedComplex, to_signed, to_unsigned
+from .fixedpoint import DataType, FixedComplex, pack_parts, unpack_parts
 
 N_BANKS = 16
 N_PORTS = 8
-READ_PORTS = range(0, 4)
 WRITE_PORTS = range(4, 8)
 DEFAULT_TOTAL_WORDS = 65536  # 256 kB
 
@@ -88,18 +88,23 @@ _STROBE_MASKS = {
     0x1: 0x000000FF, 0x2: 0x0000FF00, 0x4: 0x00FF0000, 0x8: 0xFF000000,
     0x3: 0x0000FFFF, 0xC: 0xFFFF0000, 0xF: 0xFFFFFFFF,
 }
+# strobe -> 32-bit lane mask, for whole arrays of strobes
+STROBE_MASK = np.zeros(16, dtype=np.uint32)
+for _strobe, _mask in _STROBE_MASKS.items():
+    STROBE_MASK[_strobe] = _mask
+IDLE = -1                                   # address of an idle port
+WRITE_COLUMN = np.arange(N_PORTS) >= WRITE_PORTS.start
+_LOWER_PORT = np.tri(N_PORTS, k=-1, dtype=bool)   # [p, q] is True for q < p
 
 
 class BankedMemory:
     """16 word-interleaved banks behind the 8-port accelerator interface."""
 
-    def __init__(self, total_words: int = DEFAULT_TOTAL_WORDS, log_accesses: bool = False):
+    def __init__(self, total_words: int = DEFAULT_TOTAL_WORDS):
         if total_words <= 0 or total_words % N_BANKS:
             raise ValueError("total_words must be a positive multiple of 16")
         self.total_words = total_words
         self.words = np.zeros(total_words, dtype=np.uint32)
-        self.log_accesses = log_accesses
-        self.access_log: list[tuple[int, int, int, str]] = []  # (cycle, port, bank, kind)
 
     # -- raw word access (test fixtures, image I/O; not cycle-accounted) --
 
@@ -117,49 +122,67 @@ class BankedMemory:
         if not (0 <= address < self.total_words):
             raise MemoryModelError(f"word address {address} outside capacity {self.total_words}")
 
-    # -- the per-cycle port interface --
+    # -- the port interface --
+
+    def access_batch(self, addresses, write_mask) -> tuple[np.ndarray, np.ndarray]:
+        """Arbitrate many cycles of port requests, one cycle per row.
+
+        ``addresses`` is (cycles x 8): column p is port p, ``IDLE`` marks
+        an idle port.  ``write_mask`` marks the writes.  In every row the
+        lowest port wins its bank and each other request to that bank is
+        rejected, costing one stall cycle for its solo retry.  Returns the
+        per-cycle conflict counts and the rejected mask.  Moves no data.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        if addresses.ndim != 2 or addresses.shape[1] != N_PORTS:
+            raise ValueError(f"port requests must be (cycles x {N_PORTS})")
+        active = addresses != IDLE
+        write_mask = np.broadcast_to(write_mask, addresses.shape) & active
+        if (write_mask & ~WRITE_COLUMN).any():
+            raise ValueError("write on a read port")
+        if (active & ~write_mask & WRITE_COLUMN).any():
+            raise ValueError("read on a write port")
+        if ((addresses < IDLE) | (addresses >= self.total_words)).any():
+            raise MemoryModelError(
+                f"word address outside capacity {self.total_words}")
+        # idle ports get distinct negative banks, so they never collide;
+        # port p is rejected if a lower port q shares its bank
+        banks = np.where(active, addresses % N_BANKS, -1 - np.arange(N_PORTS))
+        same_bank = banks[:, :, None] == banks[:, None, :]
+        rejected = (same_bank & _LOWER_PORT).any(axis=2)
+        return rejected.sum(axis=1), rejected
 
     def access(self, cycle: int, requests: list[Request]) -> AccessResult:
-        """Arbitrate one cycle of up to 8 port requests.
+        """One cycle of up to 8 port requests: the one-row ``access_batch``.
 
-        Lowest port wins a contended bank; every rejected request counts
-        one conflict.  Writes of completed requests are applied in port
-        order within the cycle.
+        Completed writes are applied and completed reads returned, in
+        port order; rejected requests are returned for the caller to retry.
         """
         if len(requests) > N_PORTS:
             raise ValueError(f"{len(requests)} requests exceed {N_PORTS} ports")
-        seen_ports = set()
+        requests = sorted(requests, key=lambda r: r.port)
+        row = np.full((1, N_PORTS), IDLE, dtype=np.int64)
+        write_mask = np.zeros((1, N_PORTS), dtype=bool)
         for r in requests:
-            if r.port in seen_ports:
-                raise ValueError(f"port {r.port} issued twice in one cycle")
-            seen_ports.add(r.port)
-            if r.write and r.port not in WRITE_PORTS:
-                raise ValueError(f"write on read port {r.port}")
-            if not r.write and r.port not in READ_PORTS:
-                raise ValueError(f"read on write port {r.port}")
+            if not 0 <= r.port < N_PORTS or row[0, r.port] != IDLE:
+                raise ValueError(f"port {r.port} invalid or issued twice in one cycle")
             self._check_address(r.address)
-
-        winners: dict[int, Request] = {}
-        rejected = []
-        for r in sorted(requests, key=lambda r: r.port):
-            b = bank_of(r.address)
-            if b in winners:
-                rejected.append(r)
-            else:
-                winners[b] = r
+            row[0, r.port] = r.address
+            write_mask[0, r.port] = r.write
+        _, rejected = self.access_batch(row, write_mask)
 
         read_data: dict[int, int] = {}
-        completed = []
-        for r in sorted(winners.values(), key=lambda r: r.port):
+        completed, refused = [], []
+        for r in requests:
+            if rejected[0, r.port]:
+                refused.append(r)
+                continue
             if r.write:
                 self.write_word(r.address, r.data, r.strobe)
             else:
                 read_data[r.port] = self.read_word(r.address)
             completed.append(r)
-            if self.log_accesses:
-                self.access_log.append(
-                    (cycle, r.port, bank_of(r.address), "W" if r.write else "R"))
-        return AccessResult(read_data, completed, rejected, len(rejected))
+        return AccessResult(read_data, completed, refused, len(refused))
 
 
 def bandwidth_bytes_per_s(frequency_hz: float) -> float:
@@ -169,12 +192,7 @@ def bandwidth_bytes_per_s(frequency_hz: float) -> float:
     return N_BANKS * 4 * frequency_hz
 
 
-# -- sample packing ---------------------------------------------------------
-#
-# C64: one sample = 2 words (re word then im word).
-# C32: one sample = 1 word, re in the low half, im in the high half.
-# C16: two samples per word, sample 2i in the low half-word; within a
-#      half-word re is the low byte, im the high byte.
+# -- sample packing (layout: fixedpoint.pack_parts) ----------------------------
 
 
 def words_per_samples(dtype: DataType, n_samples: int) -> int:
@@ -188,44 +206,16 @@ def words_per_samples(dtype: DataType, n_samples: int) -> int:
 
 
 def pack_samples(samples: list[FixedComplex], dtype: DataType) -> list[int]:
-    for s in samples:
-        if s.dtype is not dtype:
-            raise ValueError("sample dtype mismatch")
-    w = dtype.part_width
-    words = []
-    if dtype is DataType.C64:
-        for s in samples:
-            words.append(to_unsigned(s.re, 32))
-            words.append(to_unsigned(s.im, 32))
-    elif dtype is DataType.C32:
-        for s in samples:
-            words.append(to_unsigned(s.im, 16) << 16 | to_unsigned(s.re, 16))
-    else:
-        if len(samples) % 2:
-            raise ValueError("C16 arrays must have an even sample count")
-        for lo, hi in zip(samples[::2], samples[1::2]):
-            words.append(to_unsigned(hi.im, 8) << 24 | to_unsigned(hi.re, 8) << 16
-                         | to_unsigned(lo.im, 8) << 8 | to_unsigned(lo.re, 8))
-    return words
+    if any(s.dtype is not dtype for s in samples):
+        raise ValueError("sample dtype mismatch")
+    return pack_parts([s.re for s in samples], [s.im for s in samples],
+                      dtype).tolist()
 
 
 def unpack_samples(words: list[int], dtype: DataType, n_samples: int) -> list[FixedComplex]:
-    samples = []
-    if dtype is DataType.C64:
-        for i in range(n_samples):
-            samples.append(FixedComplex(to_signed(words[2 * i], 32),
-                                        to_signed(words[2 * i + 1], 32), dtype))
-    elif dtype is DataType.C32:
-        for i in range(n_samples):
-            word = words[i]
-            samples.append(FixedComplex(to_signed(word, 16),
-                                        to_signed(word >> 16, 16), dtype))
-    else:
-        for i in range(n_samples):
-            half = (words[i // 2] >> (16 * (i % 2))) & 0xFFFF
-            samples.append(FixedComplex(to_signed(half, 8),
-                                        to_signed(half >> 8, 8), dtype))
-    return samples
+    re, im = unpack_parts(words, dtype)
+    return [FixedComplex(r, i, dtype)
+            for r, i in zip(re[:n_samples].tolist(), im[:n_samples].tolist())]
 
 
 def load_samples(memory: BankedMemory, base_address: int,
@@ -235,8 +225,7 @@ def load_samples(memory: BankedMemory, base_address: int,
     if base_address < 0 or base_address + len(words) > memory.total_words:
         raise MemoryModelError(
             f"{len(words)} words at base {base_address} exceed capacity")
-    for i, word in enumerate(words):
-        memory.write_word(base_address + i, word)
+    memory.words[base_address:base_address + len(words)] = words
 
 
 def read_samples(memory: BankedMemory, base_address: int,
@@ -244,7 +233,7 @@ def read_samples(memory: BankedMemory, base_address: int,
     n_words = words_per_samples(dtype, n_samples)
     if base_address < 0 or base_address + n_words > memory.total_words:
         raise MemoryModelError("sample array exceeds capacity")
-    words = [memory.read_word(base_address + i) for i in range(n_words)]
+    words = memory.words[base_address:base_address + n_words]
     return unpack_samples(words, dtype, n_samples)
 
 

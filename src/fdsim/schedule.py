@@ -10,6 +10,11 @@ pipeline for exactly one cycle.
 
 All schedule addresses are word offsets from the start of the sample
 array; the executor adds the job's base address.
+
+``compile_stage`` and ``compile_reorder`` turn a schedule into the int32
+arrays the executor runs: a (cycles x 8) port-address matrix and the data
+routing from the words a phase reads to the words it writes.  They also
+prove, per phase, what lets the executor move a phase's data as one batch.
 """
 
 from __future__ import annotations
@@ -17,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .fixedpoint import DataType
-from .membank import (FULL_STROBE, HI_HALF_STROBE, LO_HALF_STROBE, N_BANKS,
-                      CycleStats)
+from .membank import (FULL_STROBE, HI_HALF_STROBE, IDLE, LO_HALF_STROBE,
+                      N_BANKS, N_PORTS, WRITE_PORTS, CycleStats)
 
 WRITE_LAG_STAGE = 3
 WRITE_LAG_REORDER = 2
@@ -127,8 +134,14 @@ def _read_groups_and_batches(n_points, dtype, stage):
     return groups, batches
 
 
-@lru_cache(maxsize=None)
-def _schedule_stage_cached(n_points, dtype, stage):
+def schedule_stage(n_points: int, dtype: DataType, stage: int) -> StageSchedule:
+    """Built afresh on every call; the executor caches only its compiled
+    arrays (``compile_stage``)."""
+    m = _log2_points(n_points)
+    if not 0 <= stage < m:
+        raise ValueError(f"stage {stage} invalid for {n_points} points")
+    if n_points > dtype.max_points:
+        raise ValueError(f"{n_points} points exceed {dtype.name} limit")
     groups, batches = _read_groups_and_batches(n_points, dtype, stage)
     n_cycles = len(groups) + WRITE_LAG_STAGE
     cycles = []
@@ -138,15 +151,6 @@ def _schedule_stage_cached(n_points, dtype, stage):
                   if t >= WRITE_LAG_STAGE else ())
         cycles.append(StageCycle(reads, writes, tuple(batches.get(t, ()))))
     return StageSchedule(n_points, dtype, stage, cycles)
-
-
-def schedule_stage(n_points: int, dtype: DataType, stage: int) -> StageSchedule:
-    m = _log2_points(n_points)
-    if not 0 <= stage < m:
-        raise ValueError(f"stage {stage} invalid for {n_points} points")
-    if n_points > dtype.max_points:
-        raise ValueError(f"{n_points} points exceed {dtype.name} limit")
-    return _schedule_stage_cached(n_points, dtype, stage)
 
 
 # -- final bit-reversed reorder ----------------------------------------------
@@ -298,6 +302,181 @@ def schedule_reorder(n_points: int, dtype: DataType) -> ReorderSchedule:
     if n_points > dtype.max_points:
         raise ValueError(f"{n_points} points exceed {dtype.name} limit")
     return _schedule_reorder_cached(n_points, dtype)
+
+
+# -- compiled programs ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StageProgram:
+    """One butterfly stage as arrays.
+
+    Samples are numbered by their place in the read stream (the words of
+    ports 0-3, cycle by cycle).  ``butterflies`` rows are (a, b, twiddle
+    table index); ``route[k]`` is the read-stream sample written as the
+    k-th sample of the write stream (ports 4-7, cycle by cycle).
+    """
+
+    ports: np.ndarray          # (cycles x 8) word offsets, IDLE when unused
+    butterflies: np.ndarray    # (n/2 x 3)
+    route: np.ndarray          # (n,)
+
+
+@dataclass(frozen=True)
+class ReorderProgram:
+    """The reorder pass as arrays.
+
+    Half-words are numbered 2 * word + half over the read and the write
+    stream; ``moves`` rows are (write half-word, read half-word).
+    """
+
+    ports: np.ndarray          # (cycles x 8) word offsets, IDLE when unused
+    strobes: np.ndarray        # byte strobe of each write-stream word
+    moves: np.ndarray          # (k x 2)
+
+
+def _check(ok, message):
+    if not ok:
+        raise AssertionError(message)
+
+
+def _port_matrix(cycles, writes_of):
+    ports = np.full((len(cycles), N_PORTS), IDLE, dtype=np.int32)
+    for t, c in enumerate(cycles):
+        writes = writes_of(c)
+        _check(len(c.reads) <= WRITE_PORTS.start and len(writes) <= len(WRITE_PORTS),
+               f"cycle {t} needs more than the port budget")
+        ports[t, :len(c.reads)] = c.reads
+        ports[t, WRITE_PORTS.start:WRITE_PORTS.start + len(writes)] = writes
+    return ports
+
+
+def _streams(ports):
+    """(cycle, word) of the read and the write stream, in port order."""
+    reads, writes = ports[:, :WRITE_PORTS.start], ports[:, WRITE_PORTS.start:]
+    r_cycle, r_port = np.nonzero(reads != IDLE)
+    w_cycle, w_port = np.nonzero(writes != IDLE)
+    return ((r_cycle, reads[r_cycle, r_port]),
+            (w_cycle, writes[w_cycle, w_port]))
+
+
+def _check_batchable(what, ports):
+    """A phase may move its data as one gather and one scatter only if no
+    word is written twice and every word is read before it is written."""
+    (r_cycle, r_word), (w_cycle, w_word) = _streams(ports)
+    _check(len(np.unique(w_word)) == len(w_word), f"{what} writes a word twice")
+    written_at = np.full(ports.max() + 1, np.iinfo(np.int32).max)
+    written_at[w_word] = w_cycle
+    _check(not (r_cycle == written_at[r_word]).any(),
+           f"{what} reads and writes one word in one cycle")
+    _check(not (r_cycle > written_at[r_word]).any(),
+           f"{what} reads a word after writing it")
+
+
+def _stream_samples(cycles, words, dtype):
+    """(sample index, cycle its last word moves) per sample a word stream
+    carries, in unpack order."""
+    if dtype is DataType.C64:
+        _check((words[0::2] % 2 == 0).all() and (words[1::2] == words[0::2] + 1).all(),
+               "C64 words must come as (re, im) pairs")
+        return words[0::2] // 2, np.maximum(cycles[0::2], cycles[1::2])
+    if dtype is DataType.C32:
+        return words, cycles
+    return (np.stack([2 * words, 2 * words + 1], axis=1).ravel(),
+            np.repeat(cycles, 2))
+
+
+def _is_permutation(values, n):
+    return len(values) == n and np.array_equal(np.sort(values), np.arange(n))
+
+
+def compile_stage(sched: StageSchedule) -> StageProgram:
+    """Stage schedule -> StageProgram, checking that the data flow is
+    realisable: each sample is read, used by one butterfly and written
+    once, in that order, and the register sets never hold more than
+    REGISTER_CAPACITY samples."""
+    n, dtype = sched.n_points, sched.dtype
+    what = f"stage {sched.stage} of {n}-point {dtype.name}"
+    ports = _port_matrix(sched.cycles, lambda c: c.writes)
+    _check_batchable(what, ports)
+    (r_cycle, r_word), (w_cycle, w_word) = _streams(ports)
+    samples, read_at = _stream_samples(r_cycle, r_word, dtype)
+    _check(_is_permutation(samples, n), f"{what} does not read every sample once")
+    position = np.empty(n, dtype=np.int64)
+    position[samples] = np.arange(n)
+
+    flies = [(t, a, b, exp) for t, c in enumerate(sched.cycles)
+             for a, b, exp in c.butterflies]
+    fly_at, a, b, exp = (np.array(col, dtype=np.int64) for col in zip(*flies))
+    a, b = position[a], position[b]
+    _check(_is_permutation(np.concatenate([a, b]), n),
+           f"{what} does not use every sample in one butterfly")
+    _check((read_at[a] < fly_at).all() and (read_at[b] < fly_at).all(),
+           f"{what} computes a butterfly before its operands are read")
+    done_at = np.empty(n, dtype=np.int64)
+    done_at[a] = done_at[b] = fly_at
+
+    written, written_at = _stream_samples(w_cycle, w_word, dtype)
+    written = position[written]
+    _check(_is_permutation(written, n), f"{what} does not write every sample once")
+    _check((done_at[written] <= written_at).all(),
+           f"{what} writes a sample before its butterfly")
+
+    def per_cycle(at):
+        return np.cumsum(np.bincount(at, minlength=len(ports)))
+
+    held_in = per_cycle(read_at) - per_cycle(np.concatenate([fly_at, fly_at]))
+    held_out = per_cycle(np.concatenate([fly_at, fly_at])) - per_cycle(written_at)
+    capacity = REGISTER_CAPACITY[dtype]
+    _check(held_in.max() <= capacity, f"{what}: input register overflow "
+           f"{held_in.max()} > {capacity}")
+    _check(held_out.max() <= capacity, f"{what}: output register overflow "
+           f"{held_out.max()} > {capacity}")
+
+    stride = dtype.max_points // n           # twiddle table serves all sizes
+    butterflies = np.stack([a, b, exp * stride], axis=1).astype(np.int32)
+    return StageProgram(ports, butterflies, written.astype(np.int32))
+
+
+_STROBE_HALVES = {FULL_STROBE: (0, 1), LO_HALF_STROBE: (0,), HI_HALF_STROBE: (1,)}
+
+
+def _sample_halves(index, dtype):
+    """(word, half) pieces holding one sample, in part order."""
+    if dtype is DataType.C64:
+        return ((2 * index, 0), (2 * index, 1), (2 * index + 1, 0), (2 * index + 1, 1))
+    if dtype is DataType.C32:
+        return ((index, 0), (index, 1))
+    return ((index // 2, index % 2),)
+
+
+def compile_reorder(sched: ReorderSchedule) -> ReorderProgram:
+    """Reorder schedule -> ReorderProgram.  Every written half-word is
+    routed from a half-word an earlier read of this pass returned, as the
+    schedule's moves say."""
+    dtype = sched.dtype
+    what = f"reorder of {sched.n_points}-point {dtype.name}"
+    ports = _port_matrix(sched.cycles, lambda c: [a for a, _ in c.writes])
+    _check_batchable(what, ports)
+    (r_cycle, r_word), (w_cycle, w_word) = _streams(ports)
+    strobes = [strobe for c in sched.cycles for _, strobe in c.writes]
+    read_slot = {int(word): (k, int(t)) for k, (t, word) in
+                 reversed(list(enumerate(zip(r_cycle, r_word))))}
+    source = {}
+    for src, dst in sched.entries:
+        source.update(zip(_sample_halves(dst, dtype), _sample_halves(src, dtype)))
+    moves = []
+    for k, (t, word, strobe) in enumerate(zip(w_cycle, w_word, strobes)):
+        _check(strobe in _STROBE_HALVES, f"{what}: unsupported strobe {strobe:#x}")
+        for half in _STROBE_HALVES[strobe]:
+            src_word, src_half = source.get((int(word), half), (None, None))
+            _check(src_word is not None,
+                   f"{what} writes half {half} of word {word} without a move")
+            slot, read_t = read_slot.get(src_word, (None, t))
+            _check(read_t < t, f"{what} writes word {word} before reading its source")
+            moves.append((2 * k + half, 2 * slot + src_half))
+    return ReorderProgram(ports, np.array(strobes, dtype=np.int32),
+                          np.array(moves, dtype=np.int32).reshape(-1, 2))
 
 
 def total_cycle_model(n_points: int, dtype: DataType) -> CycleStats:

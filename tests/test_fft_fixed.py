@@ -1,17 +1,23 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fdsim.fft
+import fdsim.schedule
 from fdsim.fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                        load_quantized, read_spectrum, spectrum_snr_db,
                        twiddle_lookup, twiddle_table)
 from fdsim.fixedpoint import (DataType, ScalingPolicy, dequantize, quantize)
-from fdsim.harness import SNR_FLOORS_DB
-from fdsim.membank import BankedMemory, read_samples
-from fdsim.schedule import bit_reverse_index
+from fdsim.harness import SNR_FLOORS_DB, full_size_grid
+from fdsim.membank import (BankedMemory, pack_samples, read_samples,
+                           words_per_samples)
+from fdsim.schedule import (WRITE_LAG_STAGE, bit_reverse_index,
+                            compile_reorder, compile_stage, schedule_reorder,
+                            schedule_stage, total_cycle_model)
 
 ALL_DTYPES = list(DataType)
 
@@ -210,15 +216,87 @@ class TestSpectra:
 
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
     def test_scheduling_never_alters_numerics(self, dtype):
-        # straight-line stage loops on a plain list must match the
-        # port-scheduled executor bit for bit
-        for n in (8, 64, 256):
+        # over the whole size grid: the executor's memory words equal those of
+        # the scalar butterfly applied stage by stage on a plain list, and its
+        # cycle statistics equal the cycle model's
+        for n in full_size_grid(dtype):
             rng = np.random.default_rng(n)
             x = rng.uniform(-0.9, 0.9, n) + 1j * rng.uniform(-0.9, 0.9, n)
             mem, job, summary, _ = run_fixed(x, dtype, n)
-            got = read_samples(mem, 0, n, dtype)
             want = straight_line_fft([quantize(v, dtype) for v in x], dtype)
-            assert got == want
+            got = mem.words[:words_per_samples(dtype, n)].tolist()
+            assert got == pack_samples(want, dtype), (dtype, n)
+            assert summary.stats.as_dict() == total_cycle_model(n, dtype).as_dict()
+
+
+@pytest.fixture
+def fresh_programs():
+    """Drop compiled programs before and after a test that patches schedules."""
+    fdsim.fft._program.cache_clear()
+    yield
+    fdsim.fft._program.cache_clear()
+
+
+class TestCompiledPrograms:
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_reorder_moves_the_words_it_reads(self, dtype, monkeypatch,
+                                              fresh_programs):
+        # one swap unit sends its first two samples to each other's target:
+        # the spectrum must come out wrong exactly there
+        n = 64
+        x = np.random.default_rng(2).uniform(-0.9, 0.9, n) + 0.3j
+        real = schedule_reorder(n, dtype)
+        (s0, d0), (s1, d1) = real.entries[:2]
+        broken = dataclasses.replace(real, entries=((s0, d1), (s1, d0)) + real.entries[2:])
+        monkeypatch.setattr(fdsim.fft, "schedule_reorder", lambda n, dtype: broken)
+        mem, _, summary, _ = run_fixed(x, dtype, n)
+        got = read_samples(mem, 0, n, dtype)
+        want = straight_line_fft([quantize(v, dtype) for v in x], dtype)
+        assert want[d0] != want[d1]
+        assert (got[d0], got[d1]) == (want[d1], want[d0])
+        assert [g for i, g in enumerate(got) if i not in (d0, d1)] == \
+            [w for i, w in enumerate(want) if i not in (d0, d1)]
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_register_capacity_checked_at_compile(self, dtype, monkeypatch):
+        # the last stage computes each group the cycle after reading it; one
+        # more cycle before the write overfills the output register set
+        compile_stage(schedule_stage(64, dtype, 5))
+        monkeypatch.setattr(fdsim.schedule, "WRITE_LAG_STAGE", WRITE_LAG_STAGE + 1)
+        with pytest.raises(AssertionError, match="output register overflow"):
+            compile_stage(schedule_stage(64, dtype, 5))
+
+    def test_same_cycle_read_and_write_rejected(self, monkeypatch):
+        monkeypatch.setattr(fdsim.schedule, "WRITE_LAG_STAGE", 0)
+        with pytest.raises(AssertionError, match="reads and writes one word in one cycle"):
+            compile_stage(schedule_stage(16, DataType.C32, 0))
+
+    def test_double_write_rejected(self):
+        sched = schedule_reorder(64, DataType.C32)
+        cycles = list(sched.cycles)
+        cycles[-1] = dataclasses.replace(cycles[-1], writes=cycles[2].writes)
+        with pytest.raises(AssertionError, match="writes a word twice"):
+            compile_reorder(dataclasses.replace(sched, cycles=cycles))
+
+    def test_write_before_read_rejected(self):
+        # the last reads move to the first cycle: the first cycle's words,
+        # now read last, are read after their writes
+        sched = schedule_reorder(64, DataType.C32)
+        cycles = list(sched.cycles)
+        last_read = max(t for t, c in enumerate(cycles) if c.reads)
+        cycles[0], cycles[last_read] = (
+            dataclasses.replace(cycles[0], reads=cycles[last_read].reads),
+            dataclasses.replace(cycles[last_read], reads=cycles[0].reads))
+        with pytest.raises(AssertionError, match="reads a word after writing it"):
+            compile_reorder(dataclasses.replace(sched, cycles=cycles))
+
+    def test_move_from_unread_word_rejected(self):
+        # a palindrome is never read by the reorder, so it cannot be a source
+        sched = schedule_reorder(64, DataType.C32)
+        (_, dst), *rest = sched.entries
+        broken = dataclasses.replace(sched, entries=((0, dst), *rest))
+        with pytest.raises(AssertionError, match="before reading its source"):
+            compile_reorder(broken)
 
 
 def straight_line_fft(samples, dtype):

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdsim.fft import twiddle_table
 from fdsim.fixedpoint import (DataType, FixedComplex, OverflowFlag,
-                              ScalingPolicy, butterfly, cmul, dequantize, one,
-                              quantize, sat_round, zero)
+                              ScalingPolicy, butterfly, butterfly_array, cmul,
+                              dequantize, one, quantize, sat_round,
+                              sat_round_array, zero)
 
 ALL_DTYPES = list(DataType)
 
@@ -192,3 +195,74 @@ class TestQuantize:
     def test_out_of_range_raw_rejected(self):
         with pytest.raises(ValueError):
             FixedComplex(DataType.C16.max_raw + 1, 0, DataType.C16)
+
+
+class TestArrayForms:
+    """The executor's array arithmetic against the scalar definitions."""
+
+    @staticmethod
+    @st.composite
+    def _rounding_cases(draw):
+        width = draw(st.sampled_from([8, 16, 32]))
+        shift = draw(st.sampled_from([0, 1, width - 1, width // 2]))
+        # reaches both saturation rails, within the int64 the arrays hold
+        limit = min(1 << (width + shift + 1), 1 << 62)
+        tie = st.builds(lambda k: (k << shift) + (1 << shift >> 1),
+                        st.integers(-limit >> shift, limit >> shift))
+        rails = st.sampled_from([(1 << (width - 1 + shift)) + d for d in (-2, -1, 0, 1)]
+                                + [-(1 << (width - 1 + shift)) + d for d in (-2, -1, 0, 1)])
+        values = draw(st.lists(st.one_of(st.integers(-limit, limit), tie, rails,
+                                         st.integers(-(1 << 62), 1 << 62)),
+                               min_size=1, max_size=16))
+        return width, shift, values
+
+    @given(_rounding_cases())
+    @settings(max_examples=100)
+    def test_sat_round_array_matches_scalar(self, case):
+        width, shift, values = case
+        scalar_flag, array_flag = OverflowFlag(), OverflowFlag()
+        want = [sat_round(v, width, shift, scalar_flag) for v in values]
+        got = sat_round_array(np.array(values, dtype=np.int64), width, shift, array_flag)
+        assert got.tolist() == want
+        assert array_flag.seen == scalar_flag.seen
+
+    @staticmethod
+    def _check_butterflies(dtype, a, b, w, policy):
+        scalar_flag, array_flag = OverflowFlag(), OverflowFlag()
+        want = [butterfly(x, y, z, policy, scalar_flag) for x, y, z in zip(a, b, w)]
+
+        def parts(samples):
+            return (np.array([s.re for s in samples], dtype=np.int64),
+                    np.array([s.im for s in samples], dtype=np.int64))
+
+        got = butterfly_array(*parts(a), *parts(b), *parts(w), dtype, policy, array_flag)
+        assert [x.tolist() for x in got] == [
+            [o0.re for o0, _ in want], [o0.im for o0, _ in want],
+            [o1.re for _, o1 in want], [o1.im for _, o1 in want]]
+        assert array_flag.seen == scalar_flag.seen
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    @pytest.mark.parametrize("policy", list(ScalingPolicy))
+    def test_butterfly_array_extremes(self, dtype, policy):
+        # every corner of the operand range against the largest twiddles,
+        # including C64 parts at -2^31 where products reach 2^62
+        table = twiddle_table(dtype).entries
+        biggest = max(table, key=lambda e: e.re * e.re + e.im * e.im)
+        twiddles = {table[0], table[len(table) // 2], biggest,
+                    FixedComplex(0, -dtype.scale, dtype)}
+        corners = [dtype.min_raw, dtype.min_raw + 1, -1, 0, 1, dtype.max_raw]
+        parts = [FixedComplex(r, i, dtype) for r in corners for i in corners]
+        cases = [(x, y, w) for x in parts for y in parts for w in twiddles]
+        self._check_butterflies(dtype, *zip(*cases), policy)
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    @given(data=st.data())
+    @settings(max_examples=15)
+    def test_butterfly_array_matches_scalar(self, dtype, data):
+        table = twiddle_table(dtype).entries
+        n = data.draw(st.integers(1, 20))
+        a = data.draw(st.lists(_fixed(dtype), min_size=n, max_size=n))
+        b = data.draw(st.lists(_fixed(dtype), min_size=n, max_size=n))
+        w = data.draw(st.lists(st.sampled_from(table), min_size=n, max_size=n))
+        policy = data.draw(st.sampled_from(list(ScalingPolicy)))
+        self._check_butterflies(dtype, a, b, w, policy)

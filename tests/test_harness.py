@@ -218,6 +218,18 @@ class TestCli:
         cfg = self._write(tmp_path, {"version": 1, "kind": "nope"})
         assert cli.main(["fft", "run", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("kind", ["fft-run", "fft-sweep"])
+    @pytest.mark.parametrize("clock_hz", [0, float("nan"), -1.0, float("inf")])
+    def test_bad_clock_exits_2(self, tmp_path, capsys, kind, clock_hz):
+        # 0 used to divide by zero (exit 1 with a traceback), NaN to fail a check
+        doc = fft_config(clock_hz=clock_hz)
+        if kind == "fft-sweep":
+            doc.update(kind=kind, sweep={"dtypes": ["C64"], "n_points": [8]})
+        cfg = self._write(tmp_path, doc)
+        assert cli.main(["fft", kind.split("-")[1], "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "clock_hz" in err and "Traceback" not in err
+
     def test_kind_mismatch_exits_2(self, tmp_path):
         cfg = self._write(tmp_path, fft_config())
         assert cli.main(["i2s", "run", "--config", cfg]) == 2

@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsim.fixedpoint import DataType, FixedComplex
-from fdsim.membank import (HI_HALF_STROBE, LO_HALF_STROBE, BankedMemory,
-                           MemoryModelError, Request, bandwidth_bytes_per_s,
+from fdsim.membank import (HI_HALF_STROBE, IDLE, LO_HALF_STROBE, N_PORTS,
+                           WRITE_COLUMN, BankedMemory, MemoryModelError,
+                           Request, bandwidth_bytes_per_s,
                            bank_of, export_image, import_image, load_samples,
                            pack_samples, read_samples, unpack_samples)
 
@@ -88,6 +90,39 @@ class TestAccess:
         banks = [bank_of(r.address) for r in res.completed]
         assert len(banks) == len(set(banks))
         assert res.conflicts == len(res.rejected)
+
+
+class TestAccessBatch:
+    @given(st.lists(st.lists(st.one_of(st.just(IDLE), st.integers(0, 63)),
+                             min_size=N_PORTS, max_size=N_PORTS),
+                    min_size=1, max_size=6))
+    @settings(max_examples=60)
+    def test_rows_match_single_cycle_access(self, rows):
+        mem = BankedMemory(total_words=64)
+        conflicts, rejected = mem.access_batch(np.array(rows), WRITE_COLUMN)
+        for t, row in enumerate(rows):
+            reqs = [Request(p, a, write=p >= 4) for p, a in enumerate(row) if a != IDLE]
+            res = BankedMemory(total_words=64).access(t, reqs)
+            assert conflicts[t] == res.conflicts
+            assert [p for p in range(N_PORTS) if rejected[t, p]] == \
+                [r.port for r in res.rejected]
+
+    def test_moves_no_data(self):
+        mem = BankedMemory(total_words=64)
+        mem.access_batch(np.array([[0, 16, IDLE, IDLE, 1, 17, IDLE, IDLE]]),
+                         WRITE_COLUMN)
+        assert not mem.words.any()
+
+    def test_validation(self):
+        mem = BankedMemory(total_words=64)
+        with pytest.raises(ValueError):
+            mem.access_batch(np.zeros((2, 4), dtype=int), WRITE_COLUMN)
+        with pytest.raises(ValueError):
+            mem.access_batch(np.zeros((1, 8), dtype=int), np.ones(8, dtype=bool))
+        with pytest.raises(ValueError):
+            mem.access_batch(np.zeros((1, 8), dtype=int), np.zeros(8, dtype=bool))
+        with pytest.raises(MemoryModelError):
+            mem.access_batch(np.full((1, 8), 64), WRITE_COLUMN)
 
 
 class TestPacking:
