@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 from .fft import ConfigurationError
@@ -35,7 +36,9 @@ def _add_common(parser):
                         help="stdout report format")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fdsim",
         description="Cycle-level FFT engine / banked memory / audio bus model")

@@ -19,17 +19,17 @@ from functools import lru_cache
 import numpy as np
 
 from .fixedpoint import (DataType, FixedComplex, OverflowFlag, ScalingPolicy,
-                         butterfly_array, dequantize, pack_parts, quantize,
-                         unpack_parts)
+                         butterfly_array, dequantize_parts, pack_parts,
+                         quantize, quantize_parts, unpack_parts)
 from .membank import (IDLE, STROBE_MASK, WRITE_COLUMN, BankedMemory,
-                      CycleStats, load_samples, read_samples,
-                      words_per_samples)
+                      CycleStats, load_parts, read_parts, words_per_samples)
 from .schedule import (compile_reorder, compile_stage, schedule_reorder,
                        schedule_stage)
 
-# The scalar forms stay importable from here; the executor uses the arrays.
+# The scalar forms stay importable from here; the run path uses the arrays.
 from .fixedpoint import butterfly  # noqa: F401
-from .membank import pack_samples, unpack_samples  # noqa: F401
+from .membank import (load_samples, pack_samples, read_samples,  # noqa: F401
+                      unpack_samples)
 
 
 class ConfigurationError(ValueError):
@@ -125,21 +125,22 @@ def dft_direct(x) -> np.ndarray:
 
 
 def fft_recursive(x) -> np.ndarray:
-    """Separately-coded recursive radix-2 FFT; must agree with dft_direct."""
+    """Separately-coded radix-2 FFT; must agree with dft_direct.
+
+    The even/odd recursion, evaluated a level at a time: row r of ``X``
+    holds the spectrum of x[r::rows].  Rows r and r + rows/2 are one
+    node's even and odd halves, so each level performs the recursion's
+    floating-point operations in its order and the result is bit-identical.
+    """
     x = np.asarray(x, dtype=np.complex128)
     _check_power_of_two(len(x))
-
-    def rec(v):
-        n = len(v)
-        if n == 1:
-            return v
-        even = rec(v[::2])
-        odd = rec(v[1::2])
-        tw = np.exp(-2j * np.pi * np.arange(n // 2) / n)
-        half = tw * odd
-        return np.concatenate([even + half, even - half])
-
-    return rec(x)
+    X = x.reshape(len(x), 1)
+    while len(X) > 1:
+        half, sub = len(X) // 2, X.shape[1]
+        tw = np.exp(-2j * np.pi * np.arange(sub) / (2 * sub))
+        t = tw * X[half:]
+        X = np.concatenate([X[:half] + t, X[:half] - t], axis=1)
+    return X[0]
 
 
 def fft_reference(x) -> np.ndarray:
@@ -264,16 +265,20 @@ def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
 
 
 def load_quantized(memory: BankedMemory, job: FftJob, values,
-                   flag: OverflowFlag | None = None) -> list[FixedComplex]:
-    """Quantize a complex vector and place it at the job's base address."""
-    samples = [quantize(complex(v), job.dtype, flag) for v in values]
-    if len(samples) != job.n_points:
-        raise ConfigurationError(f"expected {job.n_points} samples, got {len(samples)}")
-    load_samples(memory, job.base_address, samples, job.dtype)
-    return samples
+                   flag: OverflowFlag | None = None) -> np.ndarray:
+    """Quantize a complex vector and place it at the job's base address.
+
+    Returns the quantized samples as exact doubles: the oracle's input.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    if len(values) != job.n_points:
+        raise ConfigurationError(f"expected {job.n_points} samples, got {len(values)}")
+    re, im = quantize_parts(values, job.dtype, flag)
+    load_parts(memory, job.base_address, re, im, job.dtype)
+    return dequantize_parts(re, im, job.dtype)
 
 
 def read_spectrum(memory: BankedMemory, job: FftJob) -> np.ndarray:
     """Dequantized natural-order spectrum currently in memory."""
-    samples = read_samples(memory, job.base_address, job.n_points, job.dtype)
-    return np.array([dequantize(s) for s in samples], dtype=np.complex128)
+    re, im = read_parts(memory, job.base_address, job.n_points, job.dtype)
+    return dequantize_parts(re, im, job.dtype)

@@ -43,6 +43,8 @@ class DataType(Enum):
 
     @classmethod
     def from_tag(cls, tag: str) -> "DataType":
+        if not isinstance(tag, str):
+            raise ValueError(f"data type must be a string tag, got {tag!r}")
         try:
             return cls[tag.upper()]
         except KeyError:
@@ -200,6 +202,32 @@ def sat_round_array(values, width: int, shift: int = 0,
     if flag is not None and not flag.seen and (clipped != q).any():
         flag.seen = True
     return clipped
+
+
+def quantize_parts(values, dtype: DataType,
+                   flag: OverflowFlag | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``quantize`` over a complex array: int64 raw (re, im), saturated.
+
+    ``np.rint`` rounds half to even like ``round``; clipping one step past
+    either rail before the cast keeps huge finite values saturating (and
+    flagging) where the scalar form would overflow converting them.
+    """
+    x = np.asarray(values, dtype=np.complex128)
+    if not np.isfinite(x).all():
+        raise ValueError("cannot quantize NaN or infinite samples")
+    with np.errstate(over="ignore"):
+        scaled = np.rint(np.stack([x.real, x.imag]) * dtype.scale)
+    raw = np.clip(scaled, dtype.min_raw - 1, dtype.max_raw + 1).astype(np.int64)
+    re, im = sat_round_array(raw, dtype.part_width, 0, flag)
+    return re, im
+
+
+def dequantize_parts(re, im, dtype: DataType) -> np.ndarray:
+    """``dequantize`` over arrays of raw parts; exact, the scale being 2^(w-1)."""
+    out = np.empty(len(re), dtype=np.complex128)
+    out.real = np.divide(re, dtype.scale)
+    out.imag = np.divide(im, dtype.scale)
+    return out
 
 
 def butterfly_array(a_re, a_im, b_re, b_im, w_re, w_im, dtype: DataType,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                   load_quantized, read_spectrum, spectrum_snr_db)
-from .fixedpoint import DataType, OverflowFlag, ScalingPolicy, dequantize
+from .fixedpoint import DataType, OverflowFlag, ScalingPolicy
 from .i2s import (Alignment, BusConfig, BusMode, FramePayload, FsyncStyle,
                   Polarity, Role, bclk_frequency, decode, encode, latency_dsp,
                   latency_tdm, measure_latency, payloads_to_wav,
@@ -110,13 +110,35 @@ def _require(mapping, key, kind):
     return mapping[key]
 
 
+def _section(mapping, key, kind, required=False) -> dict:
+    value = _require(mapping, key, kind) if required else mapping.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{kind} config section {key!r} must be a JSON object")
+    return value
+
+
+def _int(value, key) -> int:
+    """A JSON integer; integral floats pass, but not fractions, NaN, inf or booleans."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _list(value, key) -> list:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{key} must be a JSON list, got {value!r}")
+    return value
+
+
 def _parse_input(d: dict) -> InputSpec:
     spec = InputSpec(source=d.get("source", "noise"),
                      amplitude=float(d.get("amplitude", 0.9)),
-                     bin=int(d.get("bin", 3)),
+                     bin=_int(d.get("bin", 3), "bin"),
                      path=d.get("path"))
     if spec.source not in ("noise", "tone", "impulse", "file"):
         raise ConfigurationError(f"unknown input source {spec.source!r}")
+    if not math.isfinite(spec.amplitude):
+        raise ConfigurationError(f"amplitude must be finite, got {spec.amplitude}")
     if spec.source == "file" and not spec.path:
         raise ConfigurationError("file input needs a path")
     return spec
@@ -131,12 +153,12 @@ def _parse_clock(d: dict) -> float:
 
 def _parse_fft_run(d: dict) -> FftRunSpec:
     return FftRunSpec(
-        n_points=int(_require(d, "n_points", "fft")),
+        n_points=_int(_require(d, "n_points", "fft"), "n_points"),
         dtype=DataType.from_tag(_require(d, "dtype", "fft")),
-        base_address=int(d.get("base_address", 0)),
+        base_address=_int(d.get("base_address", 0), "base_address"),
         scaling=ScalingPolicy(d.get("scaling", "divide-by-two-per-stage")),
         clock_hz=_parse_clock(d),
-        input=_parse_input(d.get("input", {})),
+        input=_parse_input(_section(d, "input", "fft")),
         dump_memory_image=bool(d.get("dump_memory_image", False)),
     )
 
@@ -154,10 +176,10 @@ def _parse_bus(d: dict) -> BusConfig:
     try:
         return BusConfig(
             mode=BusMode(_require(d, "mode", "i2s")),
-            n_devices=int(d.get("n_devices", 1)),
-            frame_bits=int(d.get("frame_bits", 32)),
-            sample_rate=int(d.get("sample_rate", 48000)),
-            clk_div=int(d.get("clk_div", 1)),
+            n_devices=_int(d.get("n_devices", 1), "n_devices"),
+            frame_bits=_int(d.get("frame_bits", 32), "frame_bits"),
+            sample_rate=_int(d.get("sample_rate", 48000), "sample_rate"),
+            clk_div=_int(d.get("clk_div", 1), "clk_div"),
             polarity=Polarity(d.get("polarity", "sample-on-rising")),
             alignment=Alignment(d.get("alignment", "aligned")),
             fsync_style=FsyncStyle(d.get("fsync_style", "pulse")),
@@ -174,26 +196,27 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if version != CONFIG_VERSION:
         raise ConfigurationError(f"unsupported config version {version!r}")
     kind = raw.get("kind")
-    seed = int(raw.get("seed", 0))
     try:
+        seed = _int(raw.get("seed", 0), "seed")
         if kind == "fft-run":
-            spec = _parse_fft_run(_require(raw, "fft", kind))
+            spec = _parse_fft_run(_section(raw, "fft", kind, required=True))
         elif kind == "fft-sweep":
-            sweep = raw.get("sweep", {})
-            base = raw.get("fft", {})
-            dtypes = tuple(DataType.from_tag(t)
-                           for t in sweep.get("dtypes", ["C64", "C32", "C16"]))
+            sweep = _section(raw, "sweep", kind)
+            base = _section(raw, "fft", kind)
+            dtypes = tuple(DataType.from_tag(t) for t in _list(
+                sweep.get("dtypes", ["C64", "C32", "C16"]), "dtypes"))
             sizes = sweep.get("n_points")
             spec = FftSweepSpec(
                 dtypes=dtypes,
-                n_points=tuple(int(n) for n in sizes) if sizes else None,
+                n_points=tuple(_int(n, "n_points") for n in _list(sizes, "n_points"))
+                if sizes else None,
                 clock_hz=_parse_clock(base),
-                input=_parse_input(base.get("input", {})))
+                input=_parse_input(_section(base, "input", kind)))
         elif kind == "i2s-run":
-            d = _require(raw, "i2s", kind)
-            payload = d.get("payload", {})
+            d = _section(raw, "i2s", kind, required=True)
+            payload = _section(d, "payload", kind)
             spec = I2sRunSpec(bus=_parse_bus(d),
-                              periods=int(d.get("periods", 3)),
+                              periods=_int(d.get("periods", 3), "periods"),
                               payload_source=payload.get("source", "random"),
                               payload_path=payload.get("path"),
                               export_wav=bool(payload.get("export_wav", False)))
@@ -202,19 +225,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
             if spec.payload_source == "wav" and not spec.payload_path:
                 raise ConfigurationError("wav payload needs a path")
         elif kind == "i2s-sweep":
-            sweep = raw.get("sweep", {})
-            base = raw.get("i2s", {})
+            sweep = _section(raw, "sweep", kind)
+            base = _section(raw, "i2s", kind)
             spec = I2sSweepSpec(
-                modes=tuple(BusMode(m) for m in sweep.get(
-                    "modes", ["tdm-i2s", "tdm-dsp"])),
-                n_devices=tuple(int(k) for k in sweep.get(
-                    "n_devices", list(range(1, 17)))),
-                frame_bits=tuple(int(n) for n in sweep.get("frame_bits", [16, 24, 32])),
-                sample_rate=int(base.get("sample_rate", 48000)),
-                periods=int(base.get("periods", 2)))
+                modes=tuple(BusMode(m) for m in _list(sweep.get(
+                    "modes", ["tdm-i2s", "tdm-dsp"]), "modes")),
+                n_devices=tuple(_int(k, "n_devices") for k in _list(sweep.get(
+                    "n_devices", list(range(1, 17))), "n_devices")),
+                frame_bits=tuple(_int(n, "frame_bits") for n in _list(sweep.get(
+                    "frame_bits", [16, 24, 32]), "frame_bits")),
+                sample_rate=_int(base.get("sample_rate", 48000), "sample_rate"),
+                periods=_int(base.get("periods", 2), "periods"))
         else:
             raise ConfigurationError(f"unknown experiment kind {kind!r}")
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         if isinstance(e, ConfigurationError):
             raise
         raise ConfigurationError(str(e)) from None
@@ -323,8 +347,7 @@ def run_fft_experiment(spec: FftRunSpec, seed: int,
     x = build_fft_input(spec.input, spec.n_points, seed)
 
     input_flag = OverflowFlag()
-    samples = load_quantized(memory, job, x, input_flag)
-    oracle_input = np.array([dequantize(s) for s in samples])
+    oracle_input = load_quantized(memory, job, x, input_flag)
 
     summary = fft_fixed(job, memory)
     spectrum = read_spectrum(memory, job) * float(2 ** summary.scaling_stages)

@@ -218,23 +218,37 @@ def unpack_samples(words: list[int], dtype: DataType, n_samples: int) -> list[Fi
             for r, i in zip(re[:n_samples].tolist(), im[:n_samples].tolist())]
 
 
-def load_samples(memory: BankedMemory, base_address: int,
-                 samples: list[FixedComplex], dtype: DataType) -> None:
-    """Write a sample array into memory, bit-exact per the packing rules."""
-    words = pack_samples(samples, dtype)
+def load_parts(memory: BankedMemory, base_address: int, re, im,
+               dtype: DataType) -> None:
+    """Write raw sample parts into memory, bit-exact per the packing rules."""
+    words = pack_parts(re, im, dtype)
     if base_address < 0 or base_address + len(words) > memory.total_words:
         raise MemoryModelError(
             f"{len(words)} words at base {base_address} exceed capacity")
     memory.words[base_address:base_address + len(words)] = words
 
 
-def read_samples(memory: BankedMemory, base_address: int,
-                 n_samples: int, dtype: DataType) -> list[FixedComplex]:
+def read_parts(memory: BankedMemory, base_address: int, n_samples: int,
+               dtype: DataType) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (re, im) of the ``n_samples`` samples stored at ``base_address``."""
     n_words = words_per_samples(dtype, n_samples)
     if base_address < 0 or base_address + n_words > memory.total_words:
         raise MemoryModelError("sample array exceeds capacity")
-    words = memory.words[base_address:base_address + n_words]
-    return unpack_samples(words, dtype, n_samples)
+    return unpack_parts(memory.words[base_address:base_address + n_words], dtype)
+
+
+def load_samples(memory: BankedMemory, base_address: int,
+                 samples: list[FixedComplex], dtype: DataType) -> None:
+    if any(s.dtype is not dtype for s in samples):
+        raise ValueError("sample dtype mismatch")
+    load_parts(memory, base_address, [s.re for s in samples],
+               [s.im for s in samples], dtype)
+
+
+def read_samples(memory: BankedMemory, base_address: int,
+                 n_samples: int, dtype: DataType) -> list[FixedComplex]:
+    re, im = read_parts(memory, base_address, n_samples, dtype)
+    return [FixedComplex(r, i, dtype) for r, i in zip(re.tolist(), im.tolist())]
 
 
 # -- image import/export ----------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from fdsim.fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                        load_quantized, read_spectrum, spectrum_snr_db)
-from fdsim.fixedpoint import DataType, dequantize
+from fdsim.fixedpoint import DataType
 from fdsim.harness import (DEFAULT_CLOCK_HZ, SNR_CALIBRATION, SNR_FLOORS_DB,
                            FftRunSpec, InputSpec, full_size_grid,
                            run_fft_experiment)
@@ -35,9 +35,8 @@ def run_noise(dtype, n, seed=NOISE_SEED):
          + 1j * rng.uniform(-NOISE_AMPLITUDE, NOISE_AMPLITUDE, n))
     mem = BankedMemory()
     job = FftJob(n, dtype)
-    samples = load_quantized(mem, job, x)
+    oracle_in = load_quantized(mem, job, x)
     summary = fft_fixed(job, mem)
-    oracle_in = np.array([dequantize(s) for s in samples])
     return mem, job, summary, oracle_in
 
 
@@ -131,10 +130,10 @@ def test_6_numerical_fidelity(full_grid_runs):
                 x = 0.7 * np.exp(2j * np.pi * bin_k * t / n)
                 mem = BankedMemory()
                 job = FftJob(n, dtype)
-                samples = load_quantized(mem, job, x)
+                oracle_in = load_quantized(mem, job, x)
                 fft_fixed(job, mem)
                 got = read_spectrum(mem, job)
-                ref = fft_reference([dequantize(s) for s in samples])
+                ref = fft_reference(oracle_in)
                 ok &= (int(np.argmax(np.abs(got)))
                        == int(np.argmax(np.abs(ref))) == bin_k)
             # impulse: flat spectrum, peak test degenerate; check flatness

@@ -11,10 +11,11 @@ import fdsim.schedule
 from fdsim.fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                        load_quantized, read_spectrum, spectrum_snr_db,
                        twiddle_lookup, twiddle_table)
-from fdsim.fixedpoint import (DataType, ScalingPolicy, dequantize, quantize)
+from fdsim.fixedpoint import (DataType, OverflowFlag, ScalingPolicy,
+                              dequantize, quantize)
 from fdsim.harness import SNR_FLOORS_DB, full_size_grid
-from fdsim.membank import (BankedMemory, pack_samples, read_samples,
-                           words_per_samples)
+from fdsim.membank import (BankedMemory, MemoryModelError, pack_samples,
+                           read_samples, words_per_samples)
 from fdsim.schedule import (WRITE_LAG_STAGE, bit_reverse_index,
                             compile_reorder, compile_stage, schedule_reorder,
                             schedule_stage, total_cycle_model)
@@ -26,9 +27,8 @@ def run_fixed(x, dtype, n, scaling=ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE,
               base=0):
     mem = BankedMemory()
     job = FftJob(n, dtype, base, scaling)
-    samples = load_quantized(mem, job, x)
+    oracle_in = load_quantized(mem, job, x)
     summary = fft_fixed(job, mem)
-    oracle_in = np.array([dequantize(s) for s in samples])
     return mem, job, summary, oracle_in
 
 
@@ -116,6 +116,50 @@ class TestJobValidation:
         with pytest.raises(ConfigurationError):
             FftJob(512, DataType.C64, base_address=65536 - 512).validate(
                 BankedMemory())
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.complex128).view(np.uint64).tolist()
+
+
+class TestLoadAndReadBack:
+    """The array load and read-back against their scalar definitions."""
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_load_quantized_matches_scalar(self, dtype):
+        n = 64
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1.2, 1.2, n) + 1j * rng.uniform(-1.2, 1.2, n)
+        x[:4] = [(k + 0.5) / dtype.scale for k in (-2, -1, 0, 1)]   # exact ties
+        mem, job, flag = BankedMemory(), FftJob(n, dtype, 4096), OverflowFlag()
+        got = load_quantized(mem, job, x, flag)
+        want = [quantize(v, dtype) for v in x]
+        assert read_samples(mem, 4096, n, dtype) == want
+        assert _bits(got) == _bits([dequantize(q) for q in want])
+        assert flag.seen                    # parts past +-1 saturate
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_read_spectrum_matches_scalar(self, dtype):
+        n = dtype.max_points
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-0.9, 0.9, n) + 1j * rng.uniform(-0.9, 0.9, n)
+        mem, job, _, _ = run_fixed(x, dtype, n)
+        want = [dequantize(s) for s in read_samples(mem, 0, n, dtype)]
+        assert _bits(read_spectrum(mem, job)) == _bits(want)
+
+    def test_length_checked_before_values(self):
+        job = FftJob(8, DataType.C64)
+        with pytest.raises(ConfigurationError):
+            load_quantized(BankedMemory(), job, np.full(7, np.nan))
+        with pytest.raises(ValueError):
+            load_quantized(BankedMemory(), job, np.full(8, np.inf))
+
+    def test_capacity_checked(self):
+        mem, job = BankedMemory(total_words=16), FftJob(16, DataType.C64)
+        with pytest.raises(MemoryModelError):
+            load_quantized(mem, job, np.zeros(16))
+        with pytest.raises(MemoryModelError):
+            read_spectrum(mem, job)
 
 
 class TestSpectra:

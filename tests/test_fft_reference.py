@@ -4,6 +4,18 @@ import pytest
 from fdsim.fft import dft_direct, fft_recursive, fft_reference, spectrum_snr_db
 
 
+def rec(v):
+    """The textbook even/odd recursion that ``fft_recursive`` evaluates level-wise."""
+    n = len(v)
+    if n == 1:
+        return v
+    even = rec(v[::2])
+    odd = rec(v[1::2])
+    tw = np.exp(-2j * np.pi * np.arange(n // 2) / n)
+    half = tw * odd
+    return np.concatenate([even + half, even - half])
+
+
 def test_impulse_is_flat():
     x = np.zeros(32, dtype=complex)
     x[0] = 1.0
@@ -40,6 +52,16 @@ def test_direct_and_recursive_agree():
         r = fft_recursive(x)
         assert np.max(np.abs(d - r)) / np.max(np.abs(d)) < 1e-9
         n *= 2
+
+
+@pytest.mark.parametrize("n", [2 ** k for k in range(1, 12)])
+def test_level_wise_is_bit_identical_to_recursion(n):
+    rng = np.random.default_rng(n)
+    impulse = np.zeros(n, dtype=complex)
+    impulse[n // 2] = 0.5
+    for x in (rng.normal(size=n) + 1j * rng.normal(size=n),
+              rng.uniform(-1, 1, n) * 1e-3 + 0.5j, impulse):
+        assert (fft_recursive(x).view(np.uint64) == rec(x).view(np.uint64)).all()
 
 
 def test_matches_numpy_fft():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from fdsim.fft import twiddle_table
 from fdsim.fixedpoint import (DataType, FixedComplex, OverflowFlag,
                               ScalingPolicy, butterfly, butterfly_array, cmul,
-                              dequantize, one, quantize, sat_round,
-                              sat_round_array, zero)
+                              dequantize, one, quantize, quantize_parts,
+                              sat_round, sat_round_array, zero)
 
 ALL_DTYPES = list(DataType)
 
@@ -27,6 +27,11 @@ class TestDataType:
         assert DataType.from_tag("c32") is DataType.C32
         with pytest.raises(ValueError):
             DataType.from_tag("C128")
+
+    @pytest.mark.parametrize("tag", [5, None, ["C64"], {"C64": 1}])
+    def test_from_tag_rejects_non_strings(self, tag):
+        with pytest.raises(ValueError):
+            DataType.from_tag(tag)
 
 
 class TestSatRound:
@@ -266,3 +271,85 @@ class TestArrayForms:
         w = data.draw(st.lists(st.sampled_from(table), min_size=n, max_size=n))
         policy = data.draw(st.sampled_from(list(ScalingPolicy)))
         self._check_butterflies(dtype, a, b, w, policy)
+
+
+def _quantize_part(dtype):
+    """Real or imaginary parts: in range, exact ties (k + 1/2)/scale of both
+    signs, at and just past +-1, and huge finite values."""
+    scale = dtype.scale
+    tie = st.integers(-scale - 2, scale + 1).map(lambda k: (k + 0.5) / scale)
+    rails = st.sampled_from([1.0, -1.0, np.nextafter(1.0, 0), np.nextafter(1.0, 2),
+                             np.nextafter(-1.0, 0), np.nextafter(-1.0, -2),
+                             1.0 - 0.5 / scale, -1.0 - 0.5 / scale])
+    huge = st.floats(1e15, 1.7976931348623157e308) | st.floats(-1.7976931348623157e308, -1e15)
+    return st.floats(-2, 2) | tie | rails | huge
+
+
+def _quantize_cases():
+    return st.one_of([
+        st.tuples(st.just(dtype), st.lists(
+            st.builds(complex, _quantize_part(dtype), _quantize_part(dtype)),
+            min_size=1, max_size=12))
+        for dtype in ALL_DTYPES])
+
+
+class TestQuantizeParts:
+    """The array quantizer against the scalar ``quantize``."""
+
+    @staticmethod
+    def _scalar(values, dtype):
+        flag = OverflowFlag()
+        out = []
+        for z in values:
+            try:
+                q = quantize(z, dtype, flag)
+            except OverflowError:
+                # x * scale overflowed to inf; the array form saturates instead,
+                # as the scalar form does for any other value past the rails
+                q = quantize(complex(np.clip(z.real, -2, 2), np.clip(z.imag, -2, 2)),
+                             dtype, flag)
+            out.append(q)
+        return out, flag.seen
+
+    @given(_quantize_cases())
+    @settings(max_examples=60)
+    def test_matches_scalar(self, case):
+        dtype, values = case
+        want, want_flag = self._scalar(values, dtype)
+        flag = OverflowFlag()
+        got_re, got_im = quantize_parts(values, dtype, flag)
+        assert got_re.dtype == got_im.dtype == np.int64
+        assert got_re.tolist() == [q.re for q in want]
+        assert got_im.tolist() == [q.im for q in want]
+        assert flag.seen == want_flag
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_exact_ties_round_to_even(self, dtype):
+        scale = dtype.scale
+        values = [(k + 0.5) / scale for k in (-3, -2, -1, 0, 1, 2)]
+        re, _ = quantize_parts(values, dtype)
+        assert re.tolist() == [-2, -2, 0, 0, 2, 2]
+        assert re.tolist() == [quantize(v, dtype).re for v in values]
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_huge_finite_values_saturate(self, dtype):
+        values = [1.7976931348623157e308, -1e308 + 1e307j]
+        with pytest.raises(OverflowError):
+            quantize(values[0], dtype)
+        flag = OverflowFlag()
+        re, im = quantize_parts(values, dtype, flag)
+        assert re.tolist() == [dtype.max_raw, dtype.min_raw]
+        assert im.tolist() == [0, dtype.max_raw]
+        assert flag.seen
+
+    def test_in_range_leaves_flag_clear(self):
+        flag = OverflowFlag()
+        quantize_parts([0.5, -1.0, -0.25j], DataType.C16, flag)
+        assert not flag.seen
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("imag", [False, True])
+    def test_non_finite_rejected(self, bad, imag):
+        z = complex(0.25, bad) if imag else complex(bad, 0.25)
+        with pytest.raises(ValueError):
+            quantize_parts([0.5, z], DataType.C32)

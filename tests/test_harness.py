@@ -1,8 +1,11 @@
+import copy
 import json
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdsim.cli as cli
 import fdsim.harness as harness
@@ -64,6 +67,76 @@ class TestConfigParsing:
         p.write_text("{nope")
         with pytest.raises(ConfigurationError):
             load_config(p)
+
+
+# one valid config per kind, every optional key spelled out
+VALID_CONFIGS = [
+    fft_config(base_address=0, scaling="none", clock_hz=1e8, dump_memory_image=False,
+               input={"source": "tone", "amplitude": 0.5, "bin": 3}),
+    {"version": 1, "kind": "fft-sweep", "seed": 1,
+     "sweep": {"dtypes": ["C64"], "n_points": [8, 16]},
+     "fft": {"clock_hz": 1e8, "input": {"source": "impulse", "amplitude": 0.5}}},
+    {"version": 1, "kind": "i2s-run", "seed": 2,
+     "i2s": {"mode": "tdm-i2s", "n_devices": 4, "frame_bits": 32,
+             "sample_rate": 48000, "clk_div": 1, "polarity": "sample-on-rising",
+             "alignment": "aligned", "fsync_style": "pulse", "role": "master",
+             "periods": 2, "payload": {"source": "random", "export_wav": False}}},
+    {"version": 1, "kind": "i2s-sweep", "seed": 3,
+     "sweep": {"modes": ["tdm-dsp"], "n_devices": [1, 2], "frame_bits": [16]},
+     "i2s": {"sample_rate": 48000, "periods": 2}},
+]
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=6)
+
+
+class TestConfigRobustness:
+    @pytest.mark.parametrize("doc", VALID_CONFIGS, ids=lambda d: d["kind"])
+    def test_valid_configs_parse(self, doc):
+        assert parse_config(doc).kind == doc["kind"]
+
+    @given(st.sampled_from(VALID_CONFIGS).flatmap(
+        lambda doc: st.tuples(st.just(doc), st.sampled_from(list(_key_paths(doc))))),
+        JSON_VALUES)
+    @settings(max_examples=80)
+    def test_any_one_key_replaced_parses_or_is_a_config_error(self, case, value):
+        doc, path = case
+        doc = copy.deepcopy(doc)
+        *outer, key = path
+        target = doc
+        for part in outer:
+            target = target[part]
+        target[key] = value
+        try:
+            parse_config(doc)
+        except ConfigurationError:
+            pass
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_points", 64.5), ("n_points", float("inf")), ("n_points", float("nan")),
+        ("n_points", True), ("base_address", 0.5), ("dtype", 5)])
+    def test_fft_keys_typed(self, key, value):
+        with pytest.raises(ConfigurationError):
+            parse_config(fft_config(**{key: value}))
+
+    def test_integral_float_accepted(self):
+        assert parse_config(fft_config(n_points=64.0)).spec.n_points == 64
+
+    @pytest.mark.parametrize("amplitude", [float("inf"), -float("inf"), float("nan")])
+    def test_non_finite_amplitude(self, amplitude):
+        with pytest.raises(ConfigurationError):
+            parse_config(fft_config(input={"source": "noise", "amplitude": amplitude}))
 
 
 class TestInputs:
@@ -229,6 +302,65 @@ class TestCli:
         assert cli.main(["fft", kind.split("-")[1], "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "clock_hz" in err and "Traceback" not in err
+
+    def test_parser_built_once_and_args_kept_apart(self, tmp_path, monkeypatch):
+        seen = []
+        real = cli._cmd_experiment
+
+        def spy(args, kind):
+            seen.append(dict(vars(args)))
+            return real(args, kind)
+
+        monkeypatch.setattr(cli, "_cmd_experiment", spy)
+        i2s = tmp_path / "i2s.json"
+        i2s.write_text(json.dumps({"version": 1, "kind": "i2s-run", "seed": 2,
+                                   "i2s": {"mode": "tdm-i2s", "n_devices": 2}}))
+        fft = self._write(tmp_path, fft_config())
+        assert cli.main(["i2s", "run", "--config", str(i2s), "--out",
+                         str(tmp_path / "out"), "--timeline-dump", "--seed", "5"]) == 0
+        assert cli.main(["fft", "run", "--config", fft]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        assert seen[0]["timeline_dump"] is True and seen[0]["seed"] == 5
+        assert "timeline_dump" not in seen[1]
+        assert (seen[1]["group"], seen[1]["verb"]) == ("fft", "run")
+        assert seen[1]["out"] is None and seen[1]["seed"] is None
+        assert (tmp_path / "out" / "timeline.vcd").exists()
+
+    @pytest.mark.parametrize("source", ["noise", "tone", "impulse"])
+    @pytest.mark.parametrize("amplitude", [float("inf"), float("nan")])
+    def test_non_finite_amplitude_exits_2(self, tmp_path, capsys, source, amplitude):
+        # inf used to overflow in rng.uniform (noise) or in quantize (tone)
+        cfg = self._write(tmp_path, fft_config(
+            input={"source": source, "amplitude": amplitude}))
+        assert cli.main(["fft", "run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "amplitude" in err and "Traceback" not in err
+
+    def test_non_finite_samples_exit_2(self, tmp_path, capsys, monkeypatch):
+        # samples that reach the quantizer by any other route
+        monkeypatch.setattr(harness, "build_fft_input",
+                            lambda spec, n, seed: np.full(n, np.nan, dtype=complex))
+        cfg = self._write(tmp_path, fft_config())
+        assert cli.main(["fft", "run", "--config", cfg]) == 2
+        assert "NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, text", [
+        ("fft run", json.dumps(fft_config(input="noise"))),
+        ("fft sweep", '{"version": 1, "kind": "fft-sweep", "sweep": "x"}'),
+        ("i2s run", json.dumps({"version": 1, "kind": "i2s-run",
+                                "i2s": {"mode": "tdm-i2s", "payload": "random"}})),
+        ("fft run", json.dumps(fft_config(dtype=5))),
+        ("fft run", json.dumps(fft_config(n_points="N")).replace('"N"', "1e400")),
+        ("fft run", json.dumps(fft_config(n_points=64.5))),
+        ("fft run", json.dumps(fft_config()).replace('"seed": 7', '"seed": [7]')),
+    ], ids=["input-str", "sweep-str", "payload-str", "dtype-int", "n_points-1e400",
+            "n_points-64.5", "seed-list"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, verb, text):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        assert cli.main(verb.split() + ["--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "Traceback" not in err
 
     def test_kind_mismatch_exits_2(self, tmp_path):
         cfg = self._write(tmp_path, fft_config())
