@@ -22,9 +22,9 @@ from .fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                   load_quantized, read_spectrum, spectrum_snr_db)
 from .fixedpoint import DataType, OverflowFlag, ScalingPolicy
 from .i2s import (Alignment, BusConfig, BusMode, FramePayload, FsyncStyle,
-                  Polarity, Role, bclk_frequency, decode, encode, latency_dsp,
-                  latency_tdm, measure_latency, payloads_to_wav,
-                  wav_to_payloads, write_vcd)
+                  Polarity, Role, bclk_frequency, decode, encode,
+                  frames_from_array, latency_dsp, latency_tdm, measure_latency,
+                  payloads_to_wav, wav_to_payloads, write_vcd)
 from .membank import BankedMemory, bandwidth_bytes_per_s, export_image
 from .schedule import total_cycle_model
 
@@ -42,6 +42,8 @@ SNR_FLOORS_DB = {DataType.C64: 158.2, DataType.C32: 58.7, DataType.C16: 7.9}
 SNR_CALIBRATION = {"seed": 1234, "amplitude": 0.9,
                    "measured_at_max_size_db": {"C64": 159.201, "C32": 59.684,
                                                "C16": 8.947}}
+# What reading a WAV named by a config can raise for a bad path or file.
+WAV_READ_ERRORS = (OSError, EOFError, wave.Error)
 
 
 def ops_count(n_points: int) -> int:
@@ -124,6 +126,23 @@ def _int(value, key) -> int:
     return int(value)
 
 
+def _bool(value, key) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _path(value, key) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigurationError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _check_periods(periods: int) -> None:
+    if periods < 1:
+        raise ConfigurationError(f"periods must be >= 1, got {periods}")
+
+
 def _list(value, key) -> list:
     if not isinstance(value, list):
         raise ConfigurationError(f"{key} must be a JSON list, got {value!r}")
@@ -134,7 +153,7 @@ def _parse_input(d: dict) -> InputSpec:
     spec = InputSpec(source=d.get("source", "noise"),
                      amplitude=float(d.get("amplitude", 0.9)),
                      bin=_int(d.get("bin", 3), "bin"),
-                     path=d.get("path"))
+                     path=_path(d.get("path"), "path"))
     if spec.source not in ("noise", "tone", "impulse", "file"):
         raise ConfigurationError(f"unknown input source {spec.source!r}")
     if not math.isfinite(spec.amplitude):
@@ -159,7 +178,8 @@ def _parse_fft_run(d: dict) -> FftRunSpec:
         scaling=ScalingPolicy(d.get("scaling", "divide-by-two-per-stage")),
         clock_hz=_parse_clock(d),
         input=_parse_input(_section(d, "input", "fft")),
-        dump_memory_image=bool(d.get("dump_memory_image", False)),
+        dump_memory_image=_bool(d.get("dump_memory_image", False),
+                                "dump_memory_image"),
     )
 
 
@@ -193,7 +213,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
     version = raw.get("version")
-    if version != CONFIG_VERSION:
+    if isinstance(version, bool) or version != CONFIG_VERSION:
         raise ConfigurationError(f"unsupported config version {version!r}")
     kind = raw.get("kind")
     try:
@@ -218,12 +238,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
             spec = I2sRunSpec(bus=_parse_bus(d),
                               periods=_int(d.get("periods", 3), "periods"),
                               payload_source=payload.get("source", "random"),
-                              payload_path=payload.get("path"),
-                              export_wav=bool(payload.get("export_wav", False)))
+                              payload_path=_path(payload.get("path"), "path"),
+                              export_wav=_bool(payload.get("export_wav", False),
+                                               "export_wav"))
             if spec.payload_source not in ("random", "wav"):
                 raise ConfigurationError(f"unknown payload source {spec.payload_source!r}")
             if spec.payload_source == "wav" and not spec.payload_path:
                 raise ConfigurationError("wav payload needs a path")
+            if spec.payload_source == "random":
+                _check_periods(spec.periods)
         elif kind == "i2s-sweep":
             sweep = _section(raw, "sweep", kind)
             base = _section(raw, "i2s", kind)
@@ -236,6 +259,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                     "frame_bits", [16, 24, 32]), "frame_bits")),
                 sample_rate=_int(base.get("sample_rate", 48000), "sample_rate"),
                 periods=_int(base.get("periods", 2), "periods"))
+            _check_periods(spec.periods)
         else:
             raise ConfigurationError(f"unknown experiment kind {kind!r}")
     except (TypeError, ValueError, OverflowError) as e:
@@ -328,7 +352,7 @@ def build_fft_input(spec: InputSpec, n_points: int, seed: int) -> np.ndarray:
             width = w.getsampwidth()
             channels = w.getnchannels()
             raw = w.readframes(w.getnframes())
-    except (FileNotFoundError, wave.Error) as e:
+    except WAV_READ_ERRORS as e:
         raise ConfigurationError(f"cannot read WAV input: {e}") from None
     if width != 2:
         raise ConfigurationError("only 16-bit WAV input is supported")
@@ -460,16 +484,19 @@ def _butterfly_ratio_check(rows) -> bool:
 
 def build_payloads(spec: I2sRunSpec, seed: int) -> list[list[FramePayload]]:
     if spec.payload_source == "wav":
-        frames = wav_to_payloads(spec.payload_path, spec.bus)
+        try:
+            frames = wav_to_payloads(spec.payload_path, spec.bus)
+        except WAV_READ_ERRORS as e:
+            raise ConfigurationError(f"cannot read payload WAV: {e}") from None
         if not frames:
             raise ConfigurationError("payload WAV holds no frames")
         return frames
+    # one draw in (period, device, left/right) order is the same stream as
+    # one scalar draw per word in that order
     rng = np.random.default_rng(seed)
-    k = spec.bus.channel_bits
-    return [[FramePayload(d, int(rng.integers(0, 1 << k)),
-                          int(rng.integers(0, 1 << k)))
-             for d in range(spec.bus.n_devices)]
-            for _ in range(spec.periods)]
+    words = rng.integers(0, 1 << spec.bus.channel_bits,
+                         size=(spec.periods, spec.bus.n_devices, 2))
+    return frames_from_array(words)
 
 
 def run_i2s_scenario(spec: I2sRunSpec, seed: int, out_dir: Path | None = None,

@@ -16,7 +16,10 @@ from __future__ import annotations
 import wave
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from numbers import Integral
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +109,7 @@ class BusConfig:
         return 0 if self.mode is BusMode.TDM_DSP else 1
 
 
-@dataclass(frozen=True)
-class FramePayload:
+class FramePayload(NamedTuple):
     device: int
     left: int
     right: int
@@ -159,29 +161,55 @@ def latency_dsp(n_bits: int, tclk: float = 1.0) -> float:
     return n_bits * tclk
 
 
-def _slot_layout(config: BusConfig, payloads: list[FramePayload]):
-    """Per-slot (sd, driver) for one sample period, before the data delay."""
-    n, k, K = config.frame_bits, config.channel_bits, config.n_devices
-    sd = np.zeros(config.frame_slots, dtype=np.int8)
-    drv = np.full(config.frame_slots, NO_DRIVER, dtype=np.int16)
-    by_dev = {p.device: p for p in payloads}
-    for d in range(K):
-        p = by_dev[d]
-        if config.mode is BusMode.TDM_DSP:
-            base = d * n
-            for j in range(k):
-                sd[base + j] = (p.left >> (k - 1 - j)) & 1
-                sd[base + k + j] = (p.right >> (k - 1 - j)) & 1
-            drv[base:base + n] = d
-        else:
-            lbase = d * k
-            rbase = K * k + d * k
-            for j in range(k):
-                sd[lbase + j] = (p.left >> (k - 1 - j)) & 1
-                sd[rbase + j] = (p.right >> (k - 1 - j)) & 1
-            drv[lbase:lbase + k] = d
-            drv[rbase:rbase + k] = d
-    return sd, drv
+def frames_from_array(words: np.ndarray) -> list[list[FramePayload]]:
+    """Per-period payload lists, of Python ints, from ``(periods, K, 2)``
+    left/right words indexed by device."""
+    periods, n_devices, _ = words.shape
+    devices = np.broadcast_to(np.arange(n_devices)[:, None], (periods, n_devices, 1))
+    rows = np.concatenate([devices, words], axis=-1).tolist()
+    return [list(map(FramePayload._make, period)) for period in rows]
+
+
+def _payload_array(config: BusConfig, frames) -> np.ndarray:
+    """Checked ``(periods, K, 2)`` int64 left/right words, indexed by device.
+
+    Each period must hold one payload per device id 0..K-1, in any order,
+    and every word must fit in ``channel_bits``.
+    """
+    if not frames:
+        raise ValueError("need at least one sample period")
+    K = config.n_devices
+    if any(len(period) != K for period in frames):
+        raise ValueError("payload count must equal n_devices")
+    fields = list(chain.from_iterable(chain.from_iterable(frames)))
+    if not all(issubclass(t, Integral) for t in set(map(type, fields))):
+        raise TypeError("payload fields must be integers")
+    try:
+        table = np.array(fields, dtype=np.int64)
+    except OverflowError:
+        # ints past int64 stay exact here only to be rejected below
+        table = np.array(fields, dtype=object)
+    table = table.reshape(len(frames), K, 3)
+    devices = table[..., 0]
+    if not (np.sort(devices, axis=1) == np.arange(K)).all():
+        raise ValueError("payload device ids must be 0..K-1")
+    k = config.channel_bits
+    words = table[..., 1:]
+    bad = ((words < 0) | (words >= 1 << k)).any(axis=-1)
+    if bad.any():
+        raise ValueError(f"device {devices[bad][0]} payload exceeds {k} bits")
+    order = np.argsort(devices, axis=1)
+    return np.take_along_axis(words, order[..., None], axis=1)
+
+
+def _slot_driver(config: BusConfig) -> np.ndarray:
+    """Driving device per bit slot of one sample period, before the data delay."""
+    K = config.n_devices
+    if config.mode is BusMode.TDM_DSP:
+        word_driver = np.repeat(np.arange(K, dtype=np.int16), 2)
+    else:
+        word_driver = np.tile(np.arange(K, dtype=np.int16), 2)
+    return np.repeat(word_driver, config.channel_bits)
 
 
 def _fsync_period(config: BusConfig) -> np.ndarray:
@@ -200,34 +228,33 @@ def encode(config: BusConfig, frames: list[list[FramePayload]]) -> Timeline:
 
     ``frames[p]`` holds one payload per device for sample period ``p``.
     MSB first; SD changes on the driving edge; FSYNC per mode and style.
+    DSP mode sends each device's left then right word; TDM and standard
+    I2S send every device's left word, then every right word.
     """
-    if not frames:
-        raise ValueError("need at least one sample period")
-    for period in frames:
-        if len(period) != config.n_devices:
-            raise ValueError("payload count must equal n_devices")
-        if sorted(p.device for p in period) != list(range(config.n_devices)):
-            raise ValueError("payload device ids must be 0..K-1")
-        for p in period:
-            p.validate(config.channel_bits)
+    words = _payload_array(config, frames)
+    if config.mode is not BusMode.TDM_DSP:
+        words = words.transpose(0, 2, 1)
+    k = config.channel_bits
+    shifts = np.arange(k - 1, -1, -1, dtype=np.uint16)
+    bits = ((words.astype(np.uint16)[..., None] >> shifts) & 1).astype(np.int8)
 
-    delay = config.data_delay
-    total_slots = LEAD_IN_SLOTS + len(frames) * config.frame_slots + delay
+    periods = len(words)
+    data = slice(LEAD_IN_SLOTS + config.data_delay,
+                 LEAD_IN_SLOTS + config.data_delay + periods * config.frame_slots)
+    total_slots = data.stop
     sd = np.zeros(total_slots, dtype=np.int8)
-    fsync = np.full(total_slots, config.idle_fsync, dtype=np.int8)
+    sd[data] = bits.ravel()
     driver = np.full(total_slots, NO_DRIVER, dtype=np.int16)
-    for p, period in enumerate(frames):
-        start = LEAD_IN_SLOTS + p * config.frame_slots
-        fsync[start:start + config.frame_slots] = _fsync_period(config)
-        slot_sd, slot_drv = _slot_layout(config, period)
-        sd[start + delay:start + delay + config.frame_slots] = slot_sd
-        driver[start + delay:start + delay + config.frame_slots] = slot_drv
+    driver[data] = np.tile(_slot_driver(config), periods)
+    fsync = np.full(total_slots, config.idle_fsync, dtype=np.int8)
+    fsync[LEAD_IN_SLOTS:LEAD_IN_SLOTS + periods * config.frame_slots] = np.tile(
+        _fsync_period(config), periods)
 
-    ticks = np.arange(2 * total_slots)
     if config.polarity is Polarity.SAMPLE_ON_RISING:
-        bclk = (ticks % 2).astype(np.int8)          # drive low phase, rise mid-slot
+        phases = np.array([0, 1], dtype=np.int8)    # drive low phase, rise mid-slot
     else:
-        bclk = ((ticks + 1) % 2).astype(np.int8)
+        phases = np.array([1, 0], dtype=np.int8)
+    bclk = np.tile(phases, total_slots)
     # FSYNC is driven on the opposite half-edge, half a slot ahead of SD.
     fsync_ticks = np.repeat(fsync, 2)
     fsync_ticks = np.append(fsync_ticks[1:], fsync_ticks[-1])
@@ -236,13 +263,13 @@ def encode(config: BusConfig, frames: list[list[FramePayload]]) -> Timeline:
 
 def _sampled(timeline: Timeline, config: BusConfig):
     """Line levels captured at each sampling edge (setup values)."""
-    level_after = 1 if config.polarity is Polarity.SAMPLE_ON_RISING else 0
     b = timeline.bclk
-    edges = np.nonzero(b[1:] != b[:-1])[0] + 1
-    edges = edges[b[edges] == level_after]
-    edges = edges[edges >= 1]
-    return (timeline.sd[edges - 1], timeline.fsync[edges - 1],
-            timeline.driver[edges - 1])
+    if config.polarity is Polarity.SAMPLE_ON_RISING:
+        before_edge = np.flatnonzero(b[1:] > b[:-1])
+    else:
+        before_edge = np.flatnonzero(b[1:] < b[:-1])
+    return (timeline.sd[before_edge], timeline.fsync[before_edge],
+            timeline.driver[before_edge])
 
 
 def _find_frame_start(fsync_bits: np.ndarray, config: BusConfig) -> int:
@@ -255,13 +282,6 @@ def _find_frame_start(fsync_bits: np.ndarray, config: BusConfig) -> int:
     return int(hits[0])
 
 
-def _bits_to_int(bits) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
-
-
 def decode(timeline: Timeline, config: BusConfig) -> list[list[FramePayload]]:
     """Recover the payload sets; exact inverse of ``encode``.
 
@@ -269,32 +289,23 @@ def decode(timeline: Timeline, config: BusConfig) -> list[list[FramePayload]]:
     ends inside a frame (the complete periods ride on ``.partial``).
     """
     sd_bits, fs_bits, _ = _sampled(timeline, config)
-    start = _find_frame_start(fs_bits, config)
-    n, k, K = config.frame_bits, config.channel_bits, config.n_devices
-    delay = config.data_delay
+    # data of period p lives in slots [base + p*per, base + (p+1)*per)
+    base = _find_frame_start(fs_bits, config) + config.data_delay
+    k, K = config.channel_bits, config.n_devices
     per = config.frame_slots
-    available = len(sd_bits) - start - delay
+    available = len(sd_bits) - base
     complete = max(available // per, 0)
-    # data of period p lives in slots [start + delay + p*per, ... + per)
     tail = available - complete * per
-
-    periods = []
-    for p in range(complete):
-        base = start + delay + p * per
-        window = sd_bits[base:base + per]
-        payloads = []
-        for d in range(K):
-            if config.mode is BusMode.TDM_DSP:
-                left = _bits_to_int(window[d * n:d * n + k])
-                right = _bits_to_int(window[d * n + k:d * n + n])
-            else:
-                left = _bits_to_int(window[d * k:(d + 1) * k])
-                right = _bits_to_int(window[K * k + d * k:K * k + (d + 1) * k])
-            payloads.append(FramePayload(d, left, right))
-        periods.append(payloads)
-
     if complete == 0:
         raise FramingError("timeline ends before one complete frame", partial=[])
+
+    window = sd_bits[base:base + complete * per].reshape(complete, 2 * K, k)
+    values = window @ (1 << np.arange(k - 1, -1, -1))
+    if config.mode is BusMode.TDM_DSP:
+        words = values.reshape(complete, K, 2)
+    else:
+        words = values.reshape(complete, 2, K).transpose(0, 2, 1)
+    periods = frames_from_array(words)
     if tail > 0:
         raise FramingError(f"timeline truncated {tail} bits into a frame",
                            partial=periods)
@@ -322,8 +333,18 @@ def measure_latency(timeline: Timeline, config: BusConfig) -> int:
 # -- waveform / payload interchange ------------------------------------------
 
 
+def _vcd_line(ident: str, width: int, value: int) -> str:
+    if width == 1:
+        return f"\n{value}{ident}"
+    return f"\nb{value & 0xFF:08b} {ident}"
+
+
 def write_vcd(timeline: Timeline, path) -> None:
-    """Value-change dump of the timeline (1 tick = half BCLK = 1 time unit)."""
+    """Value-change dump of the timeline (1 tick = half BCLK = 1 time unit).
+
+    Each signal is dumped at tick 0 and at every tick where it changes; a
+    tick's changes follow its ``#tick`` stamp in signal order.
+    """
     signals = [("bclk", 1, "b", timeline.bclk),
                ("fsync", 1, "f", timeline.fsync),
                ("sd", 1, "s", timeline.sd),
@@ -333,45 +354,50 @@ def write_vcd(timeline: Timeline, path) -> None:
         lines.append(f"$var wire {width} {ident} {name} $end")
     lines += ["$upscope $end", "$enddefinitions $end"]
 
-    def fmt(ident, width, value):
-        if width == 1:
-            return f"{int(value)}{ident}"
-        return f"b{int(value) & 0xFF:08b} {ident}"
-
-    last = {}
-    for t in range(timeline.n_ticks):
-        changes = []
-        for name, width, ident, arr in signals:
-            v = int(arr[t])
-            if last.get(ident) != v:
-                changes.append(fmt(ident, width, v))
-                last[ident] = v
-        if changes or t == 0:
-            lines.append(f"#{t}")
-            lines.extend(changes)
-    lines.append(f"#{timeline.n_ticks}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    n_ticks = timeline.n_ticks
+    stamped = np.zeros(n_ticks, dtype=bool)
+    changes = []
+    for _, width, ident, levels in signals:
+        at = np.flatnonzero(levels[1:] != levels[:-1]) + 1
+        if n_ticks:
+            at = np.concatenate(([0], at))
+        values = np.unique(levels)
+        text = np.array([_vcd_line(ident, width, v) for v in values.tolist()],
+                        dtype=object)
+        changes.append((at, text[np.searchsorted(values, levels[at])]))
+        stamped[at] = True
+    stamps = np.flatnonzero(stamped)
+    # one row per stamped tick: "\n#", the tick, then each signal's change
+    rows = np.empty((len(stamps), 2 + len(signals)), dtype=object)
+    present = np.zeros(rows.shape, dtype=bool)
+    rows[:, 0] = "\n#"
+    rows[:, 1] = list(map(str, stamps.tolist()))
+    present[:, :2] = True
+    for column, (at, text) in enumerate(changes, 2):
+        row = np.searchsorted(stamps, at)
+        rows[row, column] = text
+        present[row, column] = True
+    body = "".join(rows[present].tolist())
+    Path(path).write_text("\n".join(lines) + body + f"\n#{n_ticks}\n")
 
 
 def payloads_to_wav(path, frames: list[list[FramePayload]], config: BusConfig) -> None:
     """Standard multi-channel 16-bit WAV: channels dev0.L, dev0.R, dev1.L, ...
 
     Channel words narrower than 16 bits are stored sign-extended; the
-    round trip back through ``wav_to_payloads`` is bit-exact.
+    round trip back through ``wav_to_payloads`` is bit-exact.  ``frames``
+    is checked as ``encode`` checks it.
     """
     k = config.channel_bits
     K = config.n_devices
-    data = np.zeros((len(frames), 2 * K), dtype=np.int16)
-    for p, period in enumerate(frames):
-        for payload in period:
-            payload.validate(k)
-            data[p, 2 * payload.device] = _sign_extend(payload.left, k)
-            data[p, 2 * payload.device + 1] = _sign_extend(payload.right, k)
+    words = _payload_array(config, frames).reshape(-1, 2 * K)
+    sign = 1 << (k - 1)
+    data = ((words ^ sign) - sign).astype("<i2")
     with wave.open(str(path), "wb") as w:
         w.setnchannels(2 * K)
         w.setsampwidth(2)
         w.setframerate(config.sample_rate)
-        w.writeframes(data.astype("<i2").tobytes())
+        w.writeframes(data.tobytes())
 
 
 def wav_to_payloads(path, config: BusConfig) -> list[list[FramePayload]]:
@@ -383,18 +409,5 @@ def wav_to_payloads(path, config: BusConfig) -> list[list[FramePayload]]:
         if w.getsampwidth() != 2:
             raise ValueError("expected 16-bit PCM")
         raw = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
-    data = raw.reshape(-1, 2 * K)
-    mask = (1 << k) - 1
-    frames = []
-    for row in data:
-        frames.append([FramePayload(d, int(row[2 * d]) & mask,
-                                    int(row[2 * d + 1]) & mask)
-                       for d in range(K)])
-    return frames
-
-
-def _sign_extend(value: int, bits: int) -> int:
-    value &= (1 << bits) - 1
-    if value & (1 << (bits - 1)):
-        value -= 1 << bits
-    return value
+    words = raw.astype(np.int64).reshape(-1, K, 2) & ((1 << k) - 1)
+    return frames_from_array(words)

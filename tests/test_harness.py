@@ -12,9 +12,10 @@ import fdsim.harness as harness
 from fdsim.fft import ConfigurationError
 from fdsim.fixedpoint import DataType
 from fdsim.harness import (FftRunSpec, FftSweepSpec, I2sRunSpec, I2sSweepSpec,
-                           InputSpec, Report, build_fft_input, load_config,
-                           ops_count, parse_config, run_fft_experiment,
-                           run_fft_sweep, run_i2s_scenario, run_i2s_sweep)
+                           InputSpec, Report, build_fft_input, build_payloads,
+                           load_config, ops_count, parse_config,
+                           run_fft_experiment, run_fft_sweep, run_i2s_scenario,
+                           run_i2s_sweep)
 from fdsim.i2s import BusConfig, BusMode
 
 
@@ -23,6 +24,12 @@ def fft_config(**over):
            "input": {"source": "noise", "amplitude": 0.9}}
     fft.update(over)
     return {"version": 1, "kind": "fft-run", "seed": 7, "fft": fft}
+
+
+def i2s_config(**over):
+    i2s = {"mode": "tdm-i2s", "n_devices": 2}
+    i2s.update(over)
+    return {"version": 1, "kind": "i2s-run", "seed": 7, "i2s": i2s}
 
 
 class TestConfigParsing:
@@ -242,6 +249,16 @@ class TestSweeps:
                if r["mode"] == "tdm-i2s"]
         assert sorted(tdm) == tdm and len({v for _, v in tdm}) == len(tdm)
 
+    @pytest.mark.parametrize("frame_bits", [16, 24, 32])
+    def test_payload_draw_is_the_per_word_stream(self, frame_bits):
+        bus = BusConfig(BusMode.TDM_I2S, 5, frame_bits)
+        top = 1 << bus.channel_bits
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            want = [[(d, int(rng.integers(0, top)), int(rng.integers(0, top)))
+                     for d in range(5)] for _ in range(4)]
+            assert build_payloads(I2sRunSpec(bus=bus, periods=4), seed) == want
+
     def test_i2s_scenario_wav_payload(self, tmp_path):
         bus = BusConfig(BusMode.TDM_DSP, 2, 16)
         spec = I2sRunSpec(bus=bus, periods=4, export_wav=True)
@@ -353,8 +370,26 @@ class TestCli:
         ("fft run", json.dumps(fft_config(n_points="N")).replace('"N"', "1e400")),
         ("fft run", json.dumps(fft_config(n_points=64.5))),
         ("fft run", json.dumps(fft_config()).replace('"seed": 7', '"seed": [7]')),
+        ("fft run", json.dumps(fft_config(dump_memory_image="no"))),
+        ("fft run", json.dumps(fft_config(dump_memory_image=1))),
+        ("fft run", json.dumps({**fft_config(), "version": True})),
+        ("fft run", json.dumps(fft_config(input={"source": "file", "path": 5}))),
+        ("fft run", json.dumps(fft_config(input={"source": "file",
+                                                 "path": "/nonexistent.wav"}))),
+        ("i2s run", json.dumps(i2s_config(payload={"export_wav": "yes"}))),
+        ("i2s run", json.dumps(i2s_config(payload={"source": "wav", "path": 5}))),
+        ("i2s run", json.dumps(i2s_config(payload={"source": "wav",
+                                                   "path": "/nonexistent.wav"}))),
+        ("i2s run", json.dumps(i2s_config(payload={"source": "wav", "path": "/"}))),
+        ("i2s run", json.dumps(i2s_config(periods=-1))),
+        ("i2s sweep", json.dumps({"version": 1, "kind": "i2s-sweep",
+                                  "i2s": {"periods": 0}})),
     ], ids=["input-str", "sweep-str", "payload-str", "dtype-int", "n_points-1e400",
-            "n_points-64.5", "seed-list"])
+            "n_points-64.5", "seed-list", "dump_memory_image-str",
+            "dump_memory_image-int", "version-true", "file-path-int",
+            "file-path-missing", "export_wav-str", "wav-path-int",
+            "wav-path-missing", "wav-path-directory", "periods-negative",
+            "sweep-periods-0"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, verb, text):
         p = tmp_path / "cfg.json"
         p.write_text(text)

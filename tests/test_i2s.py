@@ -156,6 +156,32 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(cfg, [])
 
+    @pytest.mark.parametrize("period, message", [
+        ([FramePayload(1, 1, 2)], "payload count"),
+        ([FramePayload(1, 1, 2), FramePayload(1, 3, 4), FramePayload(0, 5, 6)],
+         "payload count"),
+        ([FramePayload(1, 1, 2), FramePayload(1, 3, 4)], "device ids"),
+        ([FramePayload(0, 1, 2), FramePayload(2, 3, 4)], "device ids"),
+        ([FramePayload(0, 1, 2), FramePayload(2 ** 70, 3, 4)], "device ids"),
+        ([FramePayload(1, 1, 2), FramePayload(0, -1, 4)], "device 0 payload"),
+        ([FramePayload(1, 1, 256), FramePayload(0, 3, 4)], "device 1 payload"),
+        ([FramePayload(1, 1, 2), FramePayload(0, 2 ** 63, 4)], "device 0 payload"),
+        ([FramePayload(1, 1, 2), FramePayload(0, 3, 2 ** 70)], "device 0 payload"),
+        ([FramePayload(1, -2 ** 70, 2), FramePayload(0, 3, 4)], "device 1 payload"),
+    ], ids=["short", "long", "duplicate", "id-past-K", "id-2^70", "minus-1",
+            "2^k", "2^63", "2^70", "-2^70"])
+    def test_bad_period_rejected(self, period, message):
+        # the bad period follows a valid one
+        cfg = BusConfig(BusMode.TDM_DSP, 2, 16)       # 8-bit channels
+        good = [FramePayload(0, 0, 255), FramePayload(1, 255, 0)]
+        with pytest.raises(ValueError, match=message):
+            encode(cfg, [good, period])
+
+    def test_non_integer_payload_rejected(self):
+        cfg = BusConfig(BusMode.TDM_DSP, 1, 16)
+        with pytest.raises(TypeError):
+            encode(cfg, [[FramePayload(0, 1.5, 2)]])
+
 
 def grid_configs():
     for mode in BusMode:
