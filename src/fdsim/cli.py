@@ -93,17 +93,17 @@ def _cmd_experiment(args, expected_kind):
 def _cmd_schedule_dump(args):
     config = load_config(args.config)
     _expected_kind(config, "fft-run")
-    spec = config.spec
+    job = config.spec.job
     pieces = []
     if not args.reorder:
         stages = ([args.stage] if args.stage is not None
-                  else range(spec.n_points.bit_length() - 1))
+                  else range(job.n_points.bit_length() - 1))
         for s in stages:
             pieces.append(dump_stage_schedule(
-                schedule_stage(spec.n_points, spec.dtype, s)))
+                schedule_stage(job.n_points, job.dtype, s)))
     if args.reorder or args.stage is None:
         pieces.append(dump_reorder_schedule(
-            schedule_reorder(spec.n_points, spec.dtype)))
+            schedule_reorder(job.n_points, job.dtype)))
     text = "\n".join(pieces)
     if args.out:
         out = Path(args.out)

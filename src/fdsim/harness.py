@@ -22,7 +22,7 @@ from .fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                   load_quantized, read_spectrum, spectrum_snr_db)
 from .fixedpoint import DataType, OverflowFlag, ScalingPolicy
 from .i2s import (Alignment, BusConfig, BusMode, FramePayload, FsyncStyle,
-                  Polarity, Role, bclk_frequency, decode, encode,
+                  Polarity, bclk_frequency, decode, encode,
                   frames_from_array, latency_dsp, latency_tdm, measure_latency,
                   payloads_to_wav, wav_to_payloads, write_vcd)
 from .membank import BankedMemory, bandwidth_bytes_per_s, export_image
@@ -63,10 +63,7 @@ class InputSpec:
 
 @dataclass(frozen=True)
 class FftRunSpec:
-    n_points: int
-    dtype: DataType
-    base_address: int = 0
-    scaling: ScalingPolicy = ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE
+    job: FftJob
     clock_hz: float = DEFAULT_CLOCK_HZ
     input: InputSpec = field(default_factory=InputSpec)
     dump_memory_image: bool = False
@@ -103,7 +100,6 @@ class ExperimentConfig:
     kind: str
     seed: int
     spec: object
-    raw: dict
 
 
 def _require(mapping, key, kind):
@@ -172,10 +168,11 @@ def _parse_clock(d: dict) -> float:
 
 def _parse_fft_run(d: dict) -> FftRunSpec:
     return FftRunSpec(
-        n_points=_int(_require(d, "n_points", "fft"), "n_points"),
-        dtype=DataType.from_tag(_require(d, "dtype", "fft")),
-        base_address=_int(d.get("base_address", 0), "base_address"),
-        scaling=ScalingPolicy(d.get("scaling", "divide-by-two-per-stage")),
+        job=FftJob(
+            n_points=_int(_require(d, "n_points", "fft"), "n_points"),
+            dtype=DataType.from_tag(_require(d, "dtype", "fft")),
+            base_address=_int(d.get("base_address", 0), "base_address"),
+            scaling=ScalingPolicy(d.get("scaling", "divide-by-two-per-stage"))),
         clock_hz=_parse_clock(d),
         input=_parse_input(_section(d, "input", "fft")),
         dump_memory_image=_bool(d.get("dump_memory_image", False),
@@ -203,7 +200,6 @@ def _parse_bus(d: dict) -> BusConfig:
             polarity=Polarity(d.get("polarity", "sample-on-rising")),
             alignment=Alignment(d.get("alignment", "aligned")),
             fsync_style=FsyncStyle(d.get("fsync_style", "pulse")),
-            role=Role(d.get("role", "master")),
         )
     except ValueError as e:
         raise ConfigurationError(str(e)) from None
@@ -266,7 +262,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if isinstance(e, ConfigurationError):
             raise
         raise ConfigurationError(str(e)) from None
-    return ExperimentConfig(kind, seed, spec, raw)
+    return ExperimentConfig(kind, seed, spec)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -329,6 +325,39 @@ def _json_safe(value):
     return value
 
 
+def _run_sweep(kind: str, echo: dict, run, members: list, columns: dict,
+               order: tuple, series_checks, seed: int,
+               out_dir) -> tuple[Report, list[dict]]:
+    """Run each ``(row key, member spec)`` pair with ``run`` and report.
+
+    A row is the key, the member metrics named by ``columns`` (column:
+    metric) and ``passed``; rows are sorted on the ``order`` columns.
+    ``series_checks`` maps the finished rows to the sweep's own checks.
+    """
+    if not members:
+        raise ConfigurationError(f"{kind} config selects no runs")
+    rows = []
+    for key, member_spec in members:
+        member = run(member_spec, seed)
+        rows.append({**key, **{c: member.metrics[m] for c, m in columns.items()},
+                     "passed": member.passed})
+    rows.sort(key=lambda r: tuple(r[c] for c in order))
+    checks = {"members_pass": all(r["passed"] for r in rows), **series_checks(rows)}
+    report = Report(kind, seed, _json_safe(echo), {"runs": len(rows)}, checks)
+    if out_dir is not None:
+        write_csv(Path(out_dir) / "summary.csv", rows)
+    return report, rows
+
+
+def _rising(rows, group: str, x: str, y: str) -> bool:
+    """Within each value of column ``group``, ``y`` rises strictly with ``x``."""
+    series: dict = {}
+    for r in rows:
+        series.setdefault(r[group], []).append((r[x], r[y]))
+    return all(b > a for s in map(sorted, series.values())
+               for (_, a), (_, b) in zip(s, s[1:]))
+
+
 # -- FFT experiments ----------------------------------------------------------
 
 
@@ -365,10 +394,10 @@ def build_fft_input(spec: InputSpec, n_points: int, seed: int) -> np.ndarray:
 
 def run_fft_experiment(spec: FftRunSpec, seed: int,
                        out_dir: Path | None = None) -> Report:
+    job = spec.job
     memory = BankedMemory()
-    job = FftJob(spec.n_points, spec.dtype, spec.base_address, spec.scaling)
     job.validate(memory)
-    x = build_fft_input(spec.input, spec.n_points, seed)
+    x = build_fft_input(spec.input, job.n_points, seed)
 
     input_flag = OverflowFlag()
     oracle_input = load_quantized(memory, job, x, input_flag)
@@ -378,9 +407,9 @@ def run_fft_experiment(spec: FftRunSpec, seed: int,
     reference = fft_reference(oracle_input)
     snr = spectrum_snr_db(reference, spectrum)
 
-    model = total_cycle_model(spec.n_points, spec.dtype)
+    model = total_cycle_model(job.n_points, job.dtype)
     stats = summary.stats
-    ops = ops_count(spec.n_points)
+    ops = ops_count(job.n_points)
     gops = ops / (stats.total_cycles / spec.clock_hz) / 1e9
 
     checks = {
@@ -391,15 +420,15 @@ def run_fft_experiment(spec: FftRunSpec, seed: int,
                                - ops) <= 1e-6 * ops,
     }
     if spec.input.source in ("noise", "tone", "impulse"):
-        checks["snr_floor"] = snr >= SNR_FLOORS_DB[spec.dtype]
+        checks["snr_floor"] = snr >= SNR_FLOORS_DB[job.dtype]
     if spec.input.source == "tone":
         checks["peak_bin"] = (int(np.argmax(np.abs(spectrum)))
                               == int(np.argmax(np.abs(reference)))
-                              == spec.input.bin % spec.n_points)
+                              == spec.input.bin % job.n_points)
 
     metrics = {
-        "n_points": spec.n_points,
-        "dtype": spec.dtype.name,
+        "n_points": job.n_points,
+        "dtype": job.dtype.name,
         "input_source": spec.input.source,
         "input_saturated": input_flag.seen,
         "overflow": summary.overflow,
@@ -408,75 +437,44 @@ def run_fft_experiment(spec: FftRunSpec, seed: int,
         "ops": ops,
         "clock_hz": spec.clock_hz,
         "gops": round(float(gops), 6),
-        "peak_ops_per_cycle": PEAK_OPS_PER_CYCLE[spec.dtype],
+        "peak_ops_per_cycle": PEAK_OPS_PER_CYCLE[job.dtype],
         "peak_memory_bandwidth_bytes_per_s": bandwidth_bytes_per_s(spec.clock_hz),
         **stats.as_dict(),
     }
-    report = Report("fft-run", seed, _config_echo_fft(spec), metrics, checks)
+    report = Report("fft-run", seed, _json_safe(
+        {**asdict(job), "clock_hz": spec.clock_hz, "input": asdict(spec.input)}),
+        metrics, checks)
     if out_dir is not None and spec.dump_memory_image:
-        export_image(memory, Path(out_dir) / "memory.bin", spec.dtype,
-                     spec.n_points, spec.base_address)
+        export_image(memory, Path(out_dir) / "memory.bin", job.dtype,
+                     job.n_points, job.base_address)
     return report
-
-
-def _config_echo_fft(spec: FftRunSpec) -> dict:
-    return _json_safe({
-        "n_points": spec.n_points, "dtype": spec.dtype,
-        "base_address": spec.base_address, "scaling": spec.scaling,
-        "clock_hz": spec.clock_hz, "input": asdict(spec.input),
-    })
 
 
 def run_fft_sweep(spec: FftSweepSpec, seed: int,
                   out_dir: Path | None = None) -> tuple[Report, list[dict]]:
-    rows = []
-    member_pass = True
-    by_dtype: dict[str, list[tuple[int, int]]] = {}
-    for dtype in spec.dtypes:
-        sizes = spec.n_points or full_size_grid(dtype)
-        for n in sizes:
-            if n > dtype.max_points:
-                continue
-            member = run_fft_experiment(
-                FftRunSpec(n_points=n, dtype=dtype, clock_hz=spec.clock_hz,
-                           input=spec.input), seed)
-            member_pass &= member.passed
-            row = {"dtype": dtype.name, "n_points": n}
-            row.update({k: member.metrics[k] for k in (
-                "butterfly_cycles", "reorder_cycles", "stall_cycles",
-                "overhead_cycles", "total_cycles", "conflicts",
-                "stage_conflicts", "snr_db", "gops")})
-            row["passed"] = member.passed
-            rows.append(row)
-            by_dtype.setdefault(dtype.name, []).append((n, row["total_cycles"]))
-    rows.sort(key=lambda r: (r["dtype"], r["n_points"]))
-
-    monotonic = all(
-        all(c2 > c1 for (_, c1), (_, c2) in zip(series, series[1:]))
-        for series in (sorted(v) for v in by_dtype.values()))
-    ratios_ok = _butterfly_ratio_check(rows)
-    checks = {"members_pass": member_pass, "cycles_monotonic_in_n": monotonic,
-              "butterfly_ratio_1_2_4": ratios_ok}
-    metrics = {"runs": len(rows)}
-    report = Report("fft-sweep", seed, _json_safe(
-        {"dtypes": [d.name for d in spec.dtypes],
-         "n_points": list(spec.n_points) if spec.n_points else "full",
-         "clock_hz": spec.clock_hz, "input": asdict(spec.input)}),
-        metrics, checks)
-    if out_dir is not None:
-        write_csv(Path(out_dir) / "summary.csv", rows)
-    return report, rows
+    members = [({"dtype": dtype.name, "n_points": n},
+                FftRunSpec(FftJob(n, dtype), spec.clock_hz, spec.input))
+               for dtype in spec.dtypes
+               for n in spec.n_points or full_size_grid(dtype)
+               if n <= dtype.max_points]
+    echo = {"dtypes": [d.name for d in spec.dtypes],
+            "n_points": list(spec.n_points) if spec.n_points else "full",
+            "clock_hz": spec.clock_hz, "input": asdict(spec.input)}
+    columns = {c: c for c in ("butterfly_cycles", "reorder_cycles", "stall_cycles",
+                              "overhead_cycles", "total_cycles", "conflicts",
+                              "stage_conflicts", "snr_db", "gops")}
+    return _run_sweep("fft-sweep", echo, run_fft_experiment, members, columns,
+                      ("dtype", "n_points"), _fft_series_checks, seed, out_dir)
 
 
-def _butterfly_ratio_check(rows) -> bool:
-    """C32/C16 butterfly cycles are 1/2 and 1/4 of C64's at equal size."""
+def _fft_series_checks(rows) -> dict:
+    """Cycles rise with n per type; C32/C16 butterfly cycles are 1/2 and 1/4
+    of C64's at equal size."""
     by_key = {(r["dtype"], r["n_points"]): r["butterfly_cycles"] for r in rows}
-    ok = True
-    for (dtype, n), bf in by_key.items():
-        base = by_key.get(("C64", n))
-        if base is not None:
-            ok &= bf * {"C64": 1, "C32": 2, "C16": 4}[dtype] == base
-    return ok
+    ratios_ok = all(bf * {"C64": 1, "C32": 2, "C16": 4}[dtype] == by_key[("C64", n)]
+                    for (dtype, n), bf in by_key.items() if ("C64", n) in by_key)
+    return {"cycles_monotonic_in_n": _rising(rows, "dtype", "n_points", "total_cycles"),
+            "butterfly_ratio_1_2_4": ratios_ok}
 
 
 # -- I2S experiments ----------------------------------------------------------
@@ -536,62 +534,39 @@ def run_i2s_scenario(spec: I2sRunSpec, seed: int, out_dir: Path | None = None,
         if spec.export_wav:
             payloads_to_wav(out_dir / "payloads.wav", frames, bus)
     return Report("i2s-run", seed, _json_safe({
-        "bus": {"mode": bus.mode, "n_devices": bus.n_devices,
-                "frame_bits": bus.frame_bits, "sample_rate": bus.sample_rate,
-                "clk_div": bus.clk_div, "polarity": bus.polarity,
-                "alignment": bus.alignment, "fsync_style": bus.fsync_style,
-                "role": bus.role},
-        "periods": spec.periods, "payload_source": spec.payload_source,
+        "bus": asdict(bus), "periods": len(frames),
+        "payload_source": spec.payload_source,
     }), metrics, checks)
 
 
 def run_i2s_sweep(spec: I2sSweepSpec, seed: int,
                   out_dir: Path | None = None) -> tuple[Report, list[dict]]:
-    rows = []
-    all_ok = True
-    dsp_flat = True
-    tdm_series: dict[int, list[tuple[int, float]]] = {}
-    dsp_values: dict[int, set] = {}
-    for mode in spec.modes:
-        for n in spec.frame_bits:
-            for k_dev in spec.n_devices:
-                if mode is BusMode.STANDARD_I2S and k_dev != 1:
-                    continue
-                bus = BusConfig(mode, k_dev, n, spec.sample_rate)
-                member = run_i2s_scenario(
-                    I2sRunSpec(bus=bus, periods=spec.periods), seed)
-                all_ok &= member.passed
-                row = {"mode": mode.value, "n_devices": k_dev, "frame_bits": n,
-                       "bclk_hz": member.metrics["bclk_hz"],
-                       "latency_tclk": member.metrics["latency_tclk_measured"],
-                       "passed": member.passed}
-                rows.append(row)
-                if mode is BusMode.TDM_DSP:
-                    dsp_values.setdefault(n, set()).add(row["latency_tclk"])
-                elif mode is BusMode.TDM_I2S:
-                    tdm_series.setdefault(n, []).append((k_dev, row["latency_tclk"]))
-    rows.sort(key=lambda r: (r["mode"], r["frame_bits"], r["n_devices"]))
-    dsp_flat = all(len(v) == 1 for v in dsp_values.values()) if dsp_values else True
-    tdm_grows = all(
-        all(l2 > l1 for (_, l1), (_, l2) in zip(s, s[1:]))
-        for s in (sorted(v) for v in tdm_series.values())) if tdm_series else True
-    checks = {"members_pass": all_ok, "dsp_latency_flat_in_k": dsp_flat,
-              "tdm_latency_grows_with_k": tdm_grows}
-    report = Report("i2s-sweep", seed, _json_safe(
-        {"modes": [m.value for m in spec.modes],
-         "n_devices": list(spec.n_devices), "frame_bits": list(spec.frame_bits),
-         "sample_rate": spec.sample_rate}), {"runs": len(rows)}, checks)
-    if out_dir is not None:
-        write_csv(Path(out_dir) / "summary.csv", rows)
-    return report, rows
+    members = [({"mode": mode.value, "n_devices": k_dev, "frame_bits": n},
+                I2sRunSpec(BusConfig(mode, k_dev, n, spec.sample_rate), spec.periods))
+               for mode in spec.modes for n in spec.frame_bits for k_dev in spec.n_devices
+               if mode is not BusMode.STANDARD_I2S or k_dev == 1]
+    echo = {"modes": [m.value for m in spec.modes], "n_devices": list(spec.n_devices),
+            "frame_bits": list(spec.frame_bits), "sample_rate": spec.sample_rate}
+    columns = {"bclk_hz": "bclk_hz", "latency_tclk": "latency_tclk_measured"}
+    return _run_sweep("i2s-sweep", echo, run_i2s_scenario, members, columns,
+                      ("mode", "frame_bits", "n_devices"), _i2s_series_checks,
+                      seed, out_dir)
+
+
+def _i2s_series_checks(rows) -> dict:
+    """DSP latency is one value per frame size; TDM latency rises with K."""
+    dsp = [r for r in rows if r["mode"] == BusMode.TDM_DSP.value]
+    tdm = [r for r in rows if r["mode"] == BusMode.TDM_I2S.value]
+    return {"dsp_latency_flat_in_k": len({(r["frame_bits"], r["latency_tclk"]) for r in dsp})
+            == len({r["frame_bits"] for r in dsp}),
+            "tdm_latency_grows_with_k": _rising(tdm, "frame_bits", "n_devices",
+                                                "latency_tclk")}
 
 
 # -- output plumbing ----------------------------------------------------------
 
 
 def write_csv(path, rows: list[dict]) -> None:
-    if not rows:
-        return
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:

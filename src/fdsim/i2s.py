@@ -51,11 +51,6 @@ class FsyncStyle(Enum):
     CHANNEL_LENGTH = "channel-length"
 
 
-class Role(Enum):
-    MASTER = "master"
-    SLAVE = "slave"
-
-
 class FramingError(Exception):
     """Frame sync missing or frame truncated; carries any partial decode."""
 
@@ -74,8 +69,6 @@ class BusConfig:
     polarity: Polarity = Polarity.SAMPLE_ON_RISING
     alignment: Alignment = Alignment.ALIGNED
     fsync_style: FsyncStyle = FsyncStyle.PULSE
-    # both ends observe the same waveform; role only labels which one we are
-    role: Role = Role.MASTER
 
     def __post_init__(self):
         if not 1 <= self.n_devices <= MAX_DEVICES:

@@ -183,7 +183,7 @@ def test_7_codec_round_trip():
 def test_8_gops_consistency():
     # clock chosen so C16 peak (40 ops/cycle) hits 10.16 GOPS
     clock = 10.16e9 / 40
-    spec = FftRunSpec(n_points=2048, dtype=DataType.C16, clock_hz=clock,
+    spec = FftRunSpec(FftJob(2048, DataType.C16), clock_hz=clock,
                       input=InputSpec(source="noise",
                                       amplitude=NOISE_AMPLITUDE))
     rep = run_fft_experiment(spec, seed=NOISE_SEED)
@@ -195,7 +195,7 @@ def test_8_gops_consistency():
 
 
 def test_9_determinism():
-    spec = FftRunSpec(n_points=512, dtype=DataType.C64,
+    spec = FftRunSpec(FftJob(512, DataType.C64),
                       input=InputSpec(source="noise", amplitude=0.9))
     a = run_fft_experiment(spec, seed=1).to_json().encode()
     b = run_fft_experiment(spec, seed=1).to_json().encode()

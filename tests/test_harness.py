@@ -1,15 +1,17 @@
 import copy
 import json
+import math
 import wave
+from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fdsim.cli as cli
 import fdsim.harness as harness
-from fdsim.fft import ConfigurationError
+from fdsim.fft import ConfigurationError, FftJob
 from fdsim.fixedpoint import DataType
 from fdsim.harness import (FftRunSpec, FftSweepSpec, I2sRunSpec, I2sSweepSpec,
                            InputSpec, Report, build_fft_input, build_payloads,
@@ -37,7 +39,7 @@ class TestConfigParsing:
         cfg = parse_config(fft_config())
         assert cfg.kind == "fft-run"
         assert cfg.seed == 7
-        assert cfg.spec.dtype is DataType.C32
+        assert cfg.spec.job.dtype is DataType.C32
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
@@ -86,7 +88,7 @@ VALID_CONFIGS = [
     {"version": 1, "kind": "i2s-run", "seed": 2,
      "i2s": {"mode": "tdm-i2s", "n_devices": 4, "frame_bits": 32,
              "sample_rate": 48000, "clk_div": 1, "polarity": "sample-on-rising",
-             "alignment": "aligned", "fsync_style": "pulse", "role": "master",
+             "alignment": "aligned", "fsync_style": "pulse",
              "periods": 2, "payload": {"source": "random", "export_wav": False}}},
     {"version": 1, "kind": "i2s-sweep", "seed": 3,
      "sweep": {"modes": ["tdm-dsp"], "n_devices": [1, 2], "frame_bits": [16]},
@@ -101,11 +103,32 @@ def _key_paths(doc, prefix=()):
             yield from _key_paths(value, prefix + (key,))
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: (st.lists(inner, max_size=3)
-                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
-    max_leaves=6)
+def _json_values(numbers):
+    return st.recursive(
+        st.none() | st.booleans() | numbers | st.text(max_size=8),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+        max_leaves=6)
+
+
+JSON_VALUES = _json_values(st.integers() | st.floats())
+# numbers small enough that no drawn periods or size asks for a huge allocation
+SMALL_JSON_VALUES = _json_values(
+    st.integers(-1024, 1024) | st.floats(-1024, 1024)
+    | st.sampled_from([math.nan, math.inf, -math.inf]))
+ONE_KEY_OF_A_VALID_CONFIG = st.sampled_from(VALID_CONFIGS).flatmap(
+    lambda doc: st.tuples(st.just(doc), st.sampled_from(list(_key_paths(doc)))))
+
+
+def _with_key_replaced(case, value) -> dict:
+    doc, path = case
+    doc = copy.deepcopy(doc)
+    *outer, key = path
+    target = doc
+    for part in outer:
+        target = target[part]
+    target[key] = value
+    return doc
 
 
 class TestConfigRobustness:
@@ -113,22 +136,24 @@ class TestConfigRobustness:
     def test_valid_configs_parse(self, doc):
         assert parse_config(doc).kind == doc["kind"]
 
-    @given(st.sampled_from(VALID_CONFIGS).flatmap(
-        lambda doc: st.tuples(st.just(doc), st.sampled_from(list(_key_paths(doc))))),
-        JSON_VALUES)
+    @given(ONE_KEY_OF_A_VALID_CONFIG, JSON_VALUES)
     @settings(max_examples=80)
     def test_any_one_key_replaced_parses_or_is_a_config_error(self, case, value):
-        doc, path = case
-        doc = copy.deepcopy(doc)
-        *outer, key = path
-        target = doc
-        for part in outer:
-            target = target[part]
-        target[key] = value
         try:
-            parse_config(doc)
+            parse_config(_with_key_replaced(case, value))
         except ConfigurationError:
             pass
+
+    @given(ONE_KEY_OF_A_VALID_CONFIG, SMALL_JSON_VALUES)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_one_key_replaced_exits_0_1_or_2(self, tmp_path, case, value):
+        doc = _with_key_replaced(case, value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        verb = case[0]["kind"].split("-")
+        argv = verb + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) in (0, 1, 2)
 
     @pytest.mark.parametrize("key, value", [
         ("n_points", 64.5), ("n_points", float("inf")), ("n_points", float("nan")),
@@ -138,7 +163,7 @@ class TestConfigRobustness:
             parse_config(fft_config(**{key: value}))
 
     def test_integral_float_accepted(self):
-        assert parse_config(fft_config(n_points=64.0)).spec.n_points == 64
+        assert parse_config(fft_config(n_points=64.0)).spec.job.n_points == 64
 
     @pytest.mark.parametrize("amplitude", [float("inf"), -float("inf"), float("nan")])
     def test_non_finite_amplitude(self, amplitude):
@@ -221,8 +246,7 @@ class TestFftReport:
         assert not report.checks["snr_floor"]
 
     def test_memory_image_dump(self, tmp_path):
-        spec = FftRunSpec(n_points=64, dtype=DataType.C32,
-                          dump_memory_image=True)
+        spec = FftRunSpec(FftJob(64, DataType.C32), dump_memory_image=True)
         run_fft_experiment(spec, seed=0, out_dir=tmp_path)
         assert (tmp_path / "memory.bin").exists()
         assert (tmp_path / "memory.bin.json").exists()
@@ -271,6 +295,62 @@ class TestSweeps:
         report2 = run_i2s_scenario(spec2, seed=0)
         assert report2.passed
         assert report2.metrics["periods"] == 4
+        assert report2.config["periods"] == 4
+
+
+def _fft_member(spec, defect):
+    """A member report whose metrics pass every FFT series check, unless
+    ``defect`` names the one to break."""
+    n, dtype = spec.job.n_points, spec.job.dtype
+    butterfly = n // 2 * (n.bit_length() - 1) // {"C64": 1, "C32": 2, "C16": 4}[dtype.name]
+    if defect == "ratio" and dtype is DataType.C32:
+        butterfly += 1
+    total = 100 if defect == "monotonic" and dtype is DataType.C64 else 2 * butterfly + n
+    passed = not (defect == "member" and (n, dtype) == (16, DataType.C16))
+    return Report("fft-run", 0, {}, defaultdict(
+        int, butterfly_cycles=butterfly, total_cycles=total), {"member": passed})
+
+
+def _i2s_member(spec, defect):
+    """A member report whose latency passes every I2S series check, unless
+    ``defect`` names the one to break."""
+    bus = spec.bus
+    dsp = bus.mode is BusMode.TDM_DSP
+    latency = bus.frame_bits if dsp else bus.frame_bits * bus.n_devices
+    if defect == "dsp" and dsp:
+        latency += bus.n_devices
+    if defect == "tdm" and not dsp:
+        latency = bus.frame_bits
+    passed = not (defect == "member" and dsp and bus.n_devices == 2)
+    return Report("i2s-run", 0, {}, {"bclk_hz": 1, "latency_tclk_measured": latency},
+                  {"member": passed})
+
+
+def _failed(report) -> set:
+    return {name for name, ok in report.checks.items() if not ok}
+
+
+class TestSweepChecks:
+    @pytest.mark.parametrize("defect, check", [
+        (None, None), ("member", "members_pass"),
+        ("monotonic", "cycles_monotonic_in_n"), ("ratio", "butterfly_ratio_1_2_4")])
+    def test_fft_defect_fails_its_own_check(self, monkeypatch, defect, check):
+        monkeypatch.setattr(harness, "run_fft_experiment",
+                            lambda spec, seed: _fft_member(spec, defect))
+        report, _ = run_fft_sweep(FftSweepSpec(
+            dtypes=(DataType.C64, DataType.C32, DataType.C16), n_points=(8, 16, 32)), 0)
+        assert _failed(report) == ({check} if check else set())
+
+    @pytest.mark.parametrize("defect, check", [
+        (None, None), ("member", "members_pass"),
+        ("dsp", "dsp_latency_flat_in_k"), ("tdm", "tdm_latency_grows_with_k")])
+    def test_i2s_defect_fails_its_own_check(self, monkeypatch, defect, check):
+        monkeypatch.setattr(harness, "run_i2s_scenario",
+                            lambda spec, seed: _i2s_member(spec, defect))
+        report, _ = run_i2s_sweep(I2sSweepSpec(
+            modes=(BusMode.TDM_I2S, BusMode.TDM_DSP), n_devices=(1, 2, 4),
+            frame_bits=(16, 32)), 0)
+        assert _failed(report) == ({check} if check else set())
 
 
 class TestCli:
@@ -384,18 +464,27 @@ class TestCli:
         ("i2s run", json.dumps(i2s_config(periods=-1))),
         ("i2s sweep", json.dumps({"version": 1, "kind": "i2s-sweep",
                                   "i2s": {"periods": 0}})),
+        ("fft sweep", json.dumps({"version": 1, "kind": "fft-sweep",
+                                  "sweep": {"dtypes": ["C64"], "n_points": [4096]}})),
+        ("fft sweep", json.dumps({"version": 1, "kind": "fft-sweep",
+                                  "sweep": {"dtypes": []}})),
+        ("i2s sweep", json.dumps({"version": 1, "kind": "i2s-sweep",
+                                  "sweep": {"modes": ["standard-i2s"],
+                                            "n_devices": [2, 4]}})),
     ], ids=["input-str", "sweep-str", "payload-str", "dtype-int", "n_points-1e400",
             "n_points-64.5", "seed-list", "dump_memory_image-str",
             "dump_memory_image-int", "version-true", "file-path-int",
             "file-path-missing", "export_wav-str", "wav-path-int",
             "wav-path-missing", "wav-path-directory", "periods-negative",
-            "sweep-periods-0"])
+            "sweep-periods-0", "fft-sweep-no-size-fits", "fft-sweep-no-dtype",
+            "i2s-sweep-no-standard-member"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, verb, text):
         p = tmp_path / "cfg.json"
         p.write_text(text)
         assert cli.main(verb.split() + ["--config", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and "Traceback" not in err
+        assert err.count("\n") == 1
 
     def test_kind_mismatch_exits_2(self, tmp_path):
         cfg = self._write(tmp_path, fft_config())
