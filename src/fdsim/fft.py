@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -198,67 +198,66 @@ class FftResultSummary:
 
 @lru_cache(maxsize=None)
 def _program(n_points: int, dtype: DataType):
-    """Compiled stages and reorder; they depend only on (n_points, dtype)."""
-    stages = tuple(compile_stage(schedule_stage(n_points, dtype, s))
-                   for s in range(n_points.bit_length() - 1))
-    return stages, compile_reorder(schedule_reorder(n_points, dtype))
-
-
-def _issue(memory, base, ports, stats):
-    """Arbitrate every cycle of one phase.  Rejected requests retry alone,
-    one stall cycle each.  Returns the phase's read and write streams as
-    memory addresses, its count of cycles that read, and its stalls."""
-    addresses = np.where(ports == IDLE, IDLE, ports + base)
-    conflicts, _ = memory.access_batch(addresses, WRITE_COLUMN)
-    stalls = int(conflicts.sum())
-    stats.conflicts += stalls
-    stats.stall_cycles += stalls
-    reads, writes = addresses[:, ~WRITE_COLUMN], addresses[:, WRITE_COLUMN]
-    read_cycles = int((reads != IDLE).any(axis=1).sum())
-    stats.overhead_cycles += len(ports) - read_cycles
-    return reads[reads != IDLE], writes[writes != IDLE], read_cycles, stalls
+    """The compiled phases, every stage and then the reorder; they depend
+    only on (n_points, dtype).  Also returns the whole program's port
+    matrix, whose row ranges are the phases' ``ports``, each phase's first
+    row, and each phase's read and write streams as word offsets."""
+    phases = [compile_stage(schedule_stage(n_points, dtype, s))
+              for s in range(n_points.bit_length() - 1)]
+    phases.append(compile_reorder(schedule_reorder(n_points, dtype)))
+    ports = np.concatenate([p.ports for p in phases])
+    cut = np.cumsum([0] + [len(p.ports) for p in phases])
+    phases = tuple(replace(p, ports=ports[lo:hi]) for p, lo, hi in zip(phases, cut, cut[1:]))
+    streams = tuple((r[r != IDLE], w[w != IDLE]) for r, w in
+                    ((p.ports[:, ~WRITE_COLUMN], p.ports[:, WRITE_COLUMN]) for p in phases))
+    return phases, ports, cut[:-1], streams
 
 
 def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
     """In-place fixed-point FFT on the memory image, cycle-accounted.
 
-    Every phase is arbitrated cycle by cycle; its data moves as one gather
-    of the read stream, all of its butterflies (or reorder moves) at once,
-    and one scatter of the write stream.  The compiled programs prove that
-    this equals moving the data cycle by cycle.  On return the memory holds
-    the natural-order spectrum scaled by 2**-scaling_stages; the summary
+    The whole program is arbitrated cycle by cycle in one pass; a rejected
+    request retries alone, one stall cycle each.  A phase's stalls and read
+    cycles are those of its rows; the reorder's stalls are the only ones
+    outside ``stage_conflicts``.  A phase's data moves as one gather of its
+    read stream, all of its butterflies (or reorder moves) at once, and one
+    scatter of its write stream.  The compiled programs prove that this
+    equals moving the data cycle by cycle.  On return the memory holds the
+    natural-order spectrum scaled by 2**-scaling_stages; the summary
     carries the sticky overflow flag and the cycle statistics.
     """
     job.validate(memory)
     table = twiddle_table(job.dtype)
-    stages, reorder = _program(job.n_points, job.dtype)
-    stats = CycleStats()
+    phases, ports, first_rows, streams = _program(job.n_points, job.dtype)
+    base = job.base_address
+    conflicts, _ = memory.access_batch(np.where(ports == IDLE, IDLE, ports + base),
+                                       WRITE_COLUMN)
+    stalls = np.add.reduceat(conflicts, first_rows)
+    reading = np.add.reduceat((ports[:, ~WRITE_COLUMN] != IDLE).any(axis=1), first_rows)
+    stats = CycleStats(butterfly_cycles=int(reading[:-1].sum()),
+                       reorder_cycles=int(reading[-1]), stall_cycles=int(stalls.sum()),
+                       overhead_cycles=len(ports) - int(reading.sum()),
+                       conflicts=int(stalls.sum()), stage_conflicts=int(stalls[:-1].sum()))
+    stats.total_cycles = (stats.butterfly_cycles + stats.reorder_cycles
+                          + stats.stall_cycles + stats.overhead_cycles)
     flag = OverflowFlag()
     words = memory.words
-    for prog in stages:
-        reads, writes, read_cycles, stalls = _issue(memory, job.base_address,
-                                                    prog.ports, stats)
-        stats.butterfly_cycles += read_cycles
-        stats.stage_conflicts += stalls
-        re, im = unpack_parts(words[reads], job.dtype)
+    for prog, (reads, writes) in zip(phases[:-1], streams):
+        re, im = unpack_parts(words[base + reads], job.dtype)
         a, b, w = prog.butterflies.T
         re[a], im[a], re[b], im[b] = butterfly_array(
             re[a], im[a], re[b], im[b], table.re[w], table.im[w], job.dtype,
             job.scaling, flag)
-        words[writes] = pack_parts(re[prog.route], im[prog.route], job.dtype)
+        words[base + writes] = pack_parts(re[prog.route], im[prog.route], job.dtype)
 
-    reads, writes, read_cycles, _ = _issue(memory, job.base_address,
-                                           reorder.ports, stats)
-    stats.reorder_cycles += read_cycles
-    got = words[reads]
+    reorder, (reads, writes) = phases[-1], streams[-1]
+    got = words[base + reads]
     halves = np.stack([got & 0xFFFF, got >> 16], axis=1).ravel()
     out = np.zeros(2 * len(writes), dtype=np.uint32)
     out[reorder.moves[:, 0]] = halves[reorder.moves[:, 1]]
-    mask = STROBE_MASK[reorder.strobes]
+    mask, writes = STROBE_MASK[reorder.strobes], base + writes
     words[writes] = (words[writes] & ~mask) | ((out[0::2] | out[1::2] << 16) & mask)
 
-    stats.total_cycles = (stats.butterfly_cycles + stats.reorder_cycles
-                          + stats.stall_cycles + stats.overhead_cycles)
     m = job.n_points.bit_length() - 1
     scaling = m if job.scaling is ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE else 0
     return FftResultSummary(job, stats, flag.seen, scaling)

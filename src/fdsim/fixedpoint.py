@@ -196,9 +196,8 @@ def sat_round_array(values, width: int, shift: int = 0,
         half = 1 << (shift - 1)
         q = q >> shift
         q = q + ((rem > half) | ((rem == half) & (q & 1 == 1)))
-    hi = (1 << (width - 1)) - 1
-    lo = -(1 << (width - 1))
-    clipped = np.clip(q, lo, hi)
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    clipped = np.minimum(np.maximum(q, lo), hi)
     if flag is not None and not flag.seen and (clipped != q).any():
         flag.seen = True
     return clipped
@@ -235,15 +234,13 @@ def butterfly_array(a_re, a_im, b_re, b_im, w_re, w_im, dtype: DataType,
                     flag: OverflowFlag | None = None):
     """``butterfly`` over int64 arrays of raw parts, bit-exact with the
     scalar form.  Needs |w| <= 1.  Returns (out0 re, out0 im, out1 re,
-    out1 im)."""
+    out1 im).  Rounds twice: both product sums, then all four outputs."""
     width = dtype.part_width
     shift = 1 if policy is ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE else 0
-    t_re = sat_round_array(w_re * b_re - w_im * b_im, width, width - 1, flag)
-    t_im = sat_round_array(w_re * b_im + w_im * b_re, width, width - 1, flag)
-    return (sat_round_array(a_re + t_re, width, shift, flag),
-            sat_round_array(a_im + t_im, width, shift, flag),
-            sat_round_array(a_re - t_re, width, shift, flag),
-            sat_round_array(a_im - t_im, width, shift, flag))
+    t = sat_round_array(np.stack([w_re * b_re - w_im * b_im,
+                                  w_re * b_im + w_im * b_re]), width, width - 1, flag)
+    a = np.stack([a_re, a_im])
+    return tuple(sat_round_array(np.concatenate([a + t, a - t]), width, shift, flag))
 
 
 # Sample packing into 32-bit memory words:

@@ -145,6 +145,18 @@ def _list(value, key) -> list:
     return value
 
 
+def _axis(sweep: dict, key, default, parse=None) -> tuple | None:
+    """Sweep axis ``key`` (``default`` if absent, None if that is None): a JSON
+    list of distinct values, each parsed by ``parse``, else as an integer."""
+    value = sweep.get(key, default)
+    if value is None and default is None:
+        return None
+    values = tuple(parse(v) if parse else _int(v, key) for v in _list(value, key))
+    if len(set(values)) < len(values):
+        raise ConfigurationError(f"{key} repeats a value: {value!r}")
+    return values
+
+
 def _parse_input(d: dict) -> InputSpec:
     spec = InputSpec(source=d.get("source", "noise"),
                      amplitude=float(d.get("amplitude", 0.9)),
@@ -219,13 +231,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         elif kind == "fft-sweep":
             sweep = _section(raw, "sweep", kind)
             base = _section(raw, "fft", kind)
-            dtypes = tuple(DataType.from_tag(t) for t in _list(
-                sweep.get("dtypes", ["C64", "C32", "C16"]), "dtypes"))
-            sizes = sweep.get("n_points")
             spec = FftSweepSpec(
-                dtypes=dtypes,
-                n_points=tuple(_int(n, "n_points") for n in _list(sizes, "n_points"))
-                if sizes else None,
+                dtypes=_axis(sweep, "dtypes", ["C64", "C32", "C16"], DataType.from_tag),
+                n_points=_axis(sweep, "n_points", None),
                 clock_hz=_parse_clock(base),
                 input=_parse_input(_section(base, "input", kind)))
         elif kind == "i2s-run":
@@ -247,12 +255,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             sweep = _section(raw, "sweep", kind)
             base = _section(raw, "i2s", kind)
             spec = I2sSweepSpec(
-                modes=tuple(BusMode(m) for m in _list(sweep.get(
-                    "modes", ["tdm-i2s", "tdm-dsp"]), "modes")),
-                n_devices=tuple(_int(k, "n_devices") for k in _list(sweep.get(
-                    "n_devices", list(range(1, 17))), "n_devices")),
-                frame_bits=tuple(_int(n, "frame_bits") for n in _list(sweep.get(
-                    "frame_bits", [16, 24, 32]), "frame_bits")),
+                modes=_axis(sweep, "modes", ["tdm-i2s", "tdm-dsp"], BusMode),
+                n_devices=_axis(sweep, "n_devices", list(range(1, 17))),
+                frame_bits=_axis(sweep, "frame_bits", [16, 24, 32]),
                 sample_rate=_int(base.get("sample_rate", 48000), "sample_rate"),
                 periods=_int(base.get("periods", 2), "periods"))
             _check_periods(spec.periods)
@@ -455,10 +460,10 @@ def run_fft_sweep(spec: FftSweepSpec, seed: int,
     members = [({"dtype": dtype.name, "n_points": n},
                 FftRunSpec(FftJob(n, dtype), spec.clock_hz, spec.input))
                for dtype in spec.dtypes
-               for n in spec.n_points or full_size_grid(dtype)
+               for n in (full_size_grid(dtype) if spec.n_points is None else spec.n_points)
                if n <= dtype.max_points]
     echo = {"dtypes": [d.name for d in spec.dtypes],
-            "n_points": list(spec.n_points) if spec.n_points else "full",
+            "n_points": "full" if spec.n_points is None else list(spec.n_points),
             "clock_hz": spec.clock_hz, "input": asdict(spec.input)}
     columns = {c: c for c in ("butterfly_cycles", "reorder_cycles", "stall_cycles",
                               "overhead_cycles", "total_cycles", "conflicts",

@@ -94,7 +94,6 @@ for _strobe, _mask in _STROBE_MASKS.items():
     STROBE_MASK[_strobe] = _mask
 IDLE = -1                                   # address of an idle port
 WRITE_COLUMN = np.arange(N_PORTS) >= WRITE_PORTS.start
-_LOWER_PORT = np.tri(N_PORTS, k=-1, dtype=bool)   # [p, q] is True for q < p
 
 
 class BankedMemory:
@@ -143,13 +142,13 @@ class BankedMemory:
         if (active & ~write_mask & WRITE_COLUMN).any():
             raise ValueError("read on a write port")
         if ((addresses < IDLE) | (addresses >= self.total_words)).any():
-            raise MemoryModelError(
-                f"word address outside capacity {self.total_words}")
-        # idle ports get distinct negative banks, so they never collide;
-        # port p is rejected if a lower port q shares its bank
-        banks = np.where(active, addresses % N_BANKS, -1 - np.arange(N_PORTS))
-        same_bank = banks[:, :, None] == banks[:, None, :]
-        rejected = (same_bank & _LOWER_PORT).any(axis=2)
+            raise MemoryModelError(f"word address outside capacity {self.total_words}")
+        # each active port sets its bank's bit; port p is rejected iff a
+        # lower port has already set that bit
+        bits = np.where(active, 1 << (addresses & (N_BANKS - 1)), 0).astype(np.uint16)
+        taken = np.bitwise_or.accumulate(bits, axis=1)
+        rejected = np.zeros(addresses.shape, dtype=bool)
+        rejected[:, 1:] = (bits[:, 1:] & taken[:, :-1]) != 0
         return rejected.sum(axis=1), rejected
 
     def access(self, cycle: int, requests: list[Request]) -> AccessResult:

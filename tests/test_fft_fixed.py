@@ -249,6 +249,41 @@ class TestSpectra:
         assert read_samples(mem0, 0, n, dtype) == read_samples(mem1, 4096, n, dtype)
         assert s0.stats.as_dict() == s1.stats.as_dict()
 
+    @pytest.mark.parametrize("base", [0, 4, 8, 12])
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_phase_attribution_at_every_bank_offset(self, dtype, base):
+        # a base shift renames the banks, and the whole program is arbitrated
+        # in one pass: each phase's stalls and read cycles must still land
+        # where the cycle model puts them, no stall in a butterfly stage
+        for n in full_size_grid(dtype):
+            x = np.random.default_rng(n + base).uniform(-0.9, 0.9, n) + 0.2j
+            _, _, summary, _ = run_fixed(x, dtype, n, base=base)
+            assert summary.stats.as_dict() == total_cycle_model(n, dtype).as_dict(), \
+                (dtype, n, base)
+            assert summary.stats.stage_conflicts == 0
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_every_row_charged_to_its_phase(self, dtype, monkeypatch):
+        # an arbiter that rejects one request in every cycle: each phase's
+        # stalls are then its cycle count, which a bound off by one row in
+        # either direction gets wrong; the op arbitrates once
+        calls = []
+
+        def one_stall_per_cycle(memory, addresses, write_mask):
+            calls.append(len(addresses))
+            return np.ones(len(addresses), dtype=np.int64), None
+
+        monkeypatch.setattr(BankedMemory, "access_batch", one_stall_per_cycle)
+        for n in full_size_grid(dtype):
+            stages = sum(len(schedule_stage(n, dtype, s).cycles)
+                         for s in range(n.bit_length() - 1))
+            reorder = len(schedule_reorder(n, dtype).cycles)
+            calls.clear()
+            _, _, summary, _ = run_fixed(np.zeros(n), dtype, n)
+            assert calls == [stages + reorder]
+            assert (summary.stats.stage_conflicts, summary.stats.conflicts) == \
+                (stages, stages + reorder), (dtype, n)
+
     def test_determinism(self):
         n, dtype = 128, DataType.C32
         rng = np.random.default_rng(21)

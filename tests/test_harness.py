@@ -471,13 +471,20 @@ class TestCli:
         ("i2s sweep", json.dumps({"version": 1, "kind": "i2s-sweep",
                                   "sweep": {"modes": ["standard-i2s"],
                                             "n_devices": [2, 4]}})),
+        *[("fft sweep", json.dumps({"version": 1, "kind": "fft-sweep",
+                                    "sweep": {"dtypes": ["C64"], "n_points": sizes}}))
+          for sizes in ([], 0, False, "", [64, 8, 8])],
+        ("i2s sweep", json.dumps({"version": 1, "kind": "i2s-sweep",
+                                  "sweep": {"n_devices": [2, 2]}})),
     ], ids=["input-str", "sweep-str", "payload-str", "dtype-int", "n_points-1e400",
             "n_points-64.5", "seed-list", "dump_memory_image-str",
             "dump_memory_image-int", "version-true", "file-path-int",
             "file-path-missing", "export_wav-str", "wav-path-int",
             "wav-path-missing", "wav-path-directory", "periods-negative",
             "sweep-periods-0", "fft-sweep-no-size-fits", "fft-sweep-no-dtype",
-            "i2s-sweep-no-standard-member"])
+            "i2s-sweep-no-standard-member", "fft-sweep-n_points-empty",
+            "fft-sweep-n_points-0", "fft-sweep-n_points-false", "fft-sweep-n_points-str",
+            "fft-sweep-n_points-repeated", "i2s-sweep-n_devices-repeated"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, verb, text):
         p = tmp_path / "cfg.json"
         p.write_text(text)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsim.fixedpoint import DataType, FixedComplex
-from fdsim.membank import (HI_HALF_STROBE, IDLE, LO_HALF_STROBE, N_PORTS,
+from fdsim.membank import (HI_HALF_STROBE, IDLE, LO_HALF_STROBE, N_BANKS, N_PORTS,
                            WRITE_COLUMN, BankedMemory, MemoryModelError,
                            Request, bandwidth_bytes_per_s,
                            bank_of, export_image, import_image, load_samples,
@@ -13,6 +13,17 @@ from fdsim.membank import (HI_HALF_STROBE, IDLE, LO_HALF_STROBE, N_PORTS,
 
 def reads(addrs, start_port=0):
     return [Request(start_port + i, a) for i, a in enumerate(addrs)]
+
+
+def same_bank_cube(addresses):
+    """Reference arbitration by an (ports x ports) same-bank cube per cycle:
+    port p is rejected if a lower port q shares its bank.  Idle ports get
+    distinct negative banks, so they never collide."""
+    addresses = np.asarray(addresses, dtype=np.int64)
+    banks = np.where(addresses != IDLE, addresses % N_BANKS, -1 - np.arange(N_PORTS))
+    same_bank = banks[:, :, None] == banks[:, None, :]
+    rejected = (same_bank & np.tri(N_PORTS, k=-1, dtype=bool)).any(axis=2)
+    return rejected.sum(axis=1), rejected
 
 
 class TestAccess:
@@ -106,6 +117,19 @@ class TestAccessBatch:
             assert conflicts[t] == res.conflicts
             assert [p for p in range(N_PORTS) if rejected[t, p]] == \
                 [r.port for r in res.rejected]
+
+    @given(st.lists(st.lists(st.one_of(st.just(IDLE), st.integers(0, 255)),
+                             min_size=N_PORTS, max_size=N_PORTS),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_matches_same_bank_cube(self, rows):
+        # addresses span 16 banks 16 times over, so rows mix same-bank and
+        # same-address collisions with idle ports
+        conflicts, rejected = BankedMemory(total_words=256).access_batch(
+            np.array(rows), WRITE_COLUMN)
+        want_conflicts, want_rejected = same_bank_cube(rows)
+        assert conflicts.tolist() == want_conflicts.tolist()
+        assert rejected.tolist() == want_rejected.tolist()
 
     def test_moves_no_data(self):
         mem = BankedMemory(total_words=64)
