@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .fft import ConfigurationError
 from .harness import load_config, run_experiment, write_report
+from .membank import BankedMemory
 from .schedule import (dump_reorder_schedule, dump_stage_schedule,
                        schedule_reorder, schedule_stage)
 
@@ -62,9 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     dump = sched_sub.add_parser("dump", help="print per-cycle transactions")
     dump.add_argument("--config", required=True,
                       help="fft-run config naming n_points and dtype")
-    dump.add_argument("--stage", type=int, default=None,
+    only = dump.add_mutually_exclusive_group()
+    only.add_argument("--stage", type=int, default=None,
                       help="dump only this stage")
-    dump.add_argument("--reorder", action="store_true",
+    only.add_argument("--reorder", action="store_true",
                       help="dump only the reorder pass")
     dump.add_argument("--out", default=None, help="output directory")
     return parser
@@ -94,6 +96,7 @@ def _cmd_schedule_dump(args):
     config = load_config(args.config)
     _expected_kind(config, "fft-run")
     job = config.spec.job
+    job.validate(BankedMemory())
     pieces = []
     if not args.reorder:
         stages = ([args.stage] if args.stage is not None

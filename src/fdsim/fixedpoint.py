@@ -189,13 +189,17 @@ def butterfly(a: FixedComplex, b: FixedComplex, w: FixedComplex,
 def sat_round_array(values, width: int, shift: int = 0,
                     flag: OverflowFlag | None = None) -> np.ndarray:
     """Element-wise ``sat_round`` on an int64 array; the flag is set if any
-    element saturates."""
+    element saturates.
+
+    Ties go to even by adding ``half - 1`` plus the parity of the truncated
+    quotient before the shift.  That sum stays in int64, so the rounding is
+    exact, only for |values| < 2^63 - 2^shift; the executor stays below
+    2^62.5.
+    """
     q = np.asarray(values, dtype=np.int64)
     if shift:
-        rem = q & ((1 << shift) - 1)
         half = 1 << (shift - 1)
-        q = q >> shift
-        q = q + ((rem > half) | ((rem == half) & (q & 1 == 1)))
+        q = (q + (half - 1 + ((q >> shift) & 1))) >> shift
     lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
     clipped = np.minimum(np.maximum(q, lo), hi)
     if flag is not None and not flag.seen and (clipped != q).any():

@@ -1,4 +1,4 @@
-"""Per-cycle port transaction plans for butterfly stages and the final reorder.
+"""Port transaction plans for butterfly stages and the final reorder.
 
 Stages run on natural-order data with decreasing half-spans; all loads and
 stores are groups of 4 consecutive word addresses ("wing sets"), staged
@@ -8,25 +8,28 @@ is realized as swap units (the permutation is an involution); its cycles
 can and do collide in the banks, each rejected request stalling the
 pipeline for exactly one cycle.
 
-All schedule addresses are word offsets from the start of the sample
-array; the executor adds the job's base address.
+A plan is arrays from the start: a (cycles x 8) port-address matrix, one
+row per cycle and ``IDLE`` on an unused port, plus a stage's butterflies
+or the reorder's write strobes and sample moves.  All addresses are word
+offsets from the start of the sample array; the executor adds the job's
+base address.
 
-``compile_stage`` and ``compile_reorder`` turn a schedule into the int32
-arrays the executor runs: a (cycles x 8) port-address matrix and the data
-routing from the words a phase reads to the words it writes.  They also
-prove, per phase, what lets the executor move a phase's data as one batch.
+``compile_stage`` and ``compile_reorder`` turn a plan into the int32
+arrays the executor runs: the data routing from the words a phase reads
+to the words it writes.  They also prove, per phase, what lets the
+executor move a phase's data as one batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .fixedpoint import DataType
 from .membank import (FULL_STROBE, HI_HALF_STROBE, IDLE, LO_HALF_STROBE,
-                      N_BANKS, N_PORTS, WRITE_PORTS, CycleStats)
+                      N_BANKS, N_PORTS, WRITE_COLUMN, WRITE_PORTS,
+                      BankedMemory, CycleStats, words_per_samples)
 
 WRITE_LAG_STAGE = 3
 WRITE_LAG_REORDER = 2
@@ -39,14 +42,15 @@ THROUGHPUT = {DataType.C64: 1, DataType.C32: 2, DataType.C16: 4}
 REGISTER_CAPACITY = {DataType.C64: 4, DataType.C32: 8, DataType.C16: 16}
 
 
-def bit_reverse_index(i: int, bits: int) -> int:
-    """Reverse the low ``bits`` bits of ``i``; involutive."""
-    if bits < 0 or not 0 <= i < (1 << bits):
+def bit_reverse_index(i, bits: int):
+    """Reverse the low ``bits`` bits of ``i``, an int or an integer array;
+    involutive."""
+    if bits < 0 or np.any((i < 0) | (i >= 1 << bits)):
         raise ValueError(f"index {i} out of range for {bits} bits")
-    r = 0
+    r = i & 0
     for _ in range(bits):
         r = (r << 1) | (i & 1)
-        i >>= 1
+        i = i >> 1
     return r
 
 
@@ -56,123 +60,79 @@ def _log2_points(n_points: int) -> int:
     return n_points.bit_length() - 1
 
 
-def word_of_sample(index: int, dtype: DataType) -> int:
-    if dtype is DataType.C64:
-        return 2 * index
-    if dtype is DataType.C32:
-        return index
-    return index // 2
+def _check_size(n_points: int, dtype: DataType) -> int:
+    m = _log2_points(n_points)
+    if n_points > dtype.max_points:
+        raise ValueError(f"{n_points} points exceed {dtype.name} limit")
+    return m
 
 
-def _group_words(first_sample: int, dtype: DataType) -> tuple[int, ...]:
-    start = word_of_sample(first_sample, dtype)
-    return (start, start + 1, start + 2, start + 3)
+def _port_plan(reads, write_lag):
+    """(cycles x 8) ports: each row of ``reads`` (read-stream words, 4
+    ports) is read at its cycle and written back ``write_lag`` cycles later."""
+    ports = np.full((len(reads) + write_lag, N_PORTS), IDLE, dtype=np.int32)
+    ports[:len(reads), ~WRITE_COLUMN] = reads
+    ports[write_lag:, WRITE_COLUMN] = reads
+    return ports
 
 
 @dataclass(frozen=True)
-class StageCycle:
-    reads: tuple[int, ...]                       # word offsets, ports 0-3
-    writes: tuple[int, ...]                      # word offsets, ports 4-7
-    butterflies: tuple[tuple[int, int, int], ...]  # (sample_a, sample_b, twiddle_exp)
-
-
-@dataclass
 class StageSchedule:
     n_points: int
     dtype: DataType
     stage: int
-    cycles: list[StageCycle]
-
-    @property
-    def read_cycles(self) -> int:
-        return sum(1 for c in self.cycles if c.reads)
-
-
-def _read_groups_and_batches(n_points, dtype, stage):
-    """Ordered read groups plus butterfly batches keyed by cycle index.
-
-    Wing-pair spans (half-span >= one group) alternate left/right wing
-    groups; a pair's butterflies split into two engine-rate batches on the
-    two cycles after the right wing lands.  Smaller spans pack whole
-    blocks per group and compute the cycle after the read.
-    """
-    m = _log2_points(n_points)
-    h = n_points >> (stage + 1)
-    spg = _SAMPLES_PER_GROUP[dtype]
-    rate = THROUGHPUT[dtype]
-    groups: list[int] = []                # first sample index of each read group
-    batches: dict[int, list] = {}
-
-    def add_batch(cycle, flies):
-        batches.setdefault(cycle, []).extend(flies)
-
-    if h >= spg:
-        for c in range(n_points // (2 * h)):
-            exp = bit_reverse_index(c, stage) * h
-            base = c * 2 * h
-            for g in range(h // spg):
-                left = base + g * spg
-                t = len(groups)
-                groups.append(left)          # left wings at cycle t
-                groups.append(left + h)      # right wings at cycle t+1
-                flies = [(x, x + h, exp) for x in range(left, left + spg)]
-                add_batch(t + 2, flies[:rate])
-                add_batch(t + 3, flies[rate:])
-    else:
-        blocks_per_group = spg // (2 * h)
-        for g in range(n_points // spg):
-            first = g * spg
-            t = len(groups)
-            groups.append(first)
-            flies = []
-            for b in range(blocks_per_group):
-                block = first // (2 * h) + b
-                exp = bit_reverse_index(block, stage) * h
-                start = block * 2 * h
-                flies += [(x, x + h, exp) for x in range(start, start + h)]
-            add_batch(t + 1, flies)
-    return groups, batches
+    ports: np.ndarray          # (cycles x 8) word offsets, IDLE when unused
+    butterflies: np.ndarray    # (n/2 x 4) rows (cycle, sample_a, sample_b, twiddle_exp)
 
 
 def schedule_stage(n_points: int, dtype: DataType, stage: int) -> StageSchedule:
     """Built afresh on every call; the executor caches only its compiled
-    arrays (``compile_stage``)."""
-    m = _log2_points(n_points)
+    arrays (``compile_stage``).
+
+    Butterfly u pairs sample a = the u-th left-half sample of the blocks of
+    2h with a + h, h being the half-span.  Wing-pair spans (h >= one group)
+    read left and right wing groups alternately; a pair's butterflies split
+    into two engine-rate batches on the two cycles after the right wing
+    lands.  Smaller spans pack whole blocks per group and compute the cycle
+    after the read.
+    """
+    m = _check_size(n_points, dtype)
     if not 0 <= stage < m:
         raise ValueError(f"stage {stage} invalid for {n_points} points")
-    if n_points > dtype.max_points:
-        raise ValueError(f"{n_points} points exceed {dtype.name} limit")
-    groups, batches = _read_groups_and_batches(n_points, dtype, stage)
-    n_cycles = len(groups) + WRITE_LAG_STAGE
-    cycles = []
-    for t in range(n_cycles):
-        reads = _group_words(groups[t], dtype) if t < len(groups) else ()
-        writes = (_group_words(groups[t - WRITE_LAG_STAGE], dtype)
-                  if t >= WRITE_LAG_STAGE else ())
-        cycles.append(StageCycle(reads, writes, tuple(batches.get(t, ()))))
-    return StageSchedule(n_points, dtype, stage, cycles)
+    h = n_points >> (stage + 1)
+    spg = _SAMPLES_PER_GROUP[dtype]
+    u = np.arange(n_points // 2)
+    a = u // h * 2 * h + u % h
+    exp = bit_reverse_index(a // (2 * h), stage) * h
+    if h >= spg:
+        block, group, wing = np.indices((n_points // (2 * h), h // spg, 2)).reshape(3, -1)
+        first = block * 2 * h + group * spg + wing * h     # first sample of each read
+        fly_at = u // spg * 2 + 2 + u % spg // THROUGHPUT[dtype]
+    else:
+        first = np.arange(0, n_points, spg)
+        fly_at = a // spg + 1
+    reads = (first * 4 // spg)[:, None] + np.arange(4)
+    return StageSchedule(n_points, dtype, stage, _port_plan(reads, WRITE_LAG_STAGE),
+                         np.stack([fly_at, a, a + h, exp], axis=1))
 
 
 # -- final bit-reversed reorder ----------------------------------------------
 
 
 @dataclass(frozen=True)
-class ReorderCycle:
-    reads: tuple[int, ...]
-    writes: tuple[tuple[int, int], ...]   # (word offset, byte strobe)
-
-
-@dataclass
 class ReorderSchedule:
     n_points: int
     dtype: DataType
-    cycles: list[ReorderCycle]
-    entries: tuple[tuple[int, int], ...]  # (src sample, dst sample), whole permutation
-    expected_stalls: int
+    ports: np.ndarray          # (cycles x 8) word offsets, IDLE when unused
+    strobes: np.ndarray        # (cycles x 4) byte strobe of each write port
+    entries: np.ndarray        # (k x 2) rows (src sample, dst sample), whole permutation
 
-    @property
-    def read_cycles(self) -> int:
-        return sum(1 for c in self.cycles if c.reads)
+
+def _unit(words, moves):
+    """A swap unit: the words it reads and the sample moves it carries."""
+    banks = {w % N_BANKS for w in words}
+    return {"words": words, "moves": moves, "banks": banks,
+            "self_conflicts": len(words) - len(banks)}
 
 
 def _pick_unit(pending, occupied_banks):
@@ -180,9 +140,7 @@ def _pick_unit(pending, occupied_banks):
     best_i = 0
     best_cost = None
     for i, unit in enumerate(pending):
-        banks = [w % N_BANKS for w in unit["words"]]
-        cost = (len(banks) - len(set(banks))) + sum(1 for b in set(banks)
-                                                    if b in occupied_banks)
+        cost = unit["self_conflicts"] + len(unit["banks"] & occupied_banks)
         if best_cost is None or cost < best_cost:
             best_i, best_cost = i, cost
             if cost == 0:
@@ -191,117 +149,91 @@ def _pick_unit(pending, occupied_banks):
 
 
 def _sample_swap_units(n_points, m, dtype):
-    units = []
-    for i in range(n_points):
-        j = bit_reverse_index(i, m)
-        if i < j:
-            if dtype is DataType.C64:
-                words = (2 * i, 2 * i + 1, 2 * j, 2 * j + 1)
-            else:
-                words = (i, j)
-            units.append({"words": words, "moves": ((i, j), (j, i))})
-    return units
+    i = np.arange(n_points)
+    j = bit_reverse_index(i, m)
+    i, j = i[i < j], j[i < j]
+    words = (np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1)
+             if dtype is DataType.C64 else np.stack([i, j], axis=1))
+    return [_unit(tuple(w), ((a, b), (b, a)))
+            for w, a, b in zip(words.tolist(), i.tolist(), j.tolist())]
 
 
 def _word_pair_units(n_points, m):
     """C16 units: bit reversal maps word pair (s, s+q) onto (d, d+q)."""
     q = n_points // 4
-    pair_units, fixups = [], []
-    for s in range(q):
-        d = bit_reverse_index(2 * s, m) >> 1
-        if d == s:
-            # samples 2s and 2s+n/2+1 are palindromes; swap 2s+1 <-> 2s+n/2
-            a, b = 2 * s + 1, 2 * s + n_points // 2
-            fixups.append({"words": (s, s + q), "moves": ((a, b), (b, a))})
-        elif s < d:
-            samples = [2 * s, 2 * s + 1, 2 * s + n_points // 2, 2 * s + n_points // 2 + 1,
-                       2 * d, 2 * d + 1, 2 * d + n_points // 2, 2 * d + n_points // 2 + 1]
-            moves = tuple((x, bit_reverse_index(x, m)) for x in samples)
-            pair_units.append({"base": (s, d), "words": (s, d), "moves": moves})
+    s = np.arange(q)
+    d = bit_reverse_index(2 * s, m) >> 1
+    # samples 2s and 2s+n/2+1 of a pair with d = s are palindromes; a
+    # fix-up swaps 2s+1 <-> 2s+n/2
+    f = s[d == s]
+    fixups = [_unit((w, w + q), ((a, b), (b, a))) for w, a, b in
+              zip(f.tolist(), (2 * f + 1).tolist(), (2 * f + n_points // 2).tolist())]
+    s, d = s[s < d], d[s < d]
+    half = n_points // 2
+    samples = (2 * np.stack([s, d], axis=1)[..., None] + [0, 1, half, half + 1]).reshape(-1, 8)
+    moves = np.stack([samples, bit_reverse_index(samples, m)], axis=2)
+    pair_units = [_unit((a, b), tuple(map(tuple, mv)))
+                  for a, b, mv in zip(s.tolist(), d.tolist(), moves.tolist())]
     return pair_units, fixups, q
 
 
+def _greedy_slots(units, per_slot, lag):
+    """Deterministic greedy grouping of units into slots of up to
+    ``per_slot``: each pick keeps the slot's banks clear of those of the
+    slot ``lag`` slots back, whose writes echo beside its reads."""
+    slots, banks = [], [set()] * lag
+    while units:
+        occupied = set(banks[-lag])
+        slot = []
+        for _ in range(min(per_slot, len(units))):
+            slot.append(units.pop(_pick_unit(units, occupied)))
+            occupied |= slot[-1]["banks"]
+        slots.append(slot)
+        banks.append(set().union(*(u["banks"] for u in slot)))
+    return slots
+
+
 def _reorder_read_cycles(n_points, dtype):
-    """Greedy, deterministic grouping of swap units into read cycles.
-
-    Returns (cycles, entries): cycles as lists of (word, strobe) reads;
-    unit order is chosen to keep the cycle's banks clear of the write set
-    echoing two cycles behind it.
-    """
+    """Swap units grouped into read cycles: (cycles, entries), cycles as
+    lists of (word, strobe) reads and entries as the units' moves."""
     m = _log2_points(n_points)
-    read_cycles: list[list[tuple[int, int]]] = []
-    entries: list[tuple[int, int]] = []
-
     if dtype is not DataType.C16:
-        units = _sample_swap_units(n_points, m, dtype)
-        per_cycle = 1 if dtype is DataType.C64 else 2
-        prev2: set[int] = set()
-        prev1: set[int] = set()
-        while units:
-            chosen = []
-            occupied = set(prev2)
-            for _ in range(min(per_cycle, len(units))):
-                i = _pick_unit(units, occupied)
-                unit = units.pop(i)
-                chosen.append(unit)
-                occupied |= {w % N_BANKS for w in unit["words"]}
-            words = [w for u in chosen for w in u["words"]]
-            read_cycles.append([(w, FULL_STROBE) for w in words])
-            for u in chosen:
-                entries.extend(u["moves"])
-            prev2, prev1 = prev1, {w % N_BANKS for w in words}
-        return read_cycles, entries
-
-    pair_units, fixups, q = _word_pair_units(n_points, m)
-    prev_slot: set[int] = set()
-    while pair_units:
-        chosen = []
-        occupied = set(prev_slot)
-        for _ in range(min(2, len(pair_units))):
-            i = _pick_unit(pair_units, occupied)
-            unit = pair_units.pop(i)
-            chosen.append(unit)
-            occupied |= {w % N_BANKS for w in unit["words"]}
-        base = [w for u in chosen for w in u["base"]]
-        read_cycles.append([(w, FULL_STROBE) for w in base])
-        read_cycles.append([(w + q, FULL_STROBE) for w in base])
-        for u in chosen:
-            entries.extend(u["moves"])
-        prev_slot = {w % N_BANKS for w in base}
-    # fixups: half-word swaps, four per two cycles with staggered halves
-    for i in range(0, len(fixups), 4):
-        grp = fixups[i:i + 4]
-        lo, hi = grp[:2], grp[2:]
-        read_cycles.append([(u["words"][0], HI_HALF_STROBE) for u in lo]
-                           + [(u["words"][1], LO_HALF_STROBE) for u in hi])
-        read_cycles.append([(u["words"][1], LO_HALF_STROBE) for u in lo]
-                           + [(u["words"][0], HI_HALF_STROBE) for u in hi])
-        for u in grp:
-            entries.extend(u["moves"])
-    return read_cycles, entries
-
-
-@lru_cache(maxsize=None)
-def _schedule_reorder_cached(n_points, dtype):
-    read_cycles, entries = _reorder_read_cycles(n_points, dtype)
-    n_cycles = len(read_cycles) + (WRITE_LAG_REORDER if read_cycles else 0)
-    cycles = []
-    stalls = 0
-    for t in range(n_cycles):
-        reads = tuple(a for a, _ in read_cycles[t]) if t < len(read_cycles) else ()
-        writes = (tuple(read_cycles[t - WRITE_LAG_REORDER])
-                  if t >= WRITE_LAG_REORDER else ())
-        banks = [a % N_BANKS for a in reads] + [a % N_BANKS for a, _ in writes]
-        stalls += len(banks) - len(set(banks))
-        cycles.append(ReorderCycle(reads, writes))
-    return ReorderSchedule(n_points, dtype, cycles, tuple(entries), stalls)
+        # one slot per cycle
+        slots = _greedy_slots(_sample_swap_units(n_points, m, dtype),
+                              1 if dtype is DataType.C64 else 2, WRITE_LAG_REORDER)
+        read_cycles = [[(w, FULL_STROBE) for u in slot for w in u["words"]]
+                       for slot in slots]
+    else:
+        # a slot reads its units' base words, then the words q above them
+        pair_units, fixups, q = _word_pair_units(n_points, m)
+        slots = _greedy_slots(pair_units, 2, WRITE_LAG_REORDER // 2)
+        read_cycles = [[(w + offset, FULL_STROBE) for u in slot for w in u["words"]]
+                       for slot in slots for offset in (0, q)]
+        # fixups: half-word swaps, four per two cycles with staggered halves
+        for i in range(0, len(fixups), 4):
+            lo, hi = fixups[i:i + 2], fixups[i + 2:i + 4]
+            read_cycles.append([(u["words"][0], HI_HALF_STROBE) for u in lo]
+                               + [(u["words"][1], LO_HALF_STROBE) for u in hi])
+            read_cycles.append([(u["words"][1], LO_HALF_STROBE) for u in lo]
+                               + [(u["words"][0], HI_HALF_STROBE) for u in hi])
+        slots.append(fixups)
+    return read_cycles, [move for slot in slots for u in slot for move in u["moves"]]
 
 
 def schedule_reorder(n_points: int, dtype: DataType) -> ReorderSchedule:
-    _log2_points(n_points)
-    if n_points > dtype.max_points:
-        raise ValueError(f"{n_points} points exceed {dtype.name} limit")
-    return _schedule_reorder_cached(n_points, dtype)
+    """Built afresh on every call; the executor caches only its compiled
+    arrays (``compile_reorder``).  Each read cycle's words are written back,
+    with the strobes they were read with, ``WRITE_LAG_REORDER`` cycles later."""
+    _check_size(n_points, dtype)
+    read_cycles, entries = _reorder_read_cycles(n_points, dtype)
+    reads = np.full((len(read_cycles), len(WRITE_PORTS), 2), (IDLE, 0), dtype=np.int32)
+    for t, cycle in enumerate(read_cycles):
+        reads[t, :len(cycle)] = cycle
+    lag = WRITE_LAG_REORDER if read_cycles else 0
+    strobes = np.zeros((len(reads) + lag, len(WRITE_PORTS)), dtype=np.int32)
+    strobes[lag:] = reads[..., 1]
+    return ReorderSchedule(n_points, dtype, _port_plan(reads[..., 0], lag), strobes,
+                           np.array(entries, dtype=np.int32).reshape(-1, 2))
 
 
 # -- compiled programs ----------------------------------------------------------
@@ -340,20 +272,9 @@ def _check(ok, message):
         raise AssertionError(message)
 
 
-def _port_matrix(cycles, writes_of):
-    ports = np.full((len(cycles), N_PORTS), IDLE, dtype=np.int32)
-    for t, c in enumerate(cycles):
-        writes = writes_of(c)
-        _check(len(c.reads) <= WRITE_PORTS.start and len(writes) <= len(WRITE_PORTS),
-               f"cycle {t} needs more than the port budget")
-        ports[t, :len(c.reads)] = c.reads
-        ports[t, WRITE_PORTS.start:WRITE_PORTS.start + len(writes)] = writes
-    return ports
-
-
 def _streams(ports):
     """(cycle, word) of the read and the write stream, in port order."""
-    reads, writes = ports[:, :WRITE_PORTS.start], ports[:, WRITE_PORTS.start:]
+    reads, writes = ports[:, ~WRITE_COLUMN], ports[:, WRITE_COLUMN]
     r_cycle, r_port = np.nonzero(reads != IDLE)
     w_cycle, w_port = np.nonzero(writes != IDLE)
     return ((r_cycle, reads[r_cycle, r_port]),
@@ -363,6 +284,8 @@ def _streams(ports):
 def _check_batchable(what, ports):
     """A phase may move its data as one gather and one scatter only if no
     word is written twice and every word is read before it is written."""
+    _check(ports.ndim == 2 and ports.shape[1] == N_PORTS,
+           f"{what} needs more than the port budget")
     (r_cycle, r_word), (w_cycle, w_word) = _streams(ports)
     _check(len(np.unique(w_word)) == len(w_word), f"{what} writes a word twice")
     written_at = np.full(ports.max() + 1, np.iinfo(np.int32).max)
@@ -391,13 +314,12 @@ def _is_permutation(values, n):
 
 
 def compile_stage(sched: StageSchedule) -> StageProgram:
-    """Stage schedule -> StageProgram, checking that the data flow is
+    """Stage plan -> StageProgram, checking that the data flow is
     realisable: each sample is read, used by one butterfly and written
     once, in that order, and the register sets never hold more than
     REGISTER_CAPACITY samples."""
-    n, dtype = sched.n_points, sched.dtype
+    n, dtype, ports = sched.n_points, sched.dtype, sched.ports
     what = f"stage {sched.stage} of {n}-point {dtype.name}"
-    ports = _port_matrix(sched.cycles, lambda c: c.writes)
     _check_batchable(what, ports)
     (r_cycle, r_word), (w_cycle, w_word) = _streams(ports)
     samples, read_at = _stream_samples(r_cycle, r_word, dtype)
@@ -405,9 +327,7 @@ def compile_stage(sched: StageSchedule) -> StageProgram:
     position = np.empty(n, dtype=np.int64)
     position[samples] = np.arange(n)
 
-    flies = [(t, a, b, exp) for t, c in enumerate(sched.cycles)
-             for a, b, exp in c.butterflies]
-    fly_at, a, b, exp = (np.array(col, dtype=np.int64) for col in zip(*flies))
+    fly_at, a, b, exp = sched.butterflies.astype(np.int64).T
     a, b = position[a], position[b]
     _check(_is_permutation(np.concatenate([a, b]), n),
            f"{what} does not use every sample in one butterfly")
@@ -438,61 +358,100 @@ def compile_stage(sched: StageSchedule) -> StageProgram:
     return StageProgram(ports, butterflies, written.astype(np.int32))
 
 
-_STROBE_HALVES = {FULL_STROBE: (0, 1), LO_HALF_STROBE: (0,), HI_HALF_STROBE: (1,)}
-
-
-def _sample_halves(index, dtype):
-    """(word, half) pieces holding one sample, in part order."""
-    if dtype is DataType.C64:
-        return ((2 * index, 0), (2 * index, 1), (2 * index + 1, 0), (2 * index + 1, 1))
-    if dtype is DataType.C32:
-        return ((index, 0), (index, 1))
-    return ((index // 2, index % 2),)
+# the halves (lo, hi) of a word that each supported strobe writes
+_STROBE_HALVES = {FULL_STROBE: (True, True), LO_HALF_STROBE: (True, False),
+                  HI_HALF_STROBE: (False, True)}
+# half-words per sample: a sample's halves are consecutive from P * index
+_HALVES_PER_SAMPLE = {DataType.C64: 4, DataType.C32: 2, DataType.C16: 1}
 
 
 def compile_reorder(sched: ReorderSchedule) -> ReorderProgram:
-    """Reorder schedule -> ReorderProgram.  Every written half-word is
-    routed from a half-word an earlier read of this pass returned, as the
-    schedule's moves say."""
-    dtype = sched.dtype
+    """Reorder plan -> ReorderProgram.  Every written half-word is routed
+    from a half-word an earlier read of this pass returned, as the plan's
+    moves say."""
+    dtype, ports = sched.dtype, sched.ports
     what = f"reorder of {sched.n_points}-point {dtype.name}"
-    ports = _port_matrix(sched.cycles, lambda c: [a for a, _ in c.writes])
     _check_batchable(what, ports)
     (r_cycle, r_word), (w_cycle, w_word) = _streams(ports)
-    strobes = [strobe for c in sched.cycles for _, strobe in c.writes]
-    read_slot = {int(word): (k, int(t)) for k, (t, word) in
-                 reversed(list(enumerate(zip(r_cycle, r_word))))}
-    source = {}
-    for src, dst in sched.entries:
-        source.update(zip(_sample_halves(dst, dtype), _sample_halves(src, dtype)))
-    moves = []
-    for k, (t, word, strobe) in enumerate(zip(w_cycle, w_word, strobes)):
-        _check(strobe in _STROBE_HALVES, f"{what}: unsupported strobe {strobe:#x}")
-        for half in _STROBE_HALVES[strobe]:
-            src_word, src_half = source.get((int(word), half), (None, None))
-            _check(src_word is not None,
-                   f"{what} writes half {half} of word {word} without a move")
-            slot, read_t = read_slot.get(src_word, (None, t))
-            _check(read_t < t, f"{what} writes word {word} before reading its source")
-            moves.append((2 * k + half, 2 * slot + src_half))
-    return ReorderProgram(ports, np.array(strobes, dtype=np.int32),
-                          np.array(moves, dtype=np.int32).reshape(-1, 2))
+    strobes = sched.strobes[ports[:, WRITE_COLUMN] != IDLE]
+    unsupported = set(strobes.tolist()) - _STROBE_HALVES.keys()
+    _check(not unsupported, f"{what}: unsupported strobe {min(unsupported, default=0):#x}")
+
+    n_halves = 2 * (max(int(ports.max()), words_per_samples(dtype, sched.n_points)) + 1)
+    per_sample = _HALVES_PER_SAMPLE[dtype]
+    src, dst = (sched.entries.T[..., None] * per_sample
+                + np.arange(per_sample)).reshape(2, -1)
+    source = np.full(n_halves, -1)
+    source[dst] = src
+    k, half = np.nonzero(np.array([_STROBE_HALVES[s] for s in strobes.tolist()],
+                                  dtype=bool).reshape(-1, 2))
+    src = source[2 * w_word[k] + half]
+    for i in np.flatnonzero(src < 0)[:1]:
+        raise AssertionError(f"{what} writes half {half[i]} of word {w_word[k[i]]} "
+                             "without a move")
+    slot = np.full(n_halves // 2, len(r_word))      # first read of each word
+    np.minimum.at(slot, r_word, np.arange(len(r_word)))
+    slot = slot[src // 2]
+    read_at = np.append(r_cycle, np.iinfo(np.int64).max)[slot]
+    for i in np.flatnonzero(read_at >= w_cycle[k])[:1]:
+        raise AssertionError(f"{what} writes word {w_word[k[i]]} before reading its source")
+    moves = np.stack([2 * k + half, 2 * slot + src % 2], axis=1)
+    return ReorderProgram(ports, strobes, moves.astype(np.int32))
+
+
+# -- cycle model -----------------------------------------------------------------
+
+# Reorder stalls per size, from 8 points up: the greedy that orders the swap
+# units has no closed form, so its counts are replayed once and pinned here.
+# The executor arbitrates every cycle it runs, so a changed greedy shows up
+# as a mismatch with this table.
+REORDER_STALLS = {DataType.C64: (0, 0, 0, 4, 6, 36, 70),
+                  DataType.C32: (0, 0, 3, 4, 4, 12, 23, 51),
+                  DataType.C16: (0, 0, 0, 0, 2, 6, 8, 20, 102)}
+
+
+def _reorder_read_cycles_closed_form(n_points: int, m: int, dtype: DataType) -> int:
+    """Read cycles of the reorder, without building it.
+
+    An m-bit palindrome is fixed by its first ceil(m/2) bits, so 2^ceil(m/2)
+    samples stay in place and the other N - 2^ceil(m/2) form swap pairs.
+    C64 reads one pair (four words) per cycle: (N - 2^ceil(m/2)) / 2.  C32
+    reads two pairs per cycle; N and 2^ceil(m/2) are multiples of 4 from
+    N = 8, so the pair count is even: (N - 2^ceil(m/2)) / 4.
+
+    C16 moves word pairs (s, s + N/4), s < N/4, holding samples 2s, 2s + 1,
+    2s + N/2, 2s + N/2 + 1.  Reversal maps sample 2s (bits 0 and m-1 clear)
+    to an even sample 2d below N/2, so pair s lands on pair d.  d = s iff
+    2s is a palindrome with both end bits clear: its inner m - 2 bits are a
+    palindrome, so P = 2^(ceil(m/2) - 1) pairs stay and only swap their
+    middle samples (fix-ups).  The other N/4 - P pairs form U = (N/4 - P)/2
+    swap units.  Two units take two cycles (base words, then words + N/4),
+    and four fix-ups take two cycles: 2 ceil(U/2) + 2 ceil(P/4).
+    """
+    palindromes = 1 << (m + 1) // 2
+    if dtype is DataType.C64:
+        return (n_points - palindromes) // 2
+    if dtype is DataType.C32:
+        return (n_points - palindromes) // 4
+    fixups = palindromes // 2
+    units = (n_points // 4 - fixups) // 2
+    return 2 * -(-units // 2) + 2 * -(-fixups // 4)
 
 
 def total_cycle_model(n_points: int, dtype: DataType) -> CycleStats:
-    """Closed-form cycle prediction; the simulator must match it exactly."""
+    """Closed-form cycle prediction; the simulator must match it exactly.
+    It reads nothing from the schedulers."""
     m = _log2_points(n_points)
     if not 8 <= n_points <= dtype.max_points:
         raise ValueError(f"{n_points} points invalid for {dtype.name}")
-    butterfly = (n_points // 2) * m // THROUGHPUT[dtype]
-    reorder = schedule_reorder(n_points, dtype)
+    reorder = _reorder_read_cycles_closed_form(n_points, m, dtype)
+    stalls = REORDER_STALLS[dtype][m - 3]
     stats = CycleStats(
-        butterfly_cycles=butterfly,
-        reorder_cycles=reorder.read_cycles,
-        stall_cycles=reorder.expected_stalls,
-        overhead_cycles=WRITE_LAG_STAGE * m
-        + (WRITE_LAG_REORDER if reorder.read_cycles else 0),
-        conflicts=reorder.expected_stalls,
+        butterfly_cycles=(n_points // 2) * m // THROUGHPUT[dtype],
+        reorder_cycles=reorder,
+        stall_cycles=stalls,
+        overhead_cycles=WRITE_LAG_STAGE * m + (WRITE_LAG_REORDER if reorder else 0),
+        conflicts=stalls,
     )
     stats.total_cycles = (stats.butterfly_cycles + stats.reorder_cycles
                           + stats.stall_cycles + stats.overhead_cycles)
@@ -502,21 +461,30 @@ def total_cycle_model(n_points: int, dtype: DataType) -> CycleStats:
 # -- debug dump ---------------------------------------------------------------
 
 
+def _ports_text(row):
+    """The read and the write words of one port-matrix row, as dump text."""
+    return tuple(" ".join(f"{a:5d}" for a in words if a != IDLE) or "-"
+                 for words in (row[:WRITE_PORTS.start], row[WRITE_PORTS.start:]))
+
+
 def dump_stage_schedule(sched: StageSchedule) -> str:
     lines = [f"# stage {sched.stage} of {sched.n_points}-point {sched.dtype.name}"]
-    for t, c in enumerate(sched.cycles):
-        reads = " ".join(f"{a:5d}" for a in c.reads) or "-"
-        writes = " ".join(f"{a:5d}" for a in c.writes) or "-"
-        exps = " ".join(str(e) for _, _, e in c.butterflies) or "-"
-        lines.append(f"cycle {t:5d}  R: {reads:<23}  W: {writes:<23}  T: {exps}")
+    exps = [[] for _ in sched.ports]
+    for t, _, _, e in sched.butterflies.tolist():
+        exps[t].append(str(e))
+    for t, (row, e) in enumerate(zip(sched.ports.tolist(), exps)):
+        reads, writes = _ports_text(row)
+        lines.append(f"cycle {t:5d}  R: {reads:<23}  W: {writes:<23}  T: "
+                     f"{' '.join(e) or '-'}")
     return "\n".join(lines) + "\n"
 
 
 def dump_reorder_schedule(sched: ReorderSchedule) -> str:
+    """The plan, headed by the stalls one arbitration pass over it counts."""
+    conflicts, _ = BankedMemory().access_batch(sched.ports, WRITE_COLUMN)
     lines = [f"# reorder of {sched.n_points}-point {sched.dtype.name}"
-             f" (expected stalls {sched.expected_stalls})"]
-    for t, c in enumerate(sched.cycles):
-        reads = " ".join(f"{a:5d}" for a in c.reads) or "-"
-        writes = " ".join(f"{a:5d}" for a, _ in c.writes) or "-"
+             f" (expected stalls {conflicts.sum()})"]
+    for t, row in enumerate(sched.ports.tolist()):
+        reads, writes = _ports_text(row)
         lines.append(f"cycle {t:5d}  R: {reads:<23}  W: {writes}")
     return "\n".join(lines) + "\n"

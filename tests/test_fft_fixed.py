@@ -14,11 +14,11 @@ from fdsim.fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
 from fdsim.fixedpoint import (DataType, OverflowFlag, ScalingPolicy,
                               dequantize, quantize)
 from fdsim.harness import SNR_FLOORS_DB, full_size_grid
-from fdsim.membank import (BankedMemory, MemoryModelError, pack_samples,
-                           read_samples, words_per_samples)
-from fdsim.schedule import (WRITE_LAG_STAGE, bit_reverse_index,
-                            compile_reorder, compile_stage, schedule_reorder,
-                            schedule_stage, total_cycle_model)
+from fdsim.membank import (IDLE, WRITE_COLUMN, BankedMemory, MemoryModelError,
+                           pack_samples, read_samples, words_per_samples)
+from fdsim.schedule import (WRITE_LAG_REORDER, WRITE_LAG_STAGE,
+                            bit_reverse_index, compile_reorder, compile_stage,
+                            schedule_reorder, schedule_stage, total_cycle_model)
 
 ALL_DTYPES = list(DataType)
 
@@ -275,9 +275,9 @@ class TestSpectra:
 
         monkeypatch.setattr(BankedMemory, "access_batch", one_stall_per_cycle)
         for n in full_size_grid(dtype):
-            stages = sum(len(schedule_stage(n, dtype, s).cycles)
+            stages = sum(len(schedule_stage(n, dtype, s).ports)
                          for s in range(n.bit_length() - 1))
-            reorder = len(schedule_reorder(n, dtype).cycles)
+            reorder = len(schedule_reorder(n, dtype).ports)
             calls.clear()
             _, _, summary, _ = run_fixed(np.zeros(n), dtype, n)
             assert calls == [stages + reorder]
@@ -308,14 +308,6 @@ class TestSpectra:
             assert summary.stats.as_dict() == total_cycle_model(n, dtype).as_dict()
 
 
-@pytest.fixture
-def fresh_programs():
-    """Drop compiled programs before and after a test that patches schedules."""
-    fdsim.fft._program.cache_clear()
-    yield
-    fdsim.fft._program.cache_clear()
-
-
 class TestCompiledPrograms:
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
     def test_reorder_moves_the_words_it_reads(self, dtype, monkeypatch,
@@ -325,8 +317,10 @@ class TestCompiledPrograms:
         n = 64
         x = np.random.default_rng(2).uniform(-0.9, 0.9, n) + 0.3j
         real = schedule_reorder(n, dtype)
-        (s0, d0), (s1, d1) = real.entries[:2]
-        broken = dataclasses.replace(real, entries=((s0, d1), (s1, d0)) + real.entries[2:])
+        (s0, d0), (s1, d1) = real.entries[:2].tolist()
+        entries = real.entries.copy()
+        entries[:2] = (s0, d1), (s1, d0)
+        broken = dataclasses.replace(real, entries=entries)
         monkeypatch.setattr(fdsim.fft, "schedule_reorder", lambda n, dtype: broken)
         mem, _, summary, _ = run_fixed(x, dtype, n)
         got = read_samples(mem, 0, n, dtype)
@@ -352,28 +346,39 @@ class TestCompiledPrograms:
 
     def test_double_write_rejected(self):
         sched = schedule_reorder(64, DataType.C32)
-        cycles = list(sched.cycles)
-        cycles[-1] = dataclasses.replace(cycles[-1], writes=cycles[2].writes)
+        ports = sched.ports.copy()
+        ports[-1, WRITE_COLUMN] = ports[2, WRITE_COLUMN]
         with pytest.raises(AssertionError, match="writes a word twice"):
-            compile_reorder(dataclasses.replace(sched, cycles=cycles))
+            compile_reorder(dataclasses.replace(sched, ports=ports))
 
     def test_write_before_read_rejected(self):
         # the last reads move to the first cycle: the first cycle's words,
         # now read last, are read after their writes
         sched = schedule_reorder(64, DataType.C32)
-        cycles = list(sched.cycles)
-        last_read = max(t for t, c in enumerate(cycles) if c.reads)
-        cycles[0], cycles[last_read] = (
-            dataclasses.replace(cycles[0], reads=cycles[last_read].reads),
-            dataclasses.replace(cycles[last_read], reads=cycles[0].reads))
+        ports = sched.ports.copy()
+        last_read = max(t for t, row in enumerate(ports) if (row[~WRITE_COLUMN] != IDLE).any())
+        ports[[0, last_read], :4] = ports[[last_read, 0], :4]    # the read ports
         with pytest.raises(AssertionError, match="reads a word after writing it"):
-            compile_reorder(dataclasses.replace(sched, cycles=cycles))
+            compile_reorder(dataclasses.replace(sched, ports=ports))
+
+    def test_unsupported_strobe_rejected(self):
+        sched = schedule_reorder(64, DataType.C16)
+        strobes = sched.strobes.copy()
+        strobes[WRITE_LAG_REORDER, 0] = 0x1
+        with pytest.raises(AssertionError, match="unsupported strobe 0x1"):
+            compile_reorder(dataclasses.replace(sched, strobes=strobes))
+
+    def test_write_without_move_rejected(self):
+        sched = schedule_reorder(64, DataType.C32)
+        with pytest.raises(AssertionError, match="without a move"):
+            compile_reorder(dataclasses.replace(sched, entries=sched.entries[1:]))
 
     def test_move_from_unread_word_rejected(self):
         # a palindrome is never read by the reorder, so it cannot be a source
         sched = schedule_reorder(64, DataType.C32)
-        (_, dst), *rest = sched.entries
-        broken = dataclasses.replace(sched, entries=((0, dst), *rest))
+        entries = sched.entries.copy()
+        entries[0, 0] = 0
+        broken = dataclasses.replace(sched, entries=entries)
         with pytest.raises(AssertionError, match="before reading its source"):
             compile_reorder(broken)
 

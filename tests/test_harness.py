@@ -476,6 +476,8 @@ class TestCli:
           for sizes in ([], 0, False, "", [64, 8, 8])],
         ("i2s sweep", json.dumps({"version": 1, "kind": "i2s-sweep",
                                   "sweep": {"n_devices": [2, 2]}})),
+        ("schedule dump", json.dumps(fft_config(n_points=2, dtype="C16"))),
+        ("schedule dump", json.dumps(fft_config(n_points=4, dtype="C64"))),
     ], ids=["input-str", "sweep-str", "payload-str", "dtype-int", "n_points-1e400",
             "n_points-64.5", "seed-list", "dump_memory_image-str",
             "dump_memory_image-int", "version-true", "file-path-int",
@@ -484,7 +486,8 @@ class TestCli:
             "sweep-periods-0", "fft-sweep-no-size-fits", "fft-sweep-no-dtype",
             "i2s-sweep-no-standard-member", "fft-sweep-n_points-empty",
             "fft-sweep-n_points-0", "fft-sweep-n_points-false", "fft-sweep-n_points-str",
-            "fft-sweep-n_points-repeated", "i2s-sweep-n_devices-repeated"])
+            "fft-sweep-n_points-repeated", "i2s-sweep-n_devices-repeated",
+            "schedule-dump-C16-2", "schedule-dump-C64-4"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, verb, text):
         p = tmp_path / "cfg.json"
         p.write_text(text)
@@ -537,3 +540,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "# stage 1 of 16-point C16" in out
         assert "# reorder" not in out
+
+    def test_schedule_dump_stage_and_reorder_exclusive(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, fft_config(n_points=8, dtype="C64"))
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["schedule", "dump", "--config", cfg, "--stage", "0", "--reorder"])
+        assert exited.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
