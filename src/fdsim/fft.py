@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fixedpoint import (DataType, FixedComplex, OverflowFlag, ScalingPolicy,
-                         butterfly_array, dequantize_parts, pack_parts,
-                         quantize, quantize_parts, unpack_parts)
-from .membank import (IDLE, STROBE_MASK, WRITE_COLUMN, BankedMemory,
-                      CycleStats, load_parts, read_parts, words_per_samples)
+from .fixedpoint import (PART_VIEW, DataType, FixedComplex, OverflowFlag,
+                         ScalingPolicy, butterfly_array, dequantize_parts,
+                         quantize, quantize_parts)
+from .membank import (IDLE, WRITE_COLUMN, BankedMemory, CycleStats, load_parts,
+                      read_parts, words_per_samples)
 from .schedule import (compile_reorder, compile_stage, schedule_reorder,
                        schedule_stage)
 
@@ -198,19 +198,20 @@ class FftResultSummary:
 
 @lru_cache(maxsize=None)
 def _program(n_points: int, dtype: DataType):
-    """The compiled phases, every stage and then the reorder; they depend
-    only on (n_points, dtype).  Also returns the whole program's port
-    matrix, whose row ranges are the phases' ``ports``, each phase's first
-    row, and each phase's read and write streams as word offsets."""
-    phases = [compile_stage(schedule_stage(n_points, dtype, s))
+    """The compiled program of (n_points, dtype): the port matrix of every
+    stage and then the reorder, each phase's first row and read cycles,
+    each stage's part indices and (2 x n/2) twiddle parts, and the
+    reorder's (dst, src) half-words."""
+    stages = [compile_stage(schedule_stage(n_points, dtype, s))
               for s in range(n_points.bit_length() - 1)]
-    phases.append(compile_reorder(schedule_reorder(n_points, dtype)))
-    ports = np.concatenate([p.ports for p in phases])
-    cut = np.cumsum([0] + [len(p.ports) for p in phases])
-    phases = tuple(replace(p, ports=ports[lo:hi]) for p, lo, hi in zip(phases, cut, cut[1:]))
-    streams = tuple((r[r != IDLE], w[w != IDLE]) for r, w in
-                    ((p.ports[:, ~WRITE_COLUMN], p.ports[:, WRITE_COLUMN]) for p in phases))
-    return phases, ports, cut[:-1], streams
+    reorder = compile_reorder(schedule_reorder(n_points, dtype))
+    phases = [p.ports for p in stages] + [reorder.ports]
+    first_rows = np.cumsum([0] + [len(p) for p in phases[:-1]])
+    reading = np.array([(p[:, ~WRITE_COLUMN] != IDLE).any(axis=1).sum() for p in phases])
+    table = twiddle_table(dtype)
+    stages = tuple((p.parts, np.stack([table.re[p.twiddles], table.im[p.twiddles]])
+                    .astype(np.int32)) for p in stages)
+    return np.concatenate(phases), first_rows, reading, stages, (reorder.dst, reorder.src)
 
 
 def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
@@ -219,21 +220,19 @@ def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
     The whole program is arbitrated cycle by cycle in one pass; a rejected
     request retries alone, one stall cycle each.  A phase's stalls and read
     cycles are those of its rows; the reorder's stalls are the only ones
-    outside ``stage_conflicts``.  A phase's data moves as one gather of its
-    read stream, all of its butterflies (or reorder moves) at once, and one
-    scatter of its write stream.  The compiled programs prove that this
-    equals moving the data cycle by cycle.  On return the memory holds the
-    natural-order spectrum scaled by 2**-scaling_stages; the summary
-    carries the sticky overflow flag and the cycle statistics.
+    outside ``stage_conflicts``.  A phase moves its data as one gather and
+    one scatter on a typed view of the sample array (parts for a stage,
+    half-words for the reorder); the compiled programs prove that this
+    equals moving it cycle by cycle through the ports.  On return the
+    memory holds the natural-order spectrum scaled by 2**-scaling_stages;
+    the summary carries the sticky overflow flag and the cycle statistics.
     """
     job.validate(memory)
-    table = twiddle_table(job.dtype)
-    phases, ports, first_rows, streams = _program(job.n_points, job.dtype)
+    ports, first_rows, reading, stages, (dst, src) = _program(job.n_points, job.dtype)
     base = job.base_address
-    conflicts, _ = memory.access_batch(np.where(ports == IDLE, IDLE, ports + base),
-                                       WRITE_COLUMN)
+    addresses = np.where(ports == IDLE, IDLE, ports + base) if base else ports
+    conflicts, _ = memory.access_batch(addresses, WRITE_COLUMN)
     stalls = np.add.reduceat(conflicts, first_rows)
-    reading = np.add.reduceat((ports[:, ~WRITE_COLUMN] != IDLE).any(axis=1), first_rows)
     stats = CycleStats(butterfly_cycles=int(reading[:-1].sum()),
                        reorder_cycles=int(reading[-1]), stall_cycles=int(stalls.sum()),
                        overhead_cycles=len(ports) - int(reading.sum()),
@@ -241,22 +240,13 @@ def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
     stats.total_cycles = (stats.butterfly_cycles + stats.reorder_cycles
                           + stats.stall_cycles + stats.overhead_cycles)
     flag = OverflowFlag()
-    words = memory.words
-    for prog, (reads, writes) in zip(phases[:-1], streams):
-        re, im = unpack_parts(words[base + reads], job.dtype)
-        a, b, w = prog.butterflies.T
-        re[a], im[a], re[b], im[b] = butterfly_array(
-            re[a], im[a], re[b], im[b], table.re[w], table.im[w], job.dtype,
-            job.scaling, flag)
-        words[base + writes] = pack_parts(re[prog.route], im[prog.route], job.dtype)
-
-    reorder, (reads, writes) = phases[-1], streams[-1]
-    got = words[base + reads]
-    halves = np.stack([got & 0xFFFF, got >> 16], axis=1).ravel()
-    out = np.zeros(2 * len(writes), dtype=np.uint32)
-    out[reorder.moves[:, 0]] = halves[reorder.moves[:, 1]]
-    mask, writes = STROBE_MASK[reorder.strobes], base + writes
-    words[writes] = (words[writes] & ~mask) | ((out[0::2] | out[1::2] << 16) & mask)
+    samples = memory.words[base:base + words_per_samples(job.dtype, job.n_points)]
+    parts = samples.view(PART_VIEW[job.dtype])
+    for idx, w in stages:
+        parts[idx] = butterfly_array(parts[idx].astype(np.int64), w, job.dtype,
+                                     job.scaling, flag)
+    halves = samples.view("<u2")
+    halves[dst] = halves[src]
 
     m = job.n_points.bit_length() - 1
     scaling = m if job.scaling is ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE else 0

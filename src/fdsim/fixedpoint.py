@@ -194,17 +194,19 @@ def sat_round_array(values, width: int, shift: int = 0,
     Ties go to even by adding ``half - 1`` plus the parity of the truncated
     quotient before the shift.  That sum stays in int64, so the rounding is
     exact, only for |values| < 2^63 - 2^shift; the executor stays below
-    2^62.5.
+    2^62.5.  Clipping runs only if the extremes are out of range, so an
+    int64 ``values`` with shift 0 that fits comes back as itself.
     """
     q = np.asarray(values, dtype=np.int64)
     if shift:
         half = 1 << (shift - 1)
         q = (q + (half - 1 + ((q >> shift) & 1))) >> shift
     lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
-    clipped = np.minimum(np.maximum(q, lo), hi)
-    if flag is not None and not flag.seen and (clipped != q).any():
-        flag.seen = True
-    return clipped
+    if q.size and (q.min() < lo or q.max() > hi):
+        if flag is not None:
+            flag.seen = True
+        q = np.minimum(np.maximum(q, lo), hi)
+    return q
 
 
 def quantize_parts(values, dtype: DataType,
@@ -233,18 +235,22 @@ def dequantize_parts(re, im, dtype: DataType) -> np.ndarray:
     return out
 
 
-def butterfly_array(a_re, a_im, b_re, b_im, w_re, w_im, dtype: DataType,
+def butterfly_array(x, w, dtype: DataType,
                     policy: ScalingPolicy = ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE,
-                    flag: OverflowFlag | None = None):
-    """``butterfly`` over int64 arrays of raw parts, bit-exact with the
-    scalar form.  Needs |w| <= 1.  Returns (out0 re, out0 im, out1 re,
-    out1 im).  Rounds twice: both product sums, then all four outputs."""
+                    flag: OverflowFlag | None = None) -> np.ndarray:
+    """``butterfly`` over raw parts, bit-exact with the scalar form: int64
+    ``x`` rows (a re, a im, b re, b im) and ``w`` rows (re, im), |w| <= 1,
+    give int64 rows (out0 re, out0 im, out1 re, out1 im).  Rounds twice:
+    both product sums, then all four outputs."""
     width = dtype.part_width
     shift = 1 if policy is ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE else 0
-    t = sat_round_array(np.stack([w_re * b_re - w_im * b_im,
-                                  w_re * b_im + w_im * b_re]), width, width - 1, flag)
-    a = np.stack([a_re, a_im])
-    return tuple(sat_round_array(np.concatenate([a + t, a - t]), width, shift, flag))
+    (w_re, w_im), b = w, x[2:]
+    t, u = w_re * b, w_im * b[::-1]         # u = (w im * b im, w im * b re)
+    t[0] -= u[0]
+    t[1] += u[1]
+    t = sat_round_array(t, width, width - 1, flag)
+    a = x[:2]
+    return sat_round_array(np.concatenate([a + t, a - t]), width, shift, flag)
 
 
 # Sample packing into 32-bit memory words:
@@ -252,8 +258,10 @@ def butterfly_array(a_re, a_im, b_re, b_im, w_re, w_im, dtype: DataType,
 # C32: one sample = 1 word, re in the low half, im in the high half.
 # C16: two samples per word, sample 2i in the low half-word; within a
 #      half-word re is the low byte, im the high byte.
+# So little-endian words ('<u4') viewed as the part type hold sample j's re
+# at part 2j and its im at part 2j + 1, in every format.
 
-_SIGNED = {DataType.C64: np.int32, DataType.C32: np.int16, DataType.C16: np.int8}
+PART_VIEW = {DataType.C64: "<i4", DataType.C32: "<i2", DataType.C16: "i1"}
 
 
 def pack_parts(re, im, dtype: DataType) -> np.ndarray:
@@ -283,6 +291,6 @@ def unpack_parts(words, dtype: DataType) -> tuple[np.ndarray, np.ndarray]:
     else:
         halves = np.stack([words & 0xFFFF, words >> 16], axis=1).ravel()
         re, im = halves & 0xFF, halves >> 8
-    signed = _SIGNED[dtype]
+    signed = PART_VIEW[dtype]
     return (re.astype(signed).astype(np.int64),
             im.astype(signed).astype(np.int64))

@@ -22,7 +22,7 @@ from .fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                   load_quantized, read_spectrum, spectrum_snr_db)
 from .fixedpoint import DataType, OverflowFlag, ScalingPolicy
 from .i2s import (Alignment, BusConfig, BusMode, FramePayload, FsyncStyle,
-                  Polarity, bclk_frequency, decode, encode,
+                  Polarity, _sampled, bclk_frequency, decode, encode,
                   frames_from_array, latency_dsp, latency_tdm, measure_latency,
                   payloads_to_wav, wav_to_payloads, write_vcd)
 from .membank import BankedMemory, bandwidth_bytes_per_s, export_image
@@ -507,8 +507,9 @@ def run_i2s_scenario(spec: I2sRunSpec, seed: int, out_dir: Path | None = None,
     bus = spec.bus
     frames = build_payloads(spec, seed)
     timeline = encode(bus, frames)
-    decoded = decode(timeline, bus)
-    measured = measure_latency(timeline, bus)
+    sampled = _sampled(timeline, bus)          # decode and latency share one pass
+    decoded = decode(timeline, bus, sampled)
+    measured = measure_latency(timeline, bus, sampled)
     if bus.mode is BusMode.TDM_DSP:
         formula = latency_dsp(bus.frame_bits)
     else:

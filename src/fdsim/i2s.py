@@ -275,13 +275,15 @@ def _find_frame_start(fsync_bits: np.ndarray, config: BusConfig) -> int:
     return int(hits[0])
 
 
-def decode(timeline: Timeline, config: BusConfig) -> list[list[FramePayload]]:
+def decode(timeline: Timeline, config: BusConfig,
+           sampled=None) -> list[list[FramePayload]]:
     """Recover the payload sets; exact inverse of ``encode``.
 
     Raises FramingError when FSYNC never appears or when the timeline
     ends inside a frame (the complete periods ride on ``.partial``).
+    ``sampled`` is ``_sampled(timeline, config)``, if the caller has it.
     """
-    sd_bits, fs_bits, _ = _sampled(timeline, config)
+    sd_bits, fs_bits, _ = sampled or _sampled(timeline, config)
     # data of period p lives in slots [base + p*per, base + (p+1)*per)
     base = _find_frame_start(fs_bits, config) + config.data_delay
     k, K = config.channel_bits, config.n_devices
@@ -305,13 +307,14 @@ def decode(timeline: Timeline, config: BusConfig) -> list[list[FramePayload]]:
     return periods
 
 
-def measure_latency(timeline: Timeline, config: BusConfig) -> int:
+def measure_latency(timeline: Timeline, config: BusConfig, sampled=None) -> int:
     """First-sample-complete latency in Tclk units, read off the timeline.
 
     Measured from the start of the first frame's data slots to the end of
     the slot in which device 0 finishes its frame (left and right).
+    ``sampled`` is as for ``decode``.
     """
-    sd_bits, fs_bits, drv_bits = _sampled(timeline, config)
+    sd_bits, fs_bits, drv_bits = sampled or _sampled(timeline, config)
     start = _find_frame_start(fs_bits, config)
     base = start + config.data_delay
     window = drv_bits[base:base + config.frame_slots]

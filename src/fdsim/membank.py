@@ -88,10 +88,6 @@ _STROBE_MASKS = {
     0x1: 0x000000FF, 0x2: 0x0000FF00, 0x4: 0x00FF0000, 0x8: 0xFF000000,
     0x3: 0x0000FFFF, 0xC: 0xFFFF0000, 0xF: 0xFFFFFFFF,
 }
-# strobe -> 32-bit lane mask, for whole arrays of strobes
-STROBE_MASK = np.zeros(16, dtype=np.uint32)
-for _strobe, _mask in _STROBE_MASKS.items():
-    STROBE_MASK[_strobe] = _mask
 IDLE = -1                                   # address of an idle port
 WRITE_COLUMN = np.arange(N_PORTS) >= WRITE_PORTS.start
 
@@ -103,7 +99,7 @@ class BankedMemory:
         if total_words <= 0 or total_words % N_BANKS:
             raise ValueError("total_words must be a positive multiple of 16")
         self.total_words = total_words
-        self.words = np.zeros(total_words, dtype=np.uint32)
+        self.words = np.zeros(total_words, dtype="<u4")
 
     # -- raw word access (test fixtures, image I/O; not cycle-accounted) --
 
@@ -132,24 +128,27 @@ class BankedMemory:
         rejected, costing one stall cycle for its solo retry.  Returns the
         per-cycle conflict counts and the rejected mask.  Moves no data.
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
+        addresses = np.asarray(addresses)
         if addresses.ndim != 2 or addresses.shape[1] != N_PORTS:
             raise ValueError(f"port requests must be (cycles x {N_PORTS})")
         active = addresses != IDLE
-        write_mask = np.broadcast_to(write_mask, addresses.shape) & active
-        if (write_mask & ~WRITE_COLUMN).any():
-            raise ValueError("write on a read port")
-        if (active & ~write_mask & WRITE_COLUMN).any():
-            raise ValueError("read on a write port")
-        if ((addresses < IDLE) | (addresses >= self.total_words)).any():
+        mismatch = np.asarray(write_mask) != WRITE_COLUMN
+        if mismatch.any() and (wrong := active & mismatch).any():
+            raise ValueError("write on a read port" if (wrong & ~WRITE_COLUMN).any()
+                             else "read on a write port")
+        if addresses.size and (addresses.min() < IDLE or addresses.max() >= self.total_words):
             raise MemoryModelError(f"word address outside capacity {self.total_words}")
-        # each active port sets its bank's bit; port p is rejected iff a
-        # lower port has already set that bit
-        bits = np.where(active, 1 << (addresses & (N_BANKS - 1)), 0).astype(np.uint16)
-        taken = np.bitwise_or.accumulate(bits, axis=1)
-        rejected = np.zeros(addresses.shape, dtype=bool)
-        rejected[:, 1:] = (bits[:, 1:] & taken[:, :-1]) != 0
-        return rejected.sum(axis=1), rejected
+        # each active port's one-hot bank bit, one row per port; port by
+        # port over all cycles at once, a port is rejected iff a lower port
+        # has already taken its bank
+        bank = (addresses & (N_BANKS - 1)).astype(np.uint16)
+        bits = np.left_shift(active, bank, dtype=np.uint16).T.copy()
+        taken = np.zeros(len(addresses), dtype=np.uint16)
+        rejected = np.empty(bits.shape, dtype=bool)
+        for port, bit in enumerate(bits):
+            np.not_equal(bit & taken, 0, out=rejected[port])
+            taken |= bit
+        return rejected.sum(axis=0), rejected.T
 
     def access(self, cycle: int, requests: list[Request]) -> AccessResult:
         """One cycle of up to 8 port requests: the one-row ``access_batch``.
@@ -256,7 +255,7 @@ def export_image(memory: BankedMemory, path: str | Path, dtype: DataType,
                  n_points: int, base_address: int) -> None:
     """Raw little-endian 32-bit words plus a JSON sidecar descriptor."""
     path = Path(path)
-    memory.words.astype("<u4").tofile(path)
+    memory.words.tofile(path)
     sidecar = {
         "dtype": dtype.name,
         "n_points": n_points,

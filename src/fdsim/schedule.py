@@ -15,9 +15,9 @@ offsets from the start of the sample array; the executor adds the job's
 base address.
 
 ``compile_stage`` and ``compile_reorder`` turn a plan into the int32
-arrays the executor runs: the data routing from the words a phase reads
-to the words it writes.  They also prove, per phase, what lets the
-executor move a phase's data as one batch.
+indices the executor gathers and scatters by: a stage's sample parts, the
+reorder's half-words.  They also prove, per phase, that this one batch
+moves only what the ports carry, as moving it cycle by cycle would.
 """
 
 from __future__ import annotations
@@ -241,30 +241,25 @@ def schedule_reorder(n_points: int, dtype: DataType) -> ReorderSchedule:
 
 @dataclass(frozen=True)
 class StageProgram:
-    """One butterfly stage as arrays.
-
-    Samples are numbered by their place in the read stream (the words of
-    ports 0-3, cycle by cycle).  ``butterflies`` rows are (a, b, twiddle
-    table index); ``route[k]`` is the read-stream sample written as the
-    k-th sample of the write stream (ports 4-7, cycle by cycle).
-    """
+    """One butterfly stage as arrays.  Sample j's re is part 2j of the
+    sample array viewed as its part type (``fixedpoint.PART_VIEW``), its im
+    part 2j + 1.  A butterfly's outputs replace its operands, so one array
+    of part indices, rows (a re, a im, b re, b im), serves the gather and
+    the scatter."""
 
     ports: np.ndarray          # (cycles x 8) word offsets, IDLE when unused
-    butterflies: np.ndarray    # (n/2 x 3)
-    route: np.ndarray          # (n,)
+    parts: np.ndarray          # (4 x n/2)
+    twiddles: np.ndarray       # (n/2,) twiddle table indices
 
 
 @dataclass(frozen=True)
 class ReorderProgram:
-    """The reorder pass as arrays.
-
-    Half-words are numbered 2 * word + half over the read and the write
-    stream; ``moves`` rows are (write half-word, read half-word).
-    """
+    """The reorder pass as arrays: half-word ``dst[k]`` of the sample array
+    viewed as ``'<u2'`` takes the value half-word ``src[k]`` held before."""
 
     ports: np.ndarray          # (cycles x 8) word offsets, IDLE when unused
-    strobes: np.ndarray        # byte strobe of each write-stream word
-    moves: np.ndarray          # (k x 2)
+    dst: np.ndarray            # (k,)
+    src: np.ndarray            # (k,)
 
 
 def _check(ok, message):
@@ -283,17 +278,19 @@ def _streams(ports):
 
 def _check_batchable(what, ports):
     """A phase may move its data as one gather and one scatter only if no
-    word is written twice and every word is read before it is written."""
+    word is written twice and every word is read before it is written.
+    Returns ``_streams(ports)``."""
     _check(ports.ndim == 2 and ports.shape[1] == N_PORTS,
            f"{what} needs more than the port budget")
     (r_cycle, r_word), (w_cycle, w_word) = _streams(ports)
-    _check(len(np.unique(w_word)) == len(w_word), f"{what} writes a word twice")
+    _check(np.bincount(w_word, minlength=1).max() <= 1, f"{what} writes a word twice")
     written_at = np.full(ports.max() + 1, np.iinfo(np.int32).max)
     written_at[w_word] = w_cycle
     _check(not (r_cycle == written_at[r_word]).any(),
            f"{what} reads and writes one word in one cycle")
     _check(not (r_cycle > written_at[r_word]).any(),
            f"{what} reads a word after writing it")
+    return (r_cycle, r_word), (w_cycle, w_word)
 
 
 def _stream_samples(cycles, words, dtype):
@@ -315,19 +312,26 @@ def _is_permutation(values, n):
 
 def compile_stage(sched: StageSchedule) -> StageProgram:
     """Stage plan -> StageProgram, checking that the data flow is
-    realisable: each sample is read, used by one butterfly and written
-    once, in that order, and the register sets never hold more than
-    REGISTER_CAPACITY samples."""
+    realisable: every part used lies in a word read and a word written;
+    each sample is read, used by one butterfly and written back in place
+    (the k-th write stores the result of the k-th read) once, in that
+    order; and no register set holds more than REGISTER_CAPACITY samples."""
     n, dtype, ports = sched.n_points, sched.dtype, sched.ports
     what = f"stage {sched.stage} of {n}-point {dtype.name}"
-    _check_batchable(what, ports)
-    (r_cycle, r_word), (w_cycle, w_word) = _streams(ports)
+    (r_cycle, r_word), (w_cycle, w_word) = _check_batchable(what, ports)
+    fly_at, a, b, exp = sched.butterflies.astype(np.int64).T
+    parts = 2 * np.stack([a, a, b, b]) + np.array([[0], [1], [0], [1]])
+    word = parts * dtype.part_width // 32
+    _check(np.isin(word, r_word).all(), f"{what} gathers a part outside its read stream")
+    _check(np.isin(word, w_word).all(), f"{what} scatters a part outside its write stream")
     samples, read_at = _stream_samples(r_cycle, r_word, dtype)
     _check(_is_permutation(samples, n), f"{what} does not read every sample once")
+    written, written_at = _stream_samples(w_cycle, w_word, dtype)
+    _check(np.array_equal(written, samples),
+           f"{what} writes a butterfly output to a word other than its operand's")
     position = np.empty(n, dtype=np.int64)
     position[samples] = np.arange(n)
 
-    fly_at, a, b, exp = sched.butterflies.astype(np.int64).T
     a, b = position[a], position[b]
     _check(_is_permutation(np.concatenate([a, b]), n),
            f"{what} does not use every sample in one butterfly")
@@ -335,12 +339,7 @@ def compile_stage(sched: StageSchedule) -> StageProgram:
            f"{what} computes a butterfly before its operands are read")
     done_at = np.empty(n, dtype=np.int64)
     done_at[a] = done_at[b] = fly_at
-
-    written, written_at = _stream_samples(w_cycle, w_word, dtype)
-    written = position[written]
-    _check(_is_permutation(written, n), f"{what} does not write every sample once")
-    _check((done_at[written] <= written_at).all(),
-           f"{what} writes a sample before its butterfly")
+    _check((done_at <= written_at).all(), f"{what} writes a sample before its butterfly")
 
     def per_cycle(at):
         return np.cumsum(np.bincount(at, minlength=len(ports)))
@@ -354,8 +353,7 @@ def compile_stage(sched: StageSchedule) -> StageProgram:
            f"{held_out.max()} > {capacity}")
 
     stride = dtype.max_points // n           # twiddle table serves all sizes
-    butterflies = np.stack([a, b, exp * stride], axis=1).astype(np.int32)
-    return StageProgram(ports, butterflies, written.astype(np.int32))
+    return StageProgram(ports, parts.astype(np.int32), (exp * stride).astype(np.int32))
 
 
 # the halves (lo, hi) of a word that each supported strobe writes
@@ -366,13 +364,12 @@ _HALVES_PER_SAMPLE = {DataType.C64: 4, DataType.C32: 2, DataType.C16: 1}
 
 
 def compile_reorder(sched: ReorderSchedule) -> ReorderProgram:
-    """Reorder plan -> ReorderProgram.  Every written half-word is routed
-    from a half-word an earlier read of this pass returned, as the plan's
-    moves say."""
+    """Reorder plan -> ReorderProgram.  The plan's moves, in half-words,
+    fill exactly the strobed halves of the written words, each from a
+    half-word an earlier read of this pass returned."""
     dtype, ports = sched.dtype, sched.ports
     what = f"reorder of {sched.n_points}-point {dtype.name}"
-    _check_batchable(what, ports)
-    (r_cycle, r_word), (w_cycle, w_word) = _streams(ports)
+    (r_cycle, r_word), (w_cycle, w_word) = _check_batchable(what, ports)
     strobes = sched.strobes[ports[:, WRITE_COLUMN] != IDLE]
     unsupported = set(strobes.tolist()) - _STROBE_HALVES.keys()
     _check(not unsupported, f"{what}: unsupported strobe {min(unsupported, default=0):#x}")
@@ -381,22 +378,22 @@ def compile_reorder(sched: ReorderSchedule) -> ReorderProgram:
     per_sample = _HALVES_PER_SAMPLE[dtype]
     src, dst = (sched.entries.T[..., None] * per_sample
                 + np.arange(per_sample)).reshape(2, -1)
-    source = np.full(n_halves, -1)
-    source[dst] = src
     k, half = np.nonzero(np.array([_STROBE_HALVES[s] for s in strobes.tolist()],
                                   dtype=bool).reshape(-1, 2))
-    src = source[2 * w_word[k] + half]
+    written = 2 * w_word[k] + half
+    _check(np.isin(dst, written).all(),
+           f"{what} moves a half-word outside the strobed halves it writes")
+    source = np.full(n_halves, -1)
+    source[dst] = src
+    src = source[written]
     for i in np.flatnonzero(src < 0)[:1]:
         raise AssertionError(f"{what} writes half {half[i]} of word {w_word[k[i]]} "
                              "without a move")
-    slot = np.full(n_halves // 2, len(r_word))      # first read of each word
-    np.minimum.at(slot, r_word, np.arange(len(r_word)))
-    slot = slot[src // 2]
-    read_at = np.append(r_cycle, np.iinfo(np.int64).max)[slot]
-    for i in np.flatnonzero(read_at >= w_cycle[k])[:1]:
+    first_read = np.full(n_halves // 2, np.iinfo(np.int64).max)
+    np.minimum.at(first_read, r_word, r_cycle)
+    for i in np.flatnonzero(first_read[src // 2] >= w_cycle[k])[:1]:
         raise AssertionError(f"{what} writes word {w_word[k[i]]} before reading its source")
-    moves = np.stack([2 * k + half, 2 * slot + src % 2], axis=1)
-    return ReorderProgram(ports, strobes, moves.astype(np.int32))
+    return ReorderProgram(ports, written.astype(np.int32), src.astype(np.int32))
 
 
 # -- cycle model -----------------------------------------------------------------

@@ -12,10 +12,13 @@ from fdsim.fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                        load_quantized, read_spectrum, spectrum_snr_db,
                        twiddle_lookup, twiddle_table)
 from fdsim.fixedpoint import (DataType, OverflowFlag, ScalingPolicy,
-                              dequantize, quantize)
+                              butterfly_array, dequantize, pack_parts, quantize,
+                              unpack_parts)
 from fdsim.harness import SNR_FLOORS_DB, full_size_grid
-from fdsim.membank import (IDLE, WRITE_COLUMN, BankedMemory, MemoryModelError,
-                           pack_samples, read_samples, words_per_samples)
+from fdsim.membank import (_STROBE_MASKS, FULL_STROBE, HI_HALF_STROBE, IDLE,
+                           LO_HALF_STROBE, WRITE_COLUMN, BankedMemory, CycleStats,
+                           MemoryModelError, pack_samples, read_samples,
+                           words_per_samples)
 from fdsim.schedule import (WRITE_LAG_REORDER, WRITE_LAG_STAGE,
                             bit_reverse_index, compile_reorder, compile_stage,
                             schedule_reorder, schedule_stage, total_cycle_model)
@@ -307,6 +310,27 @@ class TestSpectra:
             assert got == pack_samples(want, dtype), (dtype, n)
             assert summary.stats.as_dict() == total_cycle_model(n, dtype).as_dict()
 
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_matches_reference_executor(self, dtype):
+        # memory words, flag and cycle statistics of the typed-view executor
+        # against the unpack -> butterfly -> route -> pack executor, at every
+        # size and bank offset, with and without scaling; samples 0 and n/2
+        # meet in stage 0 with w = 1, so an unscaled run always saturates
+        for n in full_size_grid(dtype):
+            phases = reference_phases(n, dtype)
+            x = np.random.default_rng(n).uniform(-0.95, 0.95, n) + 0.3j
+            x[[0, n // 2]] = 0.9 + 0.9j
+            for scaling in ScalingPolicy:
+                for base in (0, 4, 8, 12):
+                    mem, job, summary, _ = run_fixed(x, dtype, n, scaling, base)
+                    ref = BankedMemory()
+                    load_quantized(ref, job, x)
+                    flag, stats = reference_fft(phases, job, ref)
+                    assert (mem.words == ref.words).all(), (dtype, n, scaling, base)
+                    assert summary.overflow == flag
+                    assert summary.stats.as_dict() == stats.as_dict()
+                    assert flag or scaling is not ScalingPolicy.NONE
+
 
 class TestCompiledPrograms:
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
@@ -373,6 +397,39 @@ class TestCompiledPrograms:
         with pytest.raises(AssertionError, match="without a move"):
             compile_reorder(dataclasses.replace(sched, entries=sched.entries[1:]))
 
+    def test_output_to_another_word_rejected(self):
+        # two write ports of one cycle trade words: each butterfly output
+        # would land on the other operand's word
+        sched = schedule_stage(16, DataType.C32, 0)
+        ports = sched.ports.copy()
+        ports[WRITE_LAG_STAGE, [4, 5]] = ports[WRITE_LAG_STAGE, [5, 4]]
+        with pytest.raises(AssertionError, match="to a word other than its operand's"):
+            compile_stage(dataclasses.replace(sched, ports=ports))
+
+    def test_part_outside_read_stream_rejected(self):
+        sched = schedule_stage(16, DataType.C32, 0)
+        ports = sched.ports.copy()
+        ports[0, 0] = IDLE
+        with pytest.raises(AssertionError, match="gathers a part outside its read stream"):
+            compile_stage(dataclasses.replace(sched, ports=ports))
+
+    def test_part_outside_write_stream_rejected(self):
+        sched = schedule_stage(16, DataType.C32, 0)
+        ports = sched.ports.copy()
+        ports[WRITE_LAG_STAGE, 4] = IDLE
+        with pytest.raises(AssertionError, match="scatters a part outside its write stream"):
+            compile_stage(dataclasses.replace(sched, ports=ports))
+
+    def test_move_outside_strobed_half_rejected(self):
+        # a fix-up write that strobes the other half of its word: the move
+        # into the half it used to strobe now lands in a half nobody writes
+        sched = schedule_reorder(64, DataType.C16)
+        strobes = sched.strobes.copy()
+        t, p = np.argwhere(strobes == LO_HALF_STROBE)[0]
+        strobes[t, p] = HI_HALF_STROBE
+        with pytest.raises(AssertionError, match="outside the strobed halves it writes"):
+            compile_reorder(dataclasses.replace(sched, strobes=strobes))
+
     def test_move_from_unread_word_rejected(self):
         # a palindrome is never read by the reorder, so it cannot be a source
         sched = schedule_reorder(64, DataType.C32)
@@ -381,6 +438,89 @@ class TestCompiledPrograms:
         broken = dataclasses.replace(sched, entries=entries)
         with pytest.raises(AssertionError, match="before reading its source"):
             compile_reorder(broken)
+
+
+def _stream(ports, write):
+    """The words of the read or the write ports, cycle by cycle."""
+    words = ports[:, WRITE_COLUMN if write else ~WRITE_COLUMN]
+    return words[words != IDLE]
+
+
+def _samples_of(words, dtype):
+    """The sample each unpacked part of a word stream belongs to."""
+    if dtype is DataType.C64:
+        return words[0::2] // 2
+    if dtype is DataType.C32:
+        return words
+    return np.stack([2 * words, 2 * words + 1], axis=1).ravel()
+
+
+def reference_phases(n, dtype):
+    """Each phase's plan with the arrays the reference executor routes by:
+    for a stage, butterflies (a, b, twiddle index) and ``route`` as places
+    in the read stream; for the reorder, the write strobes and the moves
+    (write half, read half) over the two streams."""
+    phases = []
+    for s in range(n.bit_length() - 1):
+        plan = schedule_stage(n, dtype, s)
+        position = np.empty(n, dtype=np.int64)
+        position[_samples_of(_stream(plan.ports, False), dtype)] = np.arange(n)
+        _, a, b, exp = plan.butterflies.T
+        flies = (position[a], position[b], exp * (dtype.max_points // n))
+        phases.append((plan, flies, position[_samples_of(_stream(plan.ports, True), dtype)]))
+    plan = schedule_reorder(n, dtype)
+    reads, writes = _stream(plan.ports, False), _stream(plan.ports, True)
+    strobes = plan.strobes[plan.ports[:, WRITE_COLUMN] != IDLE]
+    per_sample = {DataType.C64: 4, DataType.C32: 2, DataType.C16: 1}[dtype]
+    src, dst = (plan.entries.T[..., None] * per_sample + np.arange(per_sample)).reshape(2, -1)
+    source = np.full(2 * (max(writes.max(initial=0), reads.max(initial=0), n) + 1), -1)
+    source[dst] = src
+    lanes = {FULL_STROBE: (0, 1), LO_HALF_STROBE: (0,), HI_HALF_STROBE: (1,)}
+    k, half = np.array([(k, h) for k, s in enumerate(strobes.tolist())
+                        for h in lanes[s]], dtype=np.int64).reshape(-1, 2).T
+    src = source[2 * writes[k] + half]
+    slot = {w: i for i, w in reversed(list(enumerate(reads.tolist())))}
+    moves = (2 * k + half, [2 * slot[h // 2] + h % 2 for h in src.tolist()])
+    return phases + [(plan, strobes, moves)]
+
+
+def reference_fft(phases, job, memory):
+    """An executor that moves words, not parts: per stage, unpack the read
+    stream, run the butterflies, route and pack to the write stream; the
+    reorder writes its moved half-words under the strobe masks.  Each
+    phase is arbitrated on its own.  Returns the flag and the statistics."""
+    dtype, base, words = job.dtype, job.base_address, memory.words
+    table, flag, stats = twiddle_table(dtype), OverflowFlag(), CycleStats()
+    for i, (plan, *routing) in enumerate(phases):
+        ports = plan.ports
+        stalls = int(memory.access_batch(np.where(ports == IDLE, IDLE, ports + base),
+                                         WRITE_COLUMN)[0].sum())
+        reading = int((ports[:, ~WRITE_COLUMN] != IDLE).any(axis=1).sum())
+        stats.overhead_cycles += len(ports) - reading
+        stats.conflicts += stalls
+        reads, writes = base + _stream(ports, False), base + _stream(ports, True)
+        if i == len(phases) - 1:
+            stats.reorder_cycles = reading
+            strobes, (out_half, in_half) = routing
+            got = words[reads]
+            halves = np.stack([got & 0xFFFF, got >> 16], axis=1).ravel()
+            out = np.zeros(2 * len(writes), dtype=np.uint32)
+            out[out_half] = halves[in_half]
+            mask = np.array([_STROBE_MASKS[s] for s in strobes.tolist()], dtype=np.uint32)
+            words[writes] = (words[writes] & ~mask) | ((out[0::2] | out[1::2] << 16) & mask)
+            continue
+        stats.butterfly_cycles += reading
+        stats.stage_conflicts += stalls
+        (a, b, w), route = routing
+        re, im = unpack_parts(words[reads], dtype)
+        re[a], im[a], re[b], im[b] = butterfly_array(
+            np.stack([re[a], im[a], re[b], im[b]]), np.stack([table.re[w], table.im[w]]),
+            dtype, job.scaling, flag)
+        words[writes] = pack_parts(re[route], im[route], dtype)
+    stats.stall_cycles = stats.conflicts
+    stats.total_cycles = (stats.butterfly_cycles + stats.reorder_cycles
+                          + stats.stall_cycles + stats.overhead_cycles)
+    return flag.seen, stats
 
 
 def straight_line_fft(samples, dtype):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsim.fixedpoint import DataType, FixedComplex
+from fdsim.fixedpoint import PART_VIEW, DataType, FixedComplex, unpack_parts
 from fdsim.membank import (HI_HALF_STROBE, IDLE, LO_HALF_STROBE, N_BANKS, N_PORTS,
                            WRITE_COLUMN, BankedMemory, MemoryModelError,
                            Request, bandwidth_bytes_per_s,
@@ -139,14 +139,15 @@ class TestAccessBatch:
 
     def test_validation(self):
         mem = BankedMemory(total_words=64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="port requests must be"):
             mem.access_batch(np.zeros((2, 4), dtype=int), WRITE_COLUMN)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="write on a read port"):
             mem.access_batch(np.zeros((1, 8), dtype=int), np.ones(8, dtype=bool))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="read on a write port"):
             mem.access_batch(np.zeros((1, 8), dtype=int), np.zeros(8, dtype=bool))
-        with pytest.raises(MemoryModelError):
-            mem.access_batch(np.full((1, 8), 64), WRITE_COLUMN)
+        for bad in (64, IDLE - 1):
+            with pytest.raises(MemoryModelError, match="outside capacity"):
+                mem.access_batch(np.full((1, 8), bad, dtype=np.int32), WRITE_COLUMN)
 
 
 class TestPacking:
@@ -168,6 +169,20 @@ class TestPacking:
         assert (words[0] >> 8) & 0xFF == 0xFF  # sample 0 im = -1
         assert (words[0] >> 16) & 0xFF == 2    # sample 1 re
         assert unpack_samples(words, DataType.C16, 4) == samples
+
+    @pytest.mark.parametrize("dtype", list(DataType))
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=40))
+    @settings(max_examples=40)
+    def test_typed_views_of_words(self, dtype, values):
+        # the executor's views: parts 2j and 2j + 1 are sample j's re and im,
+        # half-word 2w + h is the low (h = 0) or high half of word w
+        words = np.array(values[:len(values) // 2 * 2], dtype=BankedMemory().words.dtype)
+        assert words.dtype == np.dtype("<u4")
+        re, im = unpack_parts(words, dtype)
+        parts = words.view(PART_VIEW[dtype])
+        assert (parts[0::2].tolist(), parts[1::2].tolist()) == (re.tolist(), im.tolist())
+        halves = words.view("<u2")
+        assert halves.tolist() == np.stack([words & 0xFFFF, words >> 16], axis=1).ravel().tolist()
 
     @pytest.mark.parametrize("dtype", list(DataType))
     def test_round_trip_through_memory(self, dtype):
