@@ -57,8 +57,7 @@ class TwiddleTable:
     dtype: DataType
     n_max: int
     entries: list[FixedComplex]
-    re: np.ndarray      # int64 raw parts of ``entries``, for the executor
-    im: np.ndarray
+    parts: np.ndarray   # (2 x n_max/2) int64 raw (re, im) of ``entries``
 
     @classmethod
     def build(cls, dtype: DataType) -> "TwiddleTable":
@@ -88,8 +87,7 @@ class TwiddleTable:
         if any(e.re * e.re + e.im * e.im > scale * scale for e in entries):
             raise AssertionError(f"{dtype.name} twiddle outside the unit circle")
         return cls(dtype, n_max, entries,
-                   np.array([e.re for e in entries], dtype=np.int64),
-                   np.array([e.im for e in entries], dtype=np.int64))
+                   np.array([(e.re, e.im) for e in entries], dtype=np.int64).T)
 
 
 @lru_cache(maxsize=None)
@@ -114,14 +112,30 @@ def _check_power_of_two(n: int) -> None:
         raise ValueError(f"length {n} is not a power of two")
 
 
+# The oracle's constants depend only on the size: each is built once and
+# shared read-only.
+@lru_cache(maxsize=None)
+def _dft_matrix(n: int) -> np.ndarray:
+    k = np.arange(n)
+    w = np.exp(-2j * np.pi * np.outer(k, k) / n)
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=None)
+def _level_twiddles(sub: int) -> np.ndarray:
+    tw = np.exp(-2j * np.pi * np.arange(sub) / (2 * sub))
+    tw.flags.writeable = False
+    return tw
+
+
 def dft_direct(x) -> np.ndarray:
-    """O(N^2) direct summation; the trusted ground truth for N <= 256."""
+    """O(N^2) direct summation; the trusted ground truth for N <= 256, the
+    sizes whose matrices are kept."""
     x = np.asarray(x, dtype=np.complex128)
     _check_power_of_two(len(x))
     n = len(x)
-    k = np.arange(n)
-    w = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return w @ x
+    return (_dft_matrix(n) if n <= 256 else _dft_matrix.__wrapped__(n)) @ x
 
 
 def fft_recursive(x) -> np.ndarray:
@@ -137,8 +151,7 @@ def fft_recursive(x) -> np.ndarray:
     X = x.reshape(len(x), 1)
     while len(X) > 1:
         half, sub = len(X) // 2, X.shape[1]
-        tw = np.exp(-2j * np.pi * np.arange(sub) / (2 * sub))
-        t = tw * X[half:]
+        t = _level_twiddles(sub) * X[half:]
         X = np.concatenate([X[:half] + t, X[:half] - t], axis=1)
     return X[0]
 
@@ -200,18 +213,15 @@ class FftResultSummary:
 def _program(n_points: int, dtype: DataType):
     """The compiled program of (n_points, dtype): the port matrix of every
     stage and then the reorder, each phase's first row and read cycles,
-    each stage's part indices and (2 x n/2) twiddle parts, and the
-    reorder's (dst, src) half-words."""
-    stages = [compile_stage(schedule_stage(n_points, dtype, s))
-              for s in range(n_points.bit_length() - 1)]
-    reorder = compile_reorder(schedule_reorder(n_points, dtype))
+    each stage's (2 x blocks x 1) int64 block twiddles, and the reorder's
+    (dst, src) half-words."""
+    stages = [schedule_stage(n_points, dtype, s) for s in range(n_points.bit_length() - 1)]
+    twiddles = tuple(twiddle_table(dtype).parts[:, compile_stage(p), None] for p in stages)
+    reorder = schedule_reorder(n_points, dtype)
     phases = [p.ports for p in stages] + [reorder.ports]
     first_rows = np.cumsum([0] + [len(p) for p in phases[:-1]])
     reading = np.array([(p[:, ~WRITE_COLUMN] != IDLE).any(axis=1).sum() for p in phases])
-    table = twiddle_table(dtype)
-    stages = tuple((p.parts, np.stack([table.re[p.twiddles], table.im[p.twiddles]])
-                    .astype(np.int32)) for p in stages)
-    return np.concatenate(phases), first_rows, reading, stages, (reorder.dst, reorder.src)
+    return np.concatenate(phases), first_rows, reading, twiddles, compile_reorder(reorder)
 
 
 def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
@@ -220,15 +230,15 @@ def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
     The whole program is arbitrated cycle by cycle in one pass; a rejected
     request retries alone, one stall cycle each.  A phase's stalls and read
     cycles are those of its rows; the reorder's stalls are the only ones
-    outside ``stage_conflicts``.  A phase moves its data as one gather and
-    one scatter on a typed view of the sample array (parts for a stage,
-    half-words for the reorder); the compiled programs prove that this
-    equals moving it cycle by cycle through the ports.  On return the
-    memory holds the natural-order spectrum scaled by 2**-scaling_stages;
+    outside ``stage_conflicts``.  The stages run in place on one int64
+    (re, im) x n register image of the sample array, as (2, blocks, 2, h)
+    views; the reorder moves half-words.  The compiled programs prove that
+    this equals moving the data cycle by cycle through the ports.  On return
+    the memory holds the natural-order spectrum scaled by 2**-scaling_stages;
     the summary carries the sticky overflow flag and the cycle statistics.
     """
     job.validate(memory)
-    ports, first_rows, reading, stages, (dst, src) = _program(job.n_points, job.dtype)
+    ports, first_rows, reading, twiddles, (dst, src) = _program(job.n_points, job.dtype)
     base = job.base_address
     addresses = np.where(ports == IDLE, IDLE, ports + base) if base else ports
     conflicts, _ = memory.access_batch(addresses, WRITE_COLUMN)
@@ -241,10 +251,11 @@ def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
                           + stats.stall_cycles + stats.overhead_cycles)
     flag = OverflowFlag()
     samples = memory.words[base:base + words_per_samples(job.dtype, job.n_points)]
-    parts = samples.view(PART_VIEW[job.dtype])
-    for idx, w in stages:
-        parts[idx] = butterfly_array(parts[idx].astype(np.int64), w, job.dtype,
-                                     job.scaling, flag)
+    parts = samples.view(PART_VIEW[job.dtype]).reshape(-1, 2)
+    image = parts.T.astype(np.int64, order="C")
+    for w in twiddles:
+        butterfly_array(image.reshape(2, w.shape[1], 2, -1), w, job.dtype, job.scaling, flag)
+    parts[:] = image.T
     halves = samples.view("<u2")
     halves[dst] = halves[src]
 

@@ -189,23 +189,23 @@ def butterfly(a: FixedComplex, b: FixedComplex, w: FixedComplex,
 def sat_round_array(values, width: int, shift: int = 0,
                     flag: OverflowFlag | None = None) -> np.ndarray:
     """Element-wise ``sat_round`` on an int64 array; the flag is set if any
-    element saturates.
+    element saturates.  An int64 ``values`` is rounded in place and
+    returned; any other input is converted to a new int64 array first.
 
     Ties go to even by adding ``half - 1`` plus the parity of the truncated
     quotient before the shift.  That sum stays in int64, so the rounding is
     exact, only for |values| < 2^63 - 2^shift; the executor stays below
-    2^62.5.  Clipping runs only if the extremes are out of range, so an
-    int64 ``values`` with shift 0 that fits comes back as itself.
+    2^62.5.  Clipping runs only if the extremes are out of range.
     """
     q = np.asarray(values, dtype=np.int64)
     if shift:
-        half = 1 << (shift - 1)
-        q = (q + (half - 1 + ((q >> shift) & 1))) >> shift
+        q += ((q >> shift) & 1) + ((1 << (shift - 1)) - 1)
+        q >>= shift
     lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
     if q.size and (q.min() < lo or q.max() > hi):
         if flag is not None:
             flag.seen = True
-        q = np.minimum(np.maximum(q, lo), hi)
+        np.minimum(np.maximum(q, lo, out=q), hi, out=q)
     return q
 
 
@@ -238,19 +238,22 @@ def dequantize_parts(re, im, dtype: DataType) -> np.ndarray:
 def butterfly_array(x, w, dtype: DataType,
                     policy: ScalingPolicy = ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE,
                     flag: OverflowFlag | None = None) -> np.ndarray:
-    """``butterfly`` over raw parts, bit-exact with the scalar form: int64
-    ``x`` rows (a re, a im, b re, b im) and ``w`` rows (re, im), |w| <= 1,
-    give int64 rows (out0 re, out0 im, out1 re, out1 im).  Rounds twice:
-    both product sums, then all four outputs."""
+    """``butterfly`` over raw parts, in place and bit-exact with the scalar
+    form.  ``x`` is an int64 array with (re, im) on its first axis and the
+    operands (a, b) on its second-to-last; ``w`` holds (re, im) on its first
+    axis, |w| <= 1, and broadcasts against ``a``.  Every (a, b) becomes
+    (out0, out1) and ``x`` is returned.  Rounds twice: both product sums,
+    then all of ``x``."""
     width = dtype.part_width
     shift = 1 if policy is ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE else 0
-    (w_re, w_im), b = w, x[2:]
-    t, u = w_re * b, w_im * b[::-1]         # u = (w im * b im, w im * b re)
+    a, b = x[..., 0, :], x[..., 1, :]
+    t, u = w[0] * b, w[1] * b[::-1]         # u = (w im * b im, w im * b re)
     t[0] -= u[0]
     t[1] += u[1]
-    t = sat_round_array(t, width, width - 1, flag)
-    a = x[:2]
-    return sat_round_array(np.concatenate([a + t, a - t]), width, shift, flag)
+    sat_round_array(t, width, width - 1, flag)
+    np.subtract(a, t, out=b)
+    a += t
+    return sat_round_array(x, width, shift, flag)
 
 
 # Sample packing into 32-bit memory words:

@@ -116,10 +116,17 @@ def _section(mapping, key, kind, required=False) -> dict:
 
 
 def _int(value, key) -> int:
-    """A JSON integer; integral floats pass, but not fractions, NaN, inf or booleans."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A JSON integer: not a fraction, NaN, inf, boolean or string."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigurationError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, key) -> float:
+    """A finite JSON number: not a boolean or a string."""
+    if isinstance(value, (bool, str)) or not math.isfinite(value):
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _bool(value, key) -> bool:
@@ -159,22 +166,20 @@ def _axis(sweep: dict, key, default, parse=None) -> tuple | None:
 
 def _parse_input(d: dict) -> InputSpec:
     spec = InputSpec(source=d.get("source", "noise"),
-                     amplitude=float(d.get("amplitude", 0.9)),
+                     amplitude=_number(d.get("amplitude", 0.9), "amplitude"),
                      bin=_int(d.get("bin", 3), "bin"),
                      path=_path(d.get("path"), "path"))
     if spec.source not in ("noise", "tone", "impulse", "file"):
         raise ConfigurationError(f"unknown input source {spec.source!r}")
-    if not math.isfinite(spec.amplitude):
-        raise ConfigurationError(f"amplitude must be finite, got {spec.amplitude}")
     if spec.source == "file" and not spec.path:
         raise ConfigurationError("file input needs a path")
     return spec
 
 
 def _parse_clock(d: dict) -> float:
-    clock_hz = float(d.get("clock_hz", DEFAULT_CLOCK_HZ))
-    if not (math.isfinite(clock_hz) and clock_hz > 0):
-        raise ConfigurationError(f"clock_hz must be a positive finite number, got {clock_hz}")
+    clock_hz = _number(d.get("clock_hz", DEFAULT_CLOCK_HZ), "clock_hz")
+    if clock_hz <= 0:
+        raise ConfigurationError(f"clock_hz must be positive, got {clock_hz}")
     return clock_hz
 
 

@@ -14,10 +14,10 @@ or the reorder's write strobes and sample moves.  All addresses are word
 offsets from the start of the sample array; the executor adds the job's
 base address.
 
-``compile_stage`` and ``compile_reorder`` turn a plan into the int32
-indices the executor gathers and scatters by: a stage's sample parts, the
-reorder's half-words.  They also prove, per phase, that this one batch
-moves only what the ports carry, as moving it cycle by cycle would.
+``compile_stage`` and ``compile_reorder`` turn a plan into what the
+executor runs: a stage's block twiddles, the reorder's half-word indices.
+They also prove, per phase, that moving its data in one batch moves only
+what the ports carry, as moving it cycle by cycle would.
 """
 
 from __future__ import annotations
@@ -239,29 +239,6 @@ def schedule_reorder(n_points: int, dtype: DataType) -> ReorderSchedule:
 # -- compiled programs ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StageProgram:
-    """One butterfly stage as arrays.  Sample j's re is part 2j of the
-    sample array viewed as its part type (``fixedpoint.PART_VIEW``), its im
-    part 2j + 1.  A butterfly's outputs replace its operands, so one array
-    of part indices, rows (a re, a im, b re, b im), serves the gather and
-    the scatter."""
-
-    ports: np.ndarray          # (cycles x 8) word offsets, IDLE when unused
-    parts: np.ndarray          # (4 x n/2)
-    twiddles: np.ndarray       # (n/2,) twiddle table indices
-
-
-@dataclass(frozen=True)
-class ReorderProgram:
-    """The reorder pass as arrays: half-word ``dst[k]`` of the sample array
-    viewed as ``'<u2'`` takes the value half-word ``src[k]`` held before."""
-
-    ports: np.ndarray          # (cycles x 8) word offsets, IDLE when unused
-    dst: np.ndarray            # (k,)
-    src: np.ndarray            # (k,)
-
-
 def _check(ok, message):
     if not ok:
         raise AssertionError(message)
@@ -277,8 +254,8 @@ def _streams(ports):
 
 
 def _check_batchable(what, ports):
-    """A phase may move its data as one gather and one scatter only if no
-    word is written twice and every word is read before it is written.
+    """A phase may move its data in one batch only if no word is written
+    twice and every word is read before it is written.
     Returns ``_streams(ports)``."""
     _check(ports.ndim == 2 and ports.shape[1] == N_PORTS,
            f"{what} needs more than the port budget")
@@ -310,16 +287,27 @@ def _is_permutation(values, n):
     return len(values) == n and np.array_equal(np.sort(values), np.arange(n))
 
 
-def compile_stage(sched: StageSchedule) -> StageProgram:
-    """Stage plan -> StageProgram, checking that the data flow is
-    realisable: every part used lies in a word read and a word written;
-    each sample is read, used by one butterfly and written back in place
-    (the k-th write stores the result of the k-th read) once, in that
-    order; and no register set holds more than REGISTER_CAPACITY samples."""
+def compile_stage(sched: StageSchedule) -> np.ndarray:
+    """Stage plan -> the twiddle table index of each of its 2^s blocks.
+
+    The executor runs stage s on the samples viewed as (blocks, 2, h): block
+    c pairs sample c*2h + j with the one h above it, j < h, under twiddle
+    exponent bit_reverse(c, s) * h.  This checks that the plan is in that
+    block layout and that its data flow is realisable: every part used lies
+    in a word read and a word written; each sample is read, used by one
+    butterfly and written back in place (the k-th write stores the result
+    of the k-th read) once, in that order; and no register set holds more
+    than REGISTER_CAPACITY samples."""
     n, dtype, ports = sched.n_points, sched.dtype, sched.ports
     what = f"stage {sched.stage} of {n}-point {dtype.name}"
     (r_cycle, r_word), (w_cycle, w_word) = _check_batchable(what, ports)
     fly_at, a, b, exp = sched.butterflies.astype(np.int64).T
+    h, u = n >> (sched.stage + 1), np.arange(n // 2)
+    _check(np.array_equal(a, u // h * 2 * h + u % h) and np.array_equal(b, a + h),
+           f"{what} has a butterfly outside the block layout")
+    block_exp = bit_reverse_index(np.arange(n // (2 * h)), sched.stage) * h
+    _check(np.array_equal(exp, np.repeat(block_exp, h)),
+           f"{what} has a twiddle exponent other than bit_reverse(block) * h")
     parts = 2 * np.stack([a, a, b, b]) + np.array([[0], [1], [0], [1]])
     word = parts * dtype.part_width // 32
     _check(np.isin(word, r_word).all(), f"{what} gathers a part outside its read stream")
@@ -352,8 +340,7 @@ def compile_stage(sched: StageSchedule) -> StageProgram:
     _check(held_out.max() <= capacity, f"{what}: output register overflow "
            f"{held_out.max()} > {capacity}")
 
-    stride = dtype.max_points // n           # twiddle table serves all sizes
-    return StageProgram(ports, parts.astype(np.int32), (exp * stride).astype(np.int32))
+    return block_exp * (dtype.max_points // n)     # the table serves all sizes
 
 
 # the halves (lo, hi) of a word that each supported strobe writes
@@ -363,10 +350,12 @@ _STROBE_HALVES = {FULL_STROBE: (True, True), LO_HALF_STROBE: (True, False),
 _HALVES_PER_SAMPLE = {DataType.C64: 4, DataType.C32: 2, DataType.C16: 1}
 
 
-def compile_reorder(sched: ReorderSchedule) -> ReorderProgram:
-    """Reorder plan -> ReorderProgram.  The plan's moves, in half-words,
-    fill exactly the strobed halves of the written words, each from a
-    half-word an earlier read of this pass returned."""
+def compile_reorder(sched: ReorderSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Reorder plan -> (dst, src): half-word ``dst[k]`` of the sample array
+    viewed as ``'<u2'`` takes the value half-word ``src[k]`` held before.
+    The plan's moves, in half-words, fill exactly the strobed halves of the
+    written words, each from a half-word an earlier read of this pass
+    returned."""
     dtype, ports = sched.dtype, sched.ports
     what = f"reorder of {sched.n_points}-point {dtype.name}"
     (r_cycle, r_word), (w_cycle, w_word) = _check_batchable(what, ports)
@@ -393,7 +382,7 @@ def compile_reorder(sched: ReorderSchedule) -> ReorderProgram:
     np.minimum.at(first_read, r_word, r_cycle)
     for i in np.flatnonzero(first_read[src // 2] >= w_cycle[k])[:1]:
         raise AssertionError(f"{what} writes word {w_word[k[i]]} before reading its source")
-    return ReorderProgram(ports, written.astype(np.int32), src.astype(np.int32))
+    return written.astype(np.intp), src.astype(np.intp)
 
 
 # -- cycle model -----------------------------------------------------------------

@@ -420,6 +420,25 @@ class TestCompiledPrograms:
         with pytest.raises(AssertionError, match="scatters a part outside its write stream"):
             compile_stage(dataclasses.replace(sched, ports=ports))
 
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_butterflies_outside_block_layout_rejected(self, dtype):
+        # two butterflies trade rows with their cycles: the data flow checks
+        # still pass, but the executor would pair the wrong samples
+        sched = schedule_stage(64, dtype, 2)
+        flies = sched.butterflies.copy()
+        flies[[0, 1]] = flies[[1, 0]]
+        with pytest.raises(AssertionError, match="butterfly outside the block layout"):
+            compile_stage(dataclasses.replace(sched, butterflies=flies))
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_twiddle_of_another_block_rejected(self, dtype):
+        # block 0 of stage 2 gets the exponent of block 1
+        sched = schedule_stage(64, dtype, 2)
+        flies, h = sched.butterflies.copy(), 64 >> 3
+        flies[:h, 3] = bit_reverse_index(1, 2) * h
+        with pytest.raises(AssertionError, match="twiddle exponent other than"):
+            compile_stage(dataclasses.replace(sched, butterflies=flies))
+
     def test_move_outside_strobed_half_rejected(self):
         # a fix-up write that strobes the other half of its word: the move
         # into the half it used to strobe now lands in a half nobody writes
@@ -513,9 +532,9 @@ def reference_fft(phases, job, memory):
         stats.stage_conflicts += stalls
         (a, b, w), route = routing
         re, im = unpack_parts(words[reads], dtype)
-        re[a], im[a], re[b], im[b] = butterfly_array(
-            np.stack([re[a], im[a], re[b], im[b]]), np.stack([table.re[w], table.im[w]]),
-            dtype, job.scaling, flag)
+        (re[a], re[b]), (im[a], im[b]) = butterfly_array(
+            np.stack([re[a], re[b], im[a], im[b]]).reshape(2, 2, -1),
+            table.parts[:, w], dtype, job.scaling, flag)
         words[writes] = pack_parts(re[route], im[route], dtype)
     stats.stall_cycles = stats.conflicts
     stats.total_cycles = (stats.butterfly_cycles + stats.reorder_cycles

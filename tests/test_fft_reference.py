@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import fdsim.fft
 from fdsim.fft import dft_direct, fft_recursive, fft_reference, spectrum_snr_db
+from fdsim.fixedpoint import DataType
+from fdsim.harness import full_size_grid
 
 
 def rec(v):
@@ -82,3 +85,51 @@ def test_snr_definition():
     assert spectrum_snr_db(ref, ref) == np.inf
     noisy = ref + np.array([0.1, 0, 0, 0])
     assert spectrum_snr_db(ref, noisy) == pytest.approx(10 * np.log10(4 / 0.01))
+
+
+class TestOracleConstants:
+    """The DFT matrix and the level twiddles are built once per size; a
+    fresh build by these expressions is the reference."""
+
+    @staticmethod
+    def fresh_matrix(n):
+        k = np.arange(n)
+        return np.exp(-2j * np.pi * np.outer(k, k) / n)
+
+    @staticmethod
+    def fresh_level(sub):
+        return np.exp(-2j * np.pi * np.arange(sub) / (2 * sub))
+
+    @pytest.mark.parametrize("n", [2 ** k for k in range(3, 9)])
+    def test_matrix_read_only_and_bit_equal(self, n):
+        w = fdsim.fft._dft_matrix(n)
+        assert fdsim.fft._dft_matrix(n) is w and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 0
+        assert (w.view(np.uint64) == self.fresh_matrix(n).view(np.uint64)).all()
+
+    @pytest.mark.parametrize("sub", [2 ** k for k in range(11)])
+    def test_level_twiddles_read_only_and_bit_equal(self, sub):
+        tw = fdsim.fft._level_twiddles(sub)
+        assert fdsim.fft._level_twiddles(sub) is tw and not tw.flags.writeable
+        with pytest.raises(ValueError):
+            tw[0] = 0
+        assert (tw.view(np.uint64) == self.fresh_level(sub).view(np.uint64)).all()
+
+    def test_matrix_cache_holds_only_grid_sizes(self):
+        fdsim.fft._dft_matrix.cache_clear()
+        rng = np.random.default_rng(3)
+        for dtype in DataType:
+            for n in full_size_grid(dtype):
+                fft_reference(rng.normal(size=n) + 1j * rng.normal(size=n))
+        dft_direct(np.ones(512))        # direct calls above 256 points are not kept
+        assert fdsim.fft._dft_matrix.cache_info().currsize <= 6
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_same_bits_before_and_after_other_sizes(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        before = fft_reference(x)
+        for other in (8, 128, 256, 512, 2048):
+            fft_reference(rng.normal(size=other) + 0.5j)
+        assert (fft_reference(x).view(np.uint64) == before.view(np.uint64)).all()

@@ -240,8 +240,9 @@ class TestArrayForms:
             return (np.array([s.re for s in samples], dtype=np.int64),
                     np.array([s.im for s in samples], dtype=np.int64))
 
-        got = butterfly_array(np.stack([*parts(a), *parts(b)]), np.stack(parts(w)).astype(np.int32),
-                              dtype, policy, array_flag)
+        got = butterfly_array(np.stack([*parts(a), *parts(b)]).reshape(2, 2, -1).swapaxes(0, 1),
+                              np.stack(parts(w)).astype(np.int32), dtype, policy,
+                              array_flag).swapaxes(0, 1).reshape(4, -1)
         assert got.tolist() == [
             [o0.re for o0, _ in want], [o0.im for o0, _ in want],
             [o1.re for _, o1 in want], [o1.im for _, o1 in want]]

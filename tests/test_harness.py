@@ -495,6 +495,16 @@ class TestCli:
                                   "sweep": {"n_devices": [2, 2]}})),
         ("schedule dump", json.dumps(fft_config(n_points=2, dtype="C16"))),
         ("schedule dump", json.dumps(fft_config(n_points=4, dtype="C64"))),
+        ("fft run", json.dumps({**fft_config(), "seed": "7"})),
+        ("fft run", json.dumps(fft_config(n_points="8"))),
+        ("fft run", json.dumps(fft_config(clock_hz=True))),
+        ("fft run", json.dumps(fft_config(clock_hz="1e9"))),
+        ("fft run", json.dumps(fft_config(input={"source": "noise", "amplitude": "0.5"}))),
+        ("fft run", json.dumps(fft_config(input={"source": "noise", "amplitude": True}))),
+        ("fft sweep", json.dumps({"version": 1, "kind": "fft-sweep",
+                                  "sweep": {"dtypes": ["C64"], "n_points": [8]},
+                                  "fft": {"clock_hz": True}})),
+        ("i2s run", json.dumps(i2s_config(n_devices="2"))),
     ], ids=["input-str", "sweep-str", "payload-str", "dtype-int", "n_points-1e400",
             "n_points-64.5", "seed-list", "dump_memory_image-str",
             "dump_memory_image-int", "version-true", "file-path-int",
@@ -504,7 +514,9 @@ class TestCli:
             "i2s-sweep-no-standard-member", "fft-sweep-n_points-empty",
             "fft-sweep-n_points-0", "fft-sweep-n_points-false", "fft-sweep-n_points-str",
             "fft-sweep-n_points-repeated", "i2s-sweep-n_devices-repeated",
-            "schedule-dump-C16-2", "schedule-dump-C64-4"])
+            "schedule-dump-C16-2", "schedule-dump-C64-4", "seed-str", "n_points-str",
+            "clock_hz-true", "clock_hz-str", "amplitude-str", "amplitude-true",
+            "fft-sweep-clock_hz-true", "i2s-n_devices-str"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, verb, text):
         p = tmp_path / "cfg.json"
         p.write_text(text)
