@@ -18,11 +18,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fixedpoint import (PART_VIEW, DataType, FixedComplex, OverflowFlag,
-                         ScalingPolicy, butterfly_array, dequantize_parts,
-                         quantize, quantize_parts)
-from .membank import (IDLE, WRITE_COLUMN, BankedMemory, CycleStats, load_parts,
-                      read_parts, words_per_samples)
+from .fixedpoint import (DataType, FixedComplex, OverflowFlag, ScalingPolicy,
+                         butterfly_array, dequantize_parts, quantize,
+                         quantize_parts)
+from .membank import (IDLE, WRITE_COLUMN, BankedMemory, CycleStats, sample_array,
+                      words_per_samples)
 from .schedule import (compile_reorder, compile_stage, schedule_reorder,
                        schedule_stage)
 
@@ -56,8 +56,7 @@ class TwiddleTable:
 
     dtype: DataType
     n_max: int
-    entries: list[FixedComplex]
-    parts: np.ndarray   # (2 x n_max/2) int64 raw (re, im) of ``entries``
+    parts: np.ndarray   # (2 x n_max/2) int64 raw (re, im) of each entry
 
     @classmethod
     def build(cls, dtype: DataType) -> "TwiddleTable":
@@ -82,12 +81,11 @@ class TwiddleTable:
                 pool = ok or candidates
                 re, im = min(pool, key=lambda c: (c[0] - z.real * scale) ** 2
                              + (c[1] - z.imag * scale) ** 2)
-            entries.append(FixedComplex(re, im, dtype))
+            entries.append((re, im))
         # the array butterfly's int64 product sums stay below 2^63 only if |w| <= 1
-        if any(e.re * e.re + e.im * e.im > scale * scale for e in entries):
+        if any(re * re + im * im > scale * scale for re, im in entries):
             raise AssertionError(f"{dtype.name} twiddle outside the unit circle")
-        return cls(dtype, n_max, entries,
-                   np.array([(e.re, e.im) for e in entries], dtype=np.int64).T)
+        return cls(dtype, n_max, np.array(entries, dtype=np.int64).T)
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +99,8 @@ def twiddle_lookup(table: TwiddleTable, n_points: int, k: int) -> FixedComplex:
         raise ValueError(f"{n_points} points exceed table size {table.n_max}")
     if not 0 <= k < n_points // 2:
         raise ValueError(f"twiddle exponent {k} out of range for {n_points} points")
-    return table.entries[k * (table.n_max // n_points)]
+    re, im = table.parts[:, k * (table.n_max // n_points)].tolist()
+    return FixedComplex(re, im, table.dtype)
 
 
 # -- double-precision reference oracle ---------------------------------------
@@ -247,16 +246,13 @@ def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
                        reorder_cycles=int(reading[-1]), stall_cycles=int(stalls.sum()),
                        overhead_cycles=len(ports) - int(reading.sum()),
                        conflicts=int(stalls.sum()), stage_conflicts=int(stalls[:-1].sum()))
-    stats.total_cycles = (stats.butterfly_cycles + stats.reorder_cycles
-                          + stats.stall_cycles + stats.overhead_cycles)
     flag = OverflowFlag()
-    samples = memory.words[base:base + words_per_samples(job.dtype, job.n_points)]
-    parts = samples.view(PART_VIEW[job.dtype]).reshape(-1, 2)
+    parts = sample_array(memory, base, job.n_points, job.dtype)
     image = parts.T.astype(np.int64, order="C")
     for w in twiddles:
         butterfly_array(image.reshape(2, w.shape[1], 2, -1), w, job.dtype, job.scaling, flag)
     parts[:] = image.T
-    halves = samples.view("<u2")
+    halves = parts.reshape(-1).view("<u2")
     halves[dst] = halves[src]
 
     m = job.n_points.bit_length() - 1
@@ -274,11 +270,12 @@ def load_quantized(memory: BankedMemory, job: FftJob, values,
     if len(values) != job.n_points:
         raise ConfigurationError(f"expected {job.n_points} samples, got {len(values)}")
     re, im = quantize_parts(values, job.dtype, flag)
-    load_parts(memory, job.base_address, re, im, job.dtype)
+    sample_array(memory, job.base_address, job.n_points, job.dtype).T[:] = re, im
     return dequantize_parts(re, im, job.dtype)
 
 
 def read_spectrum(memory: BankedMemory, job: FftJob) -> np.ndarray:
     """Dequantized natural-order spectrum currently in memory."""
-    re, im = read_parts(memory, job.base_address, job.n_points, job.dtype)
+    # widened first: NumPy 2 will not divide int8 parts by the int scale 128
+    re, im = sample_array(memory, job.base_address, job.n_points, job.dtype).T.astype(np.int64)
     return dequantize_parts(re, im, job.dtype)

@@ -261,39 +261,11 @@ def butterfly_array(x, w, dtype: DataType,
 # C32: one sample = 1 word, re in the low half, im in the high half.
 # C16: two samples per word, sample 2i in the low half-word; within a
 #      half-word re is the low byte, im the high byte.
-# So little-endian words ('<u4') viewed as the part type hold sample j's re
-# at part 2j and its im at part 2j + 1, in every format.
-
-PART_VIEW = {DataType.C64: "<i4", DataType.C32: "<i2", DataType.C16: "i1"}
+# So little-endian words ('<u4') viewed as signed part_width-bit integers
+# hold sample j's re at part 2j and its im at part 2j + 1, in every format.
 
 
-def pack_parts(re, im, dtype: DataType) -> np.ndarray:
-    """Raw parts of a sample sequence -> uint32 memory words."""
-    bits = dtype.part_width
-    re = np.asarray(re, dtype=np.int64) & ((1 << bits) - 1)
-    im = np.asarray(im, dtype=np.int64) & ((1 << bits) - 1)
-    if dtype is DataType.C64:
-        words = np.stack([re, im], axis=1).ravel()
-    elif dtype is DataType.C32:
-        words = im << 16 | re
-    else:
-        if len(re) % 2:
-            raise ValueError("C16 arrays must have an even sample count")
-        half = im << 8 | re
-        words = half[1::2] << 16 | half[0::2]
-    return words.astype(np.uint32)
-
-
-def unpack_parts(words, dtype: DataType) -> tuple[np.ndarray, np.ndarray]:
-    """uint32 memory words -> int64 raw (re, im) of every sample they hold."""
-    words = np.asarray(words, dtype=np.uint32)
-    if dtype is DataType.C64:
-        re, im = words[0::2], words[1::2]
-    elif dtype is DataType.C32:
-        re, im = words & 0xFFFF, words >> 16
-    else:
-        halves = np.stack([words & 0xFFFF, words >> 16], axis=1).ravel()
-        re, im = halves & 0xFF, halves >> 8
-    signed = PART_VIEW[dtype]
-    return (re.astype(signed).astype(np.int64),
-            im.astype(signed).astype(np.int64))
+def sample_parts(words: np.ndarray, dtype: DataType) -> np.ndarray:
+    """The (samples x 2) signed raw (re, im) view of contiguous ``'<u4'``
+    memory words; writing to it writes the words."""
+    return words.view(f"<i{dtype.part_width // 8}").reshape(-1, 2)

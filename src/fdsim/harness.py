@@ -21,8 +21,8 @@ import numpy as np
 from .fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                   load_quantized, read_spectrum, spectrum_snr_db)
 from .fixedpoint import DataType, OverflowFlag, ScalingPolicy
-from .i2s import (Alignment, BusConfig, BusMode, FramePayload, FsyncStyle,
-                  Polarity, _sampled, bclk_frequency, decode, encode,
+from .i2s import (MAX_SAMPLE_RATE_HZ, Alignment, BusConfig, BusMode, FramePayload,
+                  FsyncStyle, Polarity, _sampled, bclk_frequency, decode, encode,
                   frames_from_array, latency_dsp, latency_tdm, measure_latency,
                   payloads_to_wav, wav_to_payloads, write_vcd)
 from .membank import BankedMemory, bandwidth_bytes_per_s, export_image
@@ -141,9 +141,13 @@ def _path(value, key) -> str | None:
     return value
 
 
+# one second of frames at the fastest sample rate
+MAX_PERIODS = MAX_SAMPLE_RATE_HZ
+
+
 def _check_periods(periods: int) -> None:
-    if periods < 1:
-        raise ConfigurationError(f"periods must be >= 1, got {periods}")
+    if not 1 <= periods <= MAX_PERIODS:
+        raise ConfigurationError(f"periods must be in 1..{MAX_PERIODS}, got {periods}")
 
 
 def _list(value, key) -> list:

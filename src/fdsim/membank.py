@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fixedpoint import DataType, FixedComplex, pack_parts, unpack_parts
+from .fixedpoint import DataType, FixedComplex, sample_parts
 
 N_BANKS = 16
 N_PORTS = 8
@@ -64,7 +64,6 @@ class CycleStats:
     conflict seen during butterfly stages (expected to stay zero).
     """
 
-    total_cycles: int = 0
     butterfly_cycles: int = 0
     reorder_cycles: int = 0
     stall_cycles: int = 0
@@ -72,16 +71,13 @@ class CycleStats:
     conflicts: int = 0
     stage_conflicts: int = 0
 
+    @property
+    def total_cycles(self) -> int:
+        return (self.butterfly_cycles + self.reorder_cycles
+                + self.stall_cycles + self.overhead_cycles)
+
     def as_dict(self) -> dict:
-        return {
-            "total_cycles": self.total_cycles,
-            "butterfly_cycles": self.butterfly_cycles,
-            "reorder_cycles": self.reorder_cycles,
-            "stall_cycles": self.stall_cycles,
-            "overhead_cycles": self.overhead_cycles,
-            "conflicts": self.conflicts,
-            "stage_conflicts": self.stage_conflicts,
-        }
+        return {"total_cycles": self.total_cycles, **vars(self)}
 
 
 _STROBE_MASKS = {
@@ -190,63 +186,55 @@ def bandwidth_bytes_per_s(frequency_hz: float) -> float:
     return N_BANKS * 4 * frequency_hz
 
 
-# -- sample packing (layout: fixedpoint.pack_parts) ----------------------------
+# -- sample packing (layout: fixedpoint.sample_parts) --------------------------
 
 
 def words_per_samples(dtype: DataType, n_samples: int) -> int:
-    if dtype is DataType.C64:
-        return 2 * n_samples
-    if dtype is DataType.C32:
-        return n_samples
-    if n_samples % 2:
-        raise ValueError("C16 arrays must have an even sample count")
-    return n_samples // 2
+    bits = 2 * dtype.part_width * n_samples
+    if bits % 32:
+        raise ValueError(f"{dtype.name} arrays must have an even sample count")
+    return bits // 32
+
+
+def sample_array(memory: BankedMemory, base_address: int, n_samples: int,
+                 dtype: DataType) -> np.ndarray:
+    """The (n_samples x 2) raw (re, im) view of the sample array stored at
+    ``base_address``; writing to it writes memory."""
+    n_words = words_per_samples(dtype, n_samples)
+    if base_address < 0 or base_address + n_words > memory.total_words:
+        raise MemoryModelError(
+            f"{n_words} words at base {base_address} exceed capacity")
+    return sample_parts(memory.words[base_address:base_address + n_words], dtype)
+
+
+def _raw_parts(samples: list[FixedComplex], dtype: DataType) -> np.ndarray:
+    if any(s.dtype is not dtype for s in samples):
+        raise ValueError("sample dtype mismatch")
+    return np.array([(s.re, s.im) for s in samples], dtype=np.int64).reshape(-1, 2)
 
 
 def pack_samples(samples: list[FixedComplex], dtype: DataType) -> list[int]:
-    if any(s.dtype is not dtype for s in samples):
-        raise ValueError("sample dtype mismatch")
-    return pack_parts([s.re for s in samples], [s.im for s in samples],
-                      dtype).tolist()
+    parts = _raw_parts(samples, dtype)
+    words = np.zeros(words_per_samples(dtype, len(parts)), dtype="<u4")
+    sample_parts(words, dtype)[:] = parts
+    return words.tolist()
 
 
 def unpack_samples(words: list[int], dtype: DataType, n_samples: int) -> list[FixedComplex]:
-    re, im = unpack_parts(words, dtype)
-    return [FixedComplex(r, i, dtype)
-            for r, i in zip(re[:n_samples].tolist(), im[:n_samples].tolist())]
-
-
-def load_parts(memory: BankedMemory, base_address: int, re, im,
-               dtype: DataType) -> None:
-    """Write raw sample parts into memory, bit-exact per the packing rules."""
-    words = pack_parts(re, im, dtype)
-    if base_address < 0 or base_address + len(words) > memory.total_words:
-        raise MemoryModelError(
-            f"{len(words)} words at base {base_address} exceed capacity")
-    memory.words[base_address:base_address + len(words)] = words
-
-
-def read_parts(memory: BankedMemory, base_address: int, n_samples: int,
-               dtype: DataType) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (re, im) of the ``n_samples`` samples stored at ``base_address``."""
-    n_words = words_per_samples(dtype, n_samples)
-    if base_address < 0 or base_address + n_words > memory.total_words:
-        raise MemoryModelError("sample array exceeds capacity")
-    return unpack_parts(memory.words[base_address:base_address + n_words], dtype)
+    parts = sample_parts(np.ascontiguousarray(words, dtype="<u4"), dtype)
+    return [FixedComplex(re, im, dtype) for re, im in parts[:n_samples].tolist()]
 
 
 def load_samples(memory: BankedMemory, base_address: int,
                  samples: list[FixedComplex], dtype: DataType) -> None:
-    if any(s.dtype is not dtype for s in samples):
-        raise ValueError("sample dtype mismatch")
-    load_parts(memory, base_address, [s.re for s in samples],
-               [s.im for s in samples], dtype)
+    parts = _raw_parts(samples, dtype)
+    sample_array(memory, base_address, len(parts), dtype)[:] = parts
 
 
 def read_samples(memory: BankedMemory, base_address: int,
                  n_samples: int, dtype: DataType) -> list[FixedComplex]:
-    re, im = read_parts(memory, base_address, n_samples, dtype)
-    return [FixedComplex(r, i, dtype) for r, i in zip(re.tolist(), im.tolist())]
+    parts = sample_array(memory, base_address, n_samples, dtype)
+    return [FixedComplex(re, im, dtype) for re, im in parts.tolist()]
 
 
 # -- image import/export ----------------------------------------------------

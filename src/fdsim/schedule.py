@@ -34,8 +34,6 @@ from .membank import (FULL_STROBE, HI_HALF_STROBE, IDLE, LO_HALF_STROBE,
 WRITE_LAG_STAGE = 3
 WRITE_LAG_REORDER = 2
 
-# samples carried by one 4-word port group
-_SAMPLES_PER_GROUP = {DataType.C64: 2, DataType.C32: 4, DataType.C16: 8}
 # butterflies the engine completes per cycle
 THROUGHPUT = {DataType.C64: 1, DataType.C32: 2, DataType.C16: 4}
 # register-set capacity in samples ("two sets of four C64 registers")
@@ -100,7 +98,7 @@ def schedule_stage(n_points: int, dtype: DataType, stage: int) -> StageSchedule:
     if not 0 <= stage < m:
         raise ValueError(f"stage {stage} invalid for {n_points} points")
     h = n_points >> (stage + 1)
-    spg = _SAMPLES_PER_GROUP[dtype]
+    spg = 4 * 32 // (2 * dtype.part_width)        # samples per 4-word port group
     u = np.arange(n_points // 2)
     a = u // h * 2 * h + u % h
     exp = bit_reverse_index(a // (2 * h), stage) * h
@@ -148,12 +146,12 @@ def _pick_unit(pending, occupied_banks):
     return best_i
 
 
-def _sample_swap_units(n_points, m, dtype):
+def _sample_swap_units(n_points, m, words_per_sample):
     i = np.arange(n_points)
     j = bit_reverse_index(i, m)
     i, j = i[i < j], j[i < j]
-    words = (np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1)
-             if dtype is DataType.C64 else np.stack([i, j], axis=1))
+    words = (np.stack([i, j], axis=1)[..., None] * words_per_sample
+             + np.arange(words_per_sample)).reshape(len(i), -1)
     return [_unit(tuple(w), ((a, b), (b, a)))
             for w, a, b in zip(words.tolist(), i.tolist(), j.tolist())]
 
@@ -198,9 +196,10 @@ def _reorder_read_cycles(n_points, dtype):
     lists of (word, strobe) reads and entries as the units' moves."""
     m = _log2_points(n_points)
     if dtype is not DataType.C16:
-        # one slot per cycle
-        slots = _greedy_slots(_sample_swap_units(n_points, m, dtype),
-                              1 if dtype is DataType.C64 else 2, WRITE_LAG_REORDER)
+        # one slot per cycle, as many swap units as fill the read ports
+        per_sample = words_per_samples(dtype, 1)
+        slots = _greedy_slots(_sample_swap_units(n_points, m, per_sample),
+                              WRITE_PORTS.start // (2 * per_sample), WRITE_LAG_REORDER)
         read_cycles = [[(w, FULL_STROBE) for u in slot for w in u["words"]]
                        for slot in slots]
     else:
@@ -273,14 +272,13 @@ def _check_batchable(what, ports):
 def _stream_samples(cycles, words, dtype):
     """(sample index, cycle its last word moves) per sample a word stream
     carries, in unpack order."""
-    if dtype is DataType.C64:
-        _check((words[0::2] % 2 == 0).all() and (words[1::2] == words[0::2] + 1).all(),
-               "C64 words must come as (re, im) pairs")
-        return words[0::2] // 2, np.maximum(cycles[0::2], cycles[1::2])
-    if dtype is DataType.C32:
-        return words, cycles
-    return (np.stack([2 * words, 2 * words + 1], axis=1).ravel(),
-            np.repeat(cycles, 2))
+    per_word = 32 // dtype.part_width
+    parts = (words[:, None] * per_word + np.arange(per_word)).ravel()
+    cycles = np.repeat(cycles, per_word)
+    re, im = parts[0::2], parts[1::2]
+    _check(len(re) == len(im) and (re % 2 == 0).all() and (im == re + 1).all(),
+           f"{dtype.name} words must come as (re, im) pairs")
+    return re // 2, np.maximum(cycles[0::2], cycles[1::2])
 
 
 def _is_permutation(values, n):
@@ -346,8 +344,6 @@ def compile_stage(sched: StageSchedule) -> np.ndarray:
 # the halves (lo, hi) of a word that each supported strobe writes
 _STROBE_HALVES = {FULL_STROBE: (True, True), LO_HALF_STROBE: (True, False),
                   HI_HALF_STROBE: (False, True)}
-# half-words per sample: a sample's halves are consecutive from P * index
-_HALVES_PER_SAMPLE = {DataType.C64: 4, DataType.C32: 2, DataType.C16: 1}
 
 
 def compile_reorder(sched: ReorderSchedule) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +360,7 @@ def compile_reorder(sched: ReorderSchedule) -> tuple[np.ndarray, np.ndarray]:
     _check(not unsupported, f"{what}: unsupported strobe {min(unsupported, default=0):#x}")
 
     n_halves = 2 * (max(int(ports.max()), words_per_samples(dtype, sched.n_points)) + 1)
-    per_sample = _HALVES_PER_SAMPLE[dtype]
+    per_sample = dtype.part_width // 8      # a sample's half-words are consecutive
     src, dst = (sched.entries.T[..., None] * per_sample
                 + np.arange(per_sample)).reshape(2, -1)
     k, half = np.nonzero(np.array([_STROBE_HALVES[s] for s in strobes.tolist()],
@@ -432,16 +428,13 @@ def total_cycle_model(n_points: int, dtype: DataType) -> CycleStats:
         raise ValueError(f"{n_points} points invalid for {dtype.name}")
     reorder = _reorder_read_cycles_closed_form(n_points, m, dtype)
     stalls = REORDER_STALLS[dtype][m - 3]
-    stats = CycleStats(
+    return CycleStats(
         butterfly_cycles=(n_points // 2) * m // THROUGHPUT[dtype],
         reorder_cycles=reorder,
         stall_cycles=stalls,
         overhead_cycles=WRITE_LAG_STAGE * m + (WRITE_LAG_REORDER if reorder else 0),
         conflicts=stalls,
     )
-    stats.total_cycles = (stats.butterfly_cycles + stats.reorder_cycles
-                          + stats.stall_cycles + stats.overhead_cycles)
-    return stats
 
 
 # -- debug dump ---------------------------------------------------------------

@@ -12,8 +12,7 @@ from fdsim.fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                        load_quantized, read_spectrum, spectrum_snr_db,
                        twiddle_lookup, twiddle_table)
 from fdsim.fixedpoint import (DataType, OverflowFlag, ScalingPolicy,
-                              butterfly_array, dequantize, pack_parts, quantize,
-                              unpack_parts)
+                              butterfly_array, dequantize, quantize)
 from fdsim.harness import SNR_FLOORS_DB, full_size_grid
 from fdsim.membank import (_STROBE_MASKS, FULL_STROBE, HI_HALF_STROBE, IDLE,
                            LO_HALF_STROBE, WRITE_COLUMN, BankedMemory, CycleStats,
@@ -22,6 +21,7 @@ from fdsim.membank import (_STROBE_MASKS, FULL_STROBE, HI_HALF_STROBE, IDLE,
 from fdsim.schedule import (WRITE_LAG_REORDER, WRITE_LAG_STAGE,
                             bit_reverse_index, compile_reorder, compile_stage,
                             schedule_reorder, schedule_stage, total_cycle_model)
+from reference_packing import pack_parts, unpack_parts
 
 ALL_DTYPES = list(DataType)
 
@@ -55,25 +55,25 @@ class TestTwiddleTable:
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
     def test_endpoints(self, dtype):
         table = twiddle_table(dtype)
-        assert len(table.entries) == dtype.max_points // 2
-        first = table.entries[0]
+        assert table.parts.shape == (2, dtype.max_points // 2)
+        first = twiddle_lookup(table, dtype.max_points, 0)
         assert (first.re, first.im) == (dtype.max_raw, 0)
-        quarter = table.entries[dtype.max_points // 4]
+        quarter = twiddle_lookup(table, dtype.max_points, dtype.max_points // 4)
         assert (quarter.re, quarter.im) == (0, -dtype.scale)
 
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
     def test_unit_magnitude_bound(self, dtype):
         table = twiddle_table(dtype)
         s2 = dtype.scale ** 2
-        assert all(e.re * e.re + e.im * e.im <= s2 for e in table.entries)
+        assert all(re * re + im * im <= s2 for re, im in table.parts.T.tolist())
 
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
     def test_entries_near_exact(self, dtype):
         table = twiddle_table(dtype)
         ulp = 1.0  # raw units
-        for k in range(0, len(table.entries), 37):
+        for k in range(0, dtype.max_points // 2, 37):
             z = cmath.exp(-2j * cmath.pi * k / dtype.max_points)
-            e = table.entries[k]
+            e = twiddle_lookup(table, dtype.max_points, k)
             assert abs(e.re - z.real * dtype.scale) <= ulp + 0.5
             assert abs(e.im - z.imag * dtype.scale) <= ulp + 0.5
 
@@ -406,6 +406,16 @@ class TestCompiledPrograms:
         with pytest.raises(AssertionError, match="to a word other than its operand's"):
             compile_stage(dataclasses.replace(sched, ports=ports))
 
+    def test_im_word_before_re_word_rejected(self):
+        # the first two read ports of a row, and the write ports of the
+        # same words, trade words: sample 0's im word is read before its re
+        sched = schedule_stage(16, DataType.C64, 0)
+        ports = sched.ports.copy()
+        ports[0, [0, 1]] = ports[0, [1, 0]]
+        ports[WRITE_LAG_STAGE, [4, 5]] = ports[WRITE_LAG_STAGE, [5, 4]]
+        with pytest.raises(AssertionError, match=r"C64 words must come as \(re, im\) pairs"):
+            compile_stage(dataclasses.replace(sched, ports=ports))
+
     def test_part_outside_read_stream_rejected(self):
         sched = schedule_stage(16, DataType.C32, 0)
         ports = sched.ports.copy()
@@ -537,8 +547,6 @@ def reference_fft(phases, job, memory):
             table.parts[:, w], dtype, job.scaling, flag)
         words[writes] = pack_parts(re[route], im[route], dtype)
     stats.stall_cycles = stats.conflicts
-    stats.total_cycles = (stats.butterfly_cycles + stats.reorder_cycles
-                          + stats.stall_cycles + stats.overhead_cycles)
     return flag.seen, stats
 
 

@@ -505,6 +505,11 @@ class TestCli:
                                   "sweep": {"dtypes": ["C64"], "n_points": [8]},
                                   "fft": {"clock_hz": True}})),
         ("i2s run", json.dumps(i2s_config(n_devices="2"))),
+        ("i2s run", json.dumps({"version": 1, "kind": "i2s-run",
+                                "i2s": {"mode": "tdm-dsp", "n_devices": 16,
+                                        "periods": 10 ** 12}})),
+        ("i2s sweep", json.dumps({"version": 1, "kind": "i2s-sweep",
+                                  "i2s": {"periods": 10 ** 12}})),
     ], ids=["input-str", "sweep-str", "payload-str", "dtype-int", "n_points-1e400",
             "n_points-64.5", "seed-list", "dump_memory_image-str",
             "dump_memory_image-int", "version-true", "file-path-int",
@@ -516,7 +521,8 @@ class TestCli:
             "fft-sweep-n_points-repeated", "i2s-sweep-n_devices-repeated",
             "schedule-dump-C16-2", "schedule-dump-C64-4", "seed-str", "n_points-str",
             "clock_hz-true", "clock_hz-str", "amplitude-str", "amplitude-true",
-            "fft-sweep-clock_hz-true", "i2s-n_devices-str"])
+            "fft-sweep-clock_hz-true", "i2s-n_devices-str", "i2s-run-periods-huge",
+            "i2s-sweep-periods-huge"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, verb, text):
         p = tmp_path / "cfg.json"
         p.write_text(text)

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsim.fixedpoint import PART_VIEW, DataType, FixedComplex, unpack_parts
+from fdsim.fixedpoint import DataType, FixedComplex, sample_parts
+from fdsim.harness import full_size_grid
 from fdsim.membank import (HI_HALF_STROBE, IDLE, LO_HALF_STROBE, N_BANKS, N_PORTS,
                            WRITE_COLUMN, BankedMemory, MemoryModelError,
                            Request, bandwidth_bytes_per_s,
                            bank_of, export_image, import_image, load_samples,
-                           pack_samples, read_samples, unpack_samples)
+                           pack_samples, read_samples, unpack_samples,
+                           words_per_samples)
+from reference_packing import pack_parts, unpack_parts
 
 
 def reads(addrs, start_port=0):
@@ -174,15 +177,36 @@ class TestPacking:
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=40))
     @settings(max_examples=40)
     def test_typed_views_of_words(self, dtype, values):
-        # the executor's views: parts 2j and 2j + 1 are sample j's re and im,
-        # half-word 2w + h is the low (h = 0) or high half of word w
+        # the executor's views: row j of the parts is sample j's (re, im),
+        # half-word 2w + h is the low (h = 0) or high half of word w; parts
+        # written through the view give the reference's words
         words = np.array(values[:len(values) // 2 * 2], dtype=BankedMemory().words.dtype)
         assert words.dtype == np.dtype("<u4")
         re, im = unpack_parts(words, dtype)
-        parts = words.view(PART_VIEW[dtype])
-        assert (parts[0::2].tolist(), parts[1::2].tolist()) == (re.tolist(), im.tolist())
+        parts = sample_parts(words, dtype)
+        assert (parts[:, 0].tolist(), parts[:, 1].tolist()) == (re.tolist(), im.tolist())
         halves = words.view("<u2")
         assert halves.tolist() == np.stack([words & 0xFFFF, words >> 16], axis=1).ravel().tolist()
+        written = np.zeros_like(words)
+        sample_parts(written, dtype)[:] = np.stack([re, im], axis=1)
+        assert written.tolist() == pack_parts(re, im, dtype).tolist() == words.tolist()
+
+    @pytest.mark.parametrize("dtype", list(DataType))
+    def test_words_per_samples_matches_the_packing(self, dtype):
+        per_type = {DataType.C64: lambda n: 2 * n, DataType.C32: lambda n: n,
+                    DataType.C16: lambda n: n // 2}[dtype]
+        for n in full_size_grid(dtype):
+            assert words_per_samples(dtype, n) == per_type(n), (dtype, n)
+
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_c16_odd_sample_count_rejected(self, n):
+        samples = [FixedComplex(0, 0, DataType.C16)] * n
+        with pytest.raises(ValueError, match="even sample count"):
+            words_per_samples(DataType.C16, n)
+        with pytest.raises(ValueError, match="even sample count"):
+            pack_samples(samples, DataType.C16)
+        with pytest.raises(ValueError, match="even sample count"):
+            load_samples(BankedMemory(), 0, samples, DataType.C16)
 
     @pytest.mark.parametrize("dtype", list(DataType))
     def test_round_trip_through_memory(self, dtype):
