@@ -21,10 +21,13 @@ import numpy as np
 from .fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                   load_quantized, read_spectrum, spectrum_snr_db)
 from .fixedpoint import DataType, OverflowFlag, ScalingPolicy
-from .i2s import (MAX_SAMPLE_RATE_HZ, Alignment, BusConfig, BusMode, FramePayload,
-                  FsyncStyle, Polarity, _sampled, bclk_frequency, decode, encode,
-                  frames_from_array, latency_dsp, latency_tdm, measure_latency,
-                  payloads_to_wav, wav_to_payloads, write_vcd)
+from .i2s import (MAX_SAMPLE_RATE_HZ, Alignment, BusConfig, BusMode, FsyncStyle,
+                  Polarity, _sampled, bclk_frequency, decode_words, encode,
+                  latency_dsp, latency_tdm, measure_latency, payloads_to_wav,
+                  timeline_ticks, wav_to_payloads, write_vcd)
+# Not on the run path: the benchmark's span tracer (perfbench/spans.py)
+# looks the list decoder up under this name.
+from .i2s import decode  # noqa: F401
 from .membank import BankedMemory, bandwidth_bytes_per_s, export_image
 from .schedule import total_cycle_model
 
@@ -143,11 +146,23 @@ def _path(value, key) -> str | None:
 
 # one second of frames at the fastest sample rate
 MAX_PERIODS = MAX_SAMPLE_RATE_HZ
+# Timeline length budget of one I2S run.  A run holds about 12 bytes of
+# arrays per tick at its peak, so this bounds it near 50 MB: 4095 periods
+# of 16 devices x 32 bits.
+MAX_TIMELINE_TICKS = 1 << 22
 
 
 def _check_periods(periods: int) -> None:
     if not 1 <= periods <= MAX_PERIODS:
         raise ConfigurationError(f"periods must be in 1..{MAX_PERIODS}, got {periods}")
+
+
+def _check_size(bus: BusConfig, periods: int) -> None:
+    ticks = timeline_ticks(bus, periods)
+    if ticks > MAX_TIMELINE_TICKS:
+        raise ConfigurationError(
+            f"{periods} periods of {bus.frame_slots} bit slots need {ticks} "
+            f"timeline ticks, over the budget of {MAX_TIMELINE_TICKS}")
 
 
 def _list(value, key) -> list:
@@ -260,6 +275,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 raise ConfigurationError("wav payload needs a path")
             if spec.payload_source == "random":
                 _check_periods(spec.periods)
+                _check_size(spec.bus, spec.periods)
         elif kind == "i2s-sweep":
             sweep = _section(raw, "sweep", kind)
             base = _section(raw, "i2s", kind)
@@ -270,6 +286,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 sample_rate=_int(base.get("sample_rate", 48000), "sample_rate"),
                 periods=_int(base.get("periods", 2), "periods"))
             _check_periods(spec.periods)
+            for _, member in _i2s_sweep_members(spec):
+                _check_size(member.bus, member.periods)
         else:
             raise ConfigurationError(f"unknown experiment kind {kind!r}")
     except (TypeError, ValueError, OverflowError) as e:
@@ -494,30 +512,31 @@ def _fft_series_checks(rows) -> dict:
 # -- I2S experiments ----------------------------------------------------------
 
 
-def build_payloads(spec: I2sRunSpec, seed: int) -> list[list[FramePayload]]:
+def build_payloads(spec: I2sRunSpec, seed: int) -> np.ndarray:
+    """The run's ``(periods, K, 2)`` left/right words, indexed by device."""
     if spec.payload_source == "wav":
         try:
-            frames = wav_to_payloads(spec.payload_path, spec.bus)
+            words = wav_to_payloads(spec.payload_path, spec.bus)
         except WAV_READ_ERRORS as e:
             raise ConfigurationError(f"cannot read payload WAV: {e}") from None
-        if not frames:
+        if not len(words):
             raise ConfigurationError("payload WAV holds no frames")
-        return frames
+        _check_size(spec.bus, len(words))
+        return words
     # one draw in (period, device, left/right) order is the same stream as
     # one scalar draw per word in that order
     rng = np.random.default_rng(seed)
-    words = rng.integers(0, 1 << spec.bus.channel_bits,
-                         size=(spec.periods, spec.bus.n_devices, 2))
-    return frames_from_array(words)
+    return rng.integers(0, 1 << spec.bus.channel_bits,
+                        size=(spec.periods, spec.bus.n_devices, 2))
 
 
 def run_i2s_scenario(spec: I2sRunSpec, seed: int, out_dir: Path | None = None,
                      timeline_dump: bool = False) -> Report:
     bus = spec.bus
-    frames = build_payloads(spec, seed)
-    timeline = encode(bus, frames)
+    words = build_payloads(spec, seed)
+    timeline = encode(bus, words)
     sampled = _sampled(timeline, bus)          # decode and latency share one pass
-    decoded = decode(timeline, bus, sampled)
+    decoded = decode_words(timeline, bus, sampled)
     measured = measure_latency(timeline, bus, sampled)
     if bus.mode is BusMode.TDM_DSP:
         formula = latency_dsp(bus.frame_bits)
@@ -526,7 +545,7 @@ def run_i2s_scenario(spec: I2sRunSpec, seed: int, out_dir: Path | None = None,
     bclk = bclk_frequency(bus.n_devices, bus.frame_bits, bus.sample_rate)
 
     checks = {
-        "round_trip_identity": decoded == frames,
+        "round_trip_identity": np.array_equal(decoded, words),
         "latency_matches_formula": measured == formula,
     }
     metrics = {
@@ -534,7 +553,7 @@ def run_i2s_scenario(spec: I2sRunSpec, seed: int, out_dir: Path | None = None,
         "n_devices": bus.n_devices,
         "frame_bits": bus.frame_bits,
         "sample_rate_hz": bus.sample_rate,
-        "periods": len(frames),
+        "periods": len(words),
         "bclk_hz": bclk,
         "peripheral_clock_hz": bclk * bus.clk_div,
         "latency_tclk_measured": measured,
@@ -547,19 +566,23 @@ def run_i2s_scenario(spec: I2sRunSpec, seed: int, out_dir: Path | None = None,
         if timeline_dump:
             write_vcd(timeline, out_dir / "timeline.vcd")
         if spec.export_wav:
-            payloads_to_wav(out_dir / "payloads.wav", frames, bus)
+            payloads_to_wav(out_dir / "payloads.wav", words, bus)
     return Report("i2s-run", seed, _json_safe({
-        "bus": asdict(bus), "periods": len(frames),
+        "bus": asdict(bus), "periods": len(words),
         "payload_source": spec.payload_source,
     }), metrics, checks)
 
 
+def _i2s_sweep_members(spec: I2sSweepSpec) -> list[tuple[dict, I2sRunSpec]]:
+    return [({"mode": mode.value, "n_devices": k_dev, "frame_bits": n},
+             I2sRunSpec(BusConfig(mode, k_dev, n, spec.sample_rate), spec.periods))
+            for mode in spec.modes for n in spec.frame_bits for k_dev in spec.n_devices
+            if mode is not BusMode.STANDARD_I2S or k_dev == 1]
+
+
 def run_i2s_sweep(spec: I2sSweepSpec, seed: int,
                   out_dir: Path | None = None) -> tuple[Report, list[dict]]:
-    members = [({"mode": mode.value, "n_devices": k_dev, "frame_bits": n},
-                I2sRunSpec(BusConfig(mode, k_dev, n, spec.sample_rate), spec.periods))
-               for mode in spec.modes for n in spec.frame_bits for k_dev in spec.n_devices
-               if mode is not BusMode.STANDARD_I2S or k_dev == 1]
+    members = _i2s_sweep_members(spec)
     echo = {"modes": [m.value for m in spec.modes], "n_devices": list(spec.n_devices),
             "frame_bits": list(spec.frame_bits), "sample_rate": spec.sample_rate}
     columns = {"bclk_hz": "bclk_hz", "latency_tclk": "latency_tclk_measured"}

@@ -16,8 +16,6 @@ from __future__ import annotations
 import wave
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
 
@@ -103,15 +101,11 @@ class BusConfig:
 
 
 class FramePayload(NamedTuple):
+    """One device's words in one period; only ``decode``'s list view uses it."""
+
     device: int
     left: int
     right: int
-
-    def validate(self, channel_bits: int) -> None:
-        limit = 1 << channel_bits
-        if not (0 <= self.left < limit and 0 <= self.right < limit):
-            raise ValueError(
-                f"device {self.device} payload exceeds {channel_bits} bits")
 
 
 @dataclass
@@ -163,36 +157,27 @@ def frames_from_array(words: np.ndarray) -> list[list[FramePayload]]:
     return [list(map(FramePayload._make, period)) for period in rows]
 
 
-def _payload_array(config: BusConfig, frames) -> np.ndarray:
-    """Checked ``(periods, K, 2)`` int64 left/right words, indexed by device.
+def timeline_ticks(config: BusConfig, periods: int) -> int:
+    """Length of the timeline ``encode`` builds for ``periods`` periods."""
+    return 2 * (LEAD_IN_SLOTS + config.data_delay + periods * config.frame_slots)
 
-    Each period must hold one payload per device id 0..K-1, in any order,
-    and every word must fit in ``channel_bits``.
-    """
-    if not frames:
+
+def _check_words(config: BusConfig, words: np.ndarray) -> None:
+    """``words`` must be a ``(periods, K, 2)`` integer array of left/right
+    words indexed by device, every word in ``[0, 2^channel_bits)``."""
+    if words.ndim != 3 or words.shape[2] != 2:
+        raise ValueError(f"payload words must be shaped (periods, n_devices, 2), "
+                         f"got {words.shape}")
+    if len(words) == 0:
         raise ValueError("need at least one sample period")
-    K = config.n_devices
-    if any(len(period) != K for period in frames):
+    if words.shape[1] != config.n_devices:
         raise ValueError("payload count must equal n_devices")
-    fields = list(chain.from_iterable(chain.from_iterable(frames)))
-    if not all(issubclass(t, Integral) for t in set(map(type, fields))):
-        raise TypeError("payload fields must be integers")
-    try:
-        table = np.array(fields, dtype=np.int64)
-    except OverflowError:
-        # ints past int64 stay exact here only to be rejected below
-        table = np.array(fields, dtype=object)
-    table = table.reshape(len(frames), K, 3)
-    devices = table[..., 0]
-    if not (np.sort(devices, axis=1) == np.arange(K)).all():
-        raise ValueError("payload device ids must be 0..K-1")
+    if words.dtype.kind not in "iu":
+        raise TypeError(f"payload fields must be integers, got {words.dtype}")
     k = config.channel_bits
-    words = table[..., 1:]
-    bad = ((words < 0) | (words >= 1 << k)).any(axis=-1)
-    if bad.any():
-        raise ValueError(f"device {devices[bad][0]} payload exceeds {k} bits")
-    order = np.argsort(devices, axis=1)
-    return np.take_along_axis(words, order[..., None], axis=1)
+    if words.min() < 0 or words.max() >= 1 << k:
+        bad = ((words < 0) | (words >= 1 << k)).any(axis=-1)
+        raise ValueError(f"device {np.nonzero(bad)[1][0]} payload exceeds {k} bits")
 
 
 def _slot_driver(config: BusConfig) -> np.ndarray:
@@ -216,15 +201,16 @@ def _fsync_period(config: BusConfig) -> np.ndarray:
     return fs
 
 
-def encode(config: BusConfig, frames: list[list[FramePayload]]) -> Timeline:
-    """Serialize per-period payload sets into a bit-exact timeline.
+def encode(config: BusConfig, words: np.ndarray) -> Timeline:
+    """Serialize ``(periods, K, 2)`` left/right words into a bit-exact timeline.
 
-    ``frames[p]`` holds one payload per device for sample period ``p``.
-    MSB first; SD changes on the driving edge; FSYNC per mode and style.
-    DSP mode sends each device's left then right word; TDM and standard
-    I2S send every device's left word, then every right word.
+    ``words[p, d]`` is device ``d``'s (left, right) pair in sample period
+    ``p``; ``_check_words`` states what is accepted.  MSB first; SD changes
+    on the driving edge; FSYNC per mode and style.  DSP mode sends each
+    device's left then right word; TDM and standard I2S send every
+    device's left word, then every right word.
     """
-    words = _payload_array(config, frames)
+    _check_words(config, words)
     if config.mode is not BusMode.TDM_DSP:
         words = words.transpose(0, 2, 1)
     k = config.channel_bits
@@ -271,17 +257,18 @@ def _find_frame_start(fsync_bits: np.ndarray, config: BusConfig) -> int:
     else:
         hits = np.nonzero((fsync_bits[1:] == 0) & (fsync_bits[:-1] == 1))[0] + 1
     if len(hits) == 0:
-        raise FramingError("frame sync never asserted")
+        raise FramingError("frame sync never asserted",
+                           partial=np.zeros((0, config.n_devices, 2), dtype=np.int64))
     return int(hits[0])
 
 
-def decode(timeline: Timeline, config: BusConfig,
-           sampled=None) -> list[list[FramePayload]]:
-    """Recover the payload sets; exact inverse of ``encode``.
+def decode_words(timeline: Timeline, config: BusConfig, sampled=None) -> np.ndarray:
+    """Recover the ``(periods, K, 2)`` words; exact inverse of ``encode``.
 
     Raises FramingError when FSYNC never appears or when the timeline
-    ends inside a frame (the complete periods ride on ``.partial``).
-    ``sampled`` is ``_sampled(timeline, config)``, if the caller has it.
+    ends inside a frame (the complete periods ride on ``.partial``, shaped
+    ``(0, K, 2)`` when there are none).  ``sampled`` is
+    ``_sampled(timeline, config)``, if the caller has it.
     """
     sd_bits, fs_bits, _ = sampled or _sampled(timeline, config)
     # data of period p lives in slots [base + p*per, base + (p+1)*per)
@@ -291,8 +278,6 @@ def decode(timeline: Timeline, config: BusConfig,
     available = len(sd_bits) - base
     complete = max(available // per, 0)
     tail = available - complete * per
-    if complete == 0:
-        raise FramingError("timeline ends before one complete frame", partial=[])
 
     window = sd_bits[base:base + complete * per].reshape(complete, 2 * K, k)
     values = window @ (1 << np.arange(k - 1, -1, -1))
@@ -300,11 +285,18 @@ def decode(timeline: Timeline, config: BusConfig,
         words = values.reshape(complete, K, 2)
     else:
         words = values.reshape(complete, 2, K).transpose(0, 2, 1)
-    periods = frames_from_array(words)
+    if complete == 0:
+        raise FramingError("timeline ends before one complete frame", partial=words)
     if tail > 0:
         raise FramingError(f"timeline truncated {tail} bits into a frame",
-                           partial=periods)
-    return periods
+                           partial=words)
+    return words
+
+
+def decode(timeline: Timeline, config: BusConfig) -> list[list[FramePayload]]:
+    """``decode_words`` as per-period ``FramePayload`` lists of Python ints;
+    a FramingError passes through with its array ``.partial``."""
+    return frames_from_array(decode_words(timeline, config))
 
 
 def measure_latency(timeline: Timeline, config: BusConfig, sampled=None) -> int:
@@ -312,7 +304,7 @@ def measure_latency(timeline: Timeline, config: BusConfig, sampled=None) -> int:
 
     Measured from the start of the first frame's data slots to the end of
     the slot in which device 0 finishes its frame (left and right).
-    ``sampled`` is as for ``decode``.
+    ``sampled`` is as for ``decode_words``.
     """
     sd_bits, fs_bits, drv_bits = sampled or _sampled(timeline, config)
     start = _find_frame_start(fs_bits, config)
@@ -377,16 +369,17 @@ def write_vcd(timeline: Timeline, path) -> None:
     Path(path).write_text("\n".join(lines) + body + f"\n#{n_ticks}\n")
 
 
-def payloads_to_wav(path, frames: list[list[FramePayload]], config: BusConfig) -> None:
+def payloads_to_wav(path, words: np.ndarray, config: BusConfig) -> None:
     """Standard multi-channel 16-bit WAV: channels dev0.L, dev0.R, dev1.L, ...
 
     Channel words narrower than 16 bits are stored sign-extended; the
-    round trip back through ``wav_to_payloads`` is bit-exact.  ``frames``
+    round trip back through ``wav_to_payloads`` is bit-exact.  ``words``
     is checked as ``encode`` checks it.
     """
     k = config.channel_bits
     K = config.n_devices
-    words = _payload_array(config, frames).reshape(-1, 2 * K)
+    _check_words(config, words)
+    words = words.reshape(-1, 2 * K)
     sign = 1 << (k - 1)
     data = ((words ^ sign) - sign).astype("<i2")
     with wave.open(str(path), "wb") as w:
@@ -396,7 +389,8 @@ def payloads_to_wav(path, frames: list[list[FramePayload]], config: BusConfig) -
         w.writeframes(data.tobytes())
 
 
-def wav_to_payloads(path, config: BusConfig) -> list[list[FramePayload]]:
+def wav_to_payloads(path, config: BusConfig) -> np.ndarray:
+    """The ``(periods, K, 2)`` words of a WAV that ``payloads_to_wav`` wrote."""
     k = config.channel_bits
     K = config.n_devices
     with wave.open(str(path), "rb") as w:
@@ -405,5 +399,4 @@ def wav_to_payloads(path, config: BusConfig) -> list[list[FramePayload]]:
         if w.getsampwidth() != 2:
             raise ValueError("expected 16-bit PCM")
         raw = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
-    words = raw.astype(np.int64).reshape(-1, K, 2) & ((1 << k) - 1)
-    return frames_from_array(words)
+    return raw.astype(np.int64).reshape(-1, K, 2) & ((1 << k) - 1)

@@ -17,6 +17,7 @@ from fdsim.i2s import (Alignment, BusConfig, BusMode, FramePayload,
                        latency_dsp, latency_tdm, measure_latency)
 from fdsim.membank import BankedMemory
 from fdsim.schedule import THROUGHPUT, total_cycle_model
+from test_i2s_reference import words_from_frames
 
 ALL_DTYPES = list(DataType)
 NOISE_SEED = SNR_CALIBRATION["seed"]
@@ -97,9 +98,10 @@ def test_4_latency_formulas():
             tdm_cfg = BusConfig(BusMode.TDM_I2S, K, n)
             dsp_cfg = BusConfig(BusMode.TDM_DSP, K, n)
             frames = [[FramePayload(d, 0, 0) for d in range(K)]] * 2
-            ok &= measure_latency(encode(tdm_cfg, frames), tdm_cfg) \
+            words = words_from_frames(tdm_cfg, frames)
+            ok &= measure_latency(encode(tdm_cfg, words), tdm_cfg) \
                 == latency_tdm(n, K) == (n // 2) * (K + 1)
-            got = measure_latency(encode(dsp_cfg, frames), dsp_cfg)
+            got = measure_latency(encode(dsp_cfg, words), dsp_cfg)
             ok &= got == latency_dsp(n) == n
             dsp_by_n.setdefault(n, set()).add(got)
     ok &= all(len(v) == 1 for v in dsp_by_n.values())   # K-invariant
@@ -173,7 +175,8 @@ def test_7_codec_round_trip():
                                  for d in range(K)]
                                 for _ in range(53)]
                             sets += len(frames)
-                            if decode(encode(cfg, frames), cfg) != frames:
+                            words = words_from_frames(cfg, frames)
+                            if decode(encode(cfg, words), cfg) != frames:
                                 mismatches += 1
     report("7 codec round-trip (>=10^4 payload sets, zero mismatches)",
            sets >= 10_000 and mismatches == 0,

@@ -18,7 +18,7 @@ from fdsim.harness import (FftRunSpec, FftSweepSpec, I2sRunSpec, I2sSweepSpec,
                            load_config, ops_count, parse_config,
                            run_fft_experiment, run_fft_sweep, run_i2s_scenario,
                            run_i2s_sweep)
-from fdsim.i2s import BusConfig, BusMode
+from fdsim.i2s import BusConfig, BusMode, frames_from_array
 
 
 def fft_config(**over):
@@ -281,7 +281,8 @@ class TestSweeps:
             rng = np.random.default_rng(seed)
             want = [[(d, int(rng.integers(0, top)), int(rng.integers(0, top)))
                      for d in range(5)] for _ in range(4)]
-            assert build_payloads(I2sRunSpec(bus=bus, periods=4), seed) == want
+            words = build_payloads(I2sRunSpec(bus=bus, periods=4), seed)
+            assert frames_from_array(words) == want
 
     @pytest.mark.parametrize("mode", list(BusMode))
     def test_i2s_scenario_samples_its_timeline_once(self, mode, monkeypatch):
@@ -347,6 +348,41 @@ def _failed(report) -> set:
     return {name for name, ok in report.checks.items() if not ok}
 
 
+def _flip_one_bit(words):
+    words = words.copy()
+    words[-1, 0, 1] ^= 1
+    return words
+
+
+# (harness name, defect applied to its result, the one check it must fail)
+RUN_DEFECTS = {
+    "flip-bit": ("decode_words", _flip_one_bit, "round_trip_identity"),
+    "drop-period": ("decode_words", lambda words: words[:-1], "round_trip_identity"),
+    "latency-plus-1": ("measure_latency", lambda tclk: tclk + 1,
+                       "latency_matches_formula"),
+}
+
+
+class TestI2sRunChecks:
+    @pytest.mark.parametrize("mode", list(BusMode))
+    @pytest.mark.parametrize("defect", [None, *RUN_DEFECTS])
+    def test_defect_fails_its_own_check(self, tmp_path, monkeypatch, capsys,
+                                        mode, defect):
+        check = None
+        if defect is not None:
+            name, alter, check = RUN_DEFECTS[defect]
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a: alter(real(*a)))
+        n_devices = 1 if mode is BusMode.STANDARD_I2S else 3
+        report = run_i2s_scenario(I2sRunSpec(BusConfig(mode, n_devices, 24), 4), seed=5)
+        assert _failed(report) == ({check} if check else set())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(i2s_config(mode=mode.value, n_devices=n_devices)))
+        assert cli.main(["i2s", "run", "--config", str(cfg)]) == (1 if check else 0)
+        out = capsys.readouterr().out
+        assert f"{check}: FAIL" in out if check else "FAIL" not in out
+
+
 class TestSweepChecks:
     @pytest.mark.parametrize("defect, check", [
         (None, None), ("member", "members_pass"),
@@ -368,6 +404,75 @@ class TestSweepChecks:
             modes=(BusMode.TDM_I2S, BusMode.TDM_DSP), n_devices=(1, 2, 4),
             frame_bits=(16, 32)), 0)
         assert _failed(report) == ({check} if check else set())
+
+
+def _encode_must_not_run(config, words):
+    raise AssertionError("a rejected config reached encode")
+
+
+# one period past the 2^22-tick budget
+OVER_BUDGET = [
+    ("i2s run", i2s_config(mode="tdm-dsp", n_devices=16, periods=4096)),
+    ("i2s run", i2s_config(mode="tdm-i2s", n_devices=16, frame_bits=24, periods=5462)),
+    ("i2s sweep", {"version": 1, "kind": "i2s-sweep", "i2s": {"periods": 4096}}),
+    ("i2s sweep", {"version": 1, "kind": "i2s-sweep", "i2s": {"periods": 16384},
+                   "sweep": {"modes": ["tdm-dsp"], "n_devices": [1, 4],
+                             "frame_bits": [32]}}),
+]
+OVER_BUDGET_IDS = ["i2s-run-over-budget", "i2s-run-24-bit-over-budget",
+                   "i2s-sweep-largest-member-over-budget",
+                   "i2s-sweep-one-member-over-budget"]
+# the longest runs that fit, and a sweep bounded by MAX_PERIODS alone
+AT_BUDGET = [
+    i2s_config(mode="tdm-dsp", n_devices=16, periods=4095, alignment="one-bit-delay"),
+    i2s_config(mode="tdm-i2s", n_devices=16, frame_bits=24, periods=5461),
+    {"version": 1, "kind": "i2s-sweep", "i2s": {"periods": 4095}},
+    {"version": 1, "kind": "i2s-sweep", "i2s": {"periods": 16383},
+     "sweep": {"modes": ["tdm-dsp"], "n_devices": [1, 4], "frame_bits": [32]}},
+    {"version": 1, "kind": "i2s-sweep", "i2s": {"periods": 48000},
+     "sweep": {"n_devices": [1, 2], "frame_bits": [16]}},
+]
+
+
+class TestSizeBudget:
+    @pytest.mark.parametrize("doc", [doc for _, doc in OVER_BUDGET], ids=OVER_BUDGET_IDS)
+    def test_rejected_at_parse(self, doc):
+        with pytest.raises(ConfigurationError, match="over the budget of 4194304"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("doc", AT_BUDGET)
+    def test_largest_runs_accepted_at_parse(self, doc):
+        parse_config(doc)
+
+    def test_benchmark_and_default_sweep_fit(self):
+        for mode in ("tdm-i2s", "tdm-dsp"):
+            for alignment in ("aligned", "one-bit-delay"):
+                parse_config(i2s_config(mode=mode, n_devices=16, frame_bits=32,
+                                        periods=48, alignment=alignment))
+        parse_config({"version": 1, "kind": "i2s-sweep"})
+
+    def test_wav_payload_checked_before_encode(self, tmp_path, monkeypatch, capsys):
+        def write_wav(path, periods):
+            with wave.open(str(path), "wb") as w:
+                w.setnchannels(32)
+                w.setsampwidth(2)
+                w.setframerate(48000)
+                w.writeframes(bytes(periods * 32 * 2))
+            return str(path)
+
+        bus = BusConfig(BusMode.TDM_DSP, 16, 32)
+        fits = write_wav(tmp_path / "fits.wav", 4095)
+        words = build_payloads(I2sRunSpec(bus, payload_source="wav", payload_path=fits), 0)
+        assert words.shape == (4095, 16, 2)
+        over = write_wav(tmp_path / "over.wav", 4096)
+        monkeypatch.setattr(harness, "encode", _encode_must_not_run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(i2s_config(
+            mode="tdm-dsp", n_devices=16, payload={"source": "wav", "path": over})))
+        assert cli.main(["i2s", "run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: 4096 periods of 512 bit slots need 4194308 "
+            "timeline ticks, over the budget of 4194304\n")
 
 
 class TestCli:
@@ -510,6 +615,7 @@ class TestCli:
                                         "periods": 10 ** 12}})),
         ("i2s sweep", json.dumps({"version": 1, "kind": "i2s-sweep",
                                   "i2s": {"periods": 10 ** 12}})),
+        *[(verb, json.dumps(doc)) for verb, doc in OVER_BUDGET],
     ], ids=["input-str", "sweep-str", "payload-str", "dtype-int", "n_points-1e400",
             "n_points-64.5", "seed-list", "dump_memory_image-str",
             "dump_memory_image-int", "version-true", "file-path-int",
@@ -522,8 +628,9 @@ class TestCli:
             "schedule-dump-C16-2", "schedule-dump-C64-4", "seed-str", "n_points-str",
             "clock_hz-true", "clock_hz-str", "amplitude-str", "amplitude-true",
             "fft-sweep-clock_hz-true", "i2s-n_devices-str", "i2s-run-periods-huge",
-            "i2s-sweep-periods-huge"])
-    def test_malformed_config_exits_2(self, tmp_path, capsys, verb, text):
+            "i2s-sweep-periods-huge", *OVER_BUDGET_IDS])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, monkeypatch, verb, text):
+        monkeypatch.setattr(harness, "encode", _encode_must_not_run)
         p = tmp_path / "cfg.json"
         p.write_text(text)
         assert cli.main(verb.split() + ["--config", str(p)]) == 2

@@ -3,9 +3,11 @@ import pytest
 
 from fdsim.i2s import (LEAD_IN_SLOTS, Alignment, BusConfig, BusMode,
                        FramePayload, FramingError, FsyncStyle, Polarity,
-                       bclk_frequency, decode, encode, latency_dsp,
-                       latency_tdm, measure_latency, payloads_to_wav,
+                       bclk_frequency, decode, decode_words, encode,
+                       frames_from_array, latency_dsp, latency_tdm,
+                       measure_latency, payloads_to_wav, timeline_ticks,
                        wav_to_payloads, write_vcd)
+from test_i2s_reference import words_from_frames
 
 
 def random_frames(config, periods, seed=0):
@@ -15,6 +17,10 @@ def random_frames(config, periods, seed=0):
                           int(rng.integers(0, 1 << k)))
              for d in range(config.n_devices)]
             for _ in range(periods)]
+
+
+def encode_frames(config, frames):
+    return encode(config, words_from_frames(config, frames))
 
 
 def sampled_bits(timeline, config):
@@ -36,7 +42,7 @@ class TestConfig:
     def test_payload_width_check(self):
         cfg = BusConfig(BusMode.TDM_DSP, 1, 16)  # 8-bit channels
         with pytest.raises(ValueError):
-            encode(cfg, [[FramePayload(0, 256, 0)]])
+            words_from_frames(cfg, [[FramePayload(0, 256, 0)]])
 
 
 class TestLatencyFormulas:
@@ -82,7 +88,7 @@ class TestEncode:
     def test_standard_i2s_bit_pattern(self):
         # L=0x8000 -> MSB-first 1,0,...,0 with FSYNC low; R=0x0001 -> ...,1
         cfg = BusConfig(BusMode.STANDARD_I2S, 1, 32)
-        tl = encode(cfg, [[FramePayload(0, 0x8000, 0x0001)]])
+        tl = encode_frames(cfg, [[FramePayload(0, 0x8000, 0x0001)]])
         sd, fs, _ = sampled_bits(tl, cfg)
         start = LEAD_IN_SLOTS
         left = list(sd[start:start + 16])
@@ -97,7 +103,7 @@ class TestEncode:
         cfg = BusConfig(BusMode.TDM_DSP, 4, 32)
         frames = [[FramePayload(d, 0x8000 if d == 2 else 0, 0)
                    for d in range(4)]]
-        tl = encode(cfg, frames)
+        tl = encode_frames(cfg, frames)
         sd, fs, drv = sampled_bits(tl, cfg)
         start = LEAD_IN_SLOTS
         assert fs[start] == 1 and fs[start + 1] == 0   # one-BCLK pulse
@@ -112,14 +118,14 @@ class TestEncode:
         cfg_d = BusConfig(BusMode.TDM_DSP, 2, 16,
                           alignment=Alignment.ONE_BIT_DELAY)
         frames = random_frames(cfg_a, 2, seed=42)
-        sd_a, _, _ = sampled_bits(encode(cfg_a, frames), cfg_a)
-        sd_d, _, _ = sampled_bits(encode(cfg_d, frames), cfg_d)
+        sd_a, _, _ = sampled_bits(encode_frames(cfg_a, frames), cfg_a)
+        sd_d, _, _ = sampled_bits(encode_frames(cfg_d, frames), cfg_d)
         assert list(sd_d[1:len(sd_a)]) == list(sd_a[:-1])
 
     def test_fsync_channel_length(self):
         cfg = BusConfig(BusMode.TDM_DSP, 2, 32,
                         fsync_style=FsyncStyle.CHANNEL_LENGTH)
-        tl = encode(cfg, random_frames(cfg, 1))
+        tl = encode_frames(cfg, random_frames(cfg, 1))
         _, fs, _ = sampled_bits(tl, cfg)
         start = LEAD_IN_SLOTS
         assert all(b == 1 for b in fs[start:start + 16])
@@ -128,7 +134,7 @@ class TestEncode:
     def test_fsync_periodicity(self):
         cfg = BusConfig(BusMode.TDM_DSP, 4, 16)
         periods = 5
-        tl = encode(cfg, random_frames(cfg, periods))
+        tl = encode_frames(cfg, random_frames(cfg, periods))
         _, fs, _ = sampled_bits(tl, cfg)
         rising = [i for i in range(1, len(fs))
                   if fs[i] == 1 and fs[i - 1] == 0]
@@ -139,7 +145,7 @@ class TestEncode:
     def test_slot_exclusivity(self):
         # driver id is a step function with exactly K steps per period
         cfg = BusConfig(BusMode.TDM_DSP, 8, 16)
-        tl = encode(cfg, random_frames(cfg, 2))
+        tl = encode_frames(cfg, random_frames(cfg, 2))
         _, _, drv = sampled_bits(tl, cfg)
         start = LEAD_IN_SLOTS
         period = drv[start:start + cfg.frame_slots]
@@ -150,11 +156,11 @@ class TestEncode:
     def test_payload_set_shape_enforced(self):
         cfg = BusConfig(BusMode.TDM_DSP, 2, 16)
         with pytest.raises(ValueError):
-            encode(cfg, [[FramePayload(0, 1, 2)]])
+            words_from_frames(cfg, [[FramePayload(0, 1, 2)]])
         with pytest.raises(ValueError):
-            encode(cfg, [[FramePayload(0, 1, 2), FramePayload(0, 3, 4)]])
+            words_from_frames(cfg, [[FramePayload(0, 1, 2), FramePayload(0, 3, 4)]])
         with pytest.raises(ValueError):
-            encode(cfg, [])
+            words_from_frames(cfg, [])
 
     @pytest.mark.parametrize("period, message", [
         ([FramePayload(1, 1, 2)], "payload count"),
@@ -175,12 +181,68 @@ class TestEncode:
         cfg = BusConfig(BusMode.TDM_DSP, 2, 16)       # 8-bit channels
         good = [FramePayload(0, 0, 255), FramePayload(1, 255, 0)]
         with pytest.raises(ValueError, match=message):
-            encode(cfg, [good, period])
+            words_from_frames(cfg, [good, period])
 
     def test_non_integer_payload_rejected(self):
         cfg = BusConfig(BusMode.TDM_DSP, 1, 16)
         with pytest.raises(TypeError):
-            encode(cfg, [[FramePayload(0, 1.5, 2)]])
+            words_from_frames(cfg, [[FramePayload(0, 1.5, 2)]])
+
+
+class TestWordArray:
+    """``encode``'s one check at the array boundary."""
+
+    CFG = BusConfig(BusMode.TDM_DSP, 3, 16)       # 8-bit channels
+
+    def words(self, periods=2, n_devices=3, dtype=np.int64):
+        return np.arange(periods * n_devices * 2, dtype=dtype).reshape(
+            periods, n_devices, 2)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((6,), "shaped"), ((2, 3), "shaped"), ((2, 3, 2, 1), "shaped"),
+        ((2, 3, 3), "shaped"), ((2, 3, 1), "shaped"),
+        ((0, 3, 2), "at least one sample period"),
+        ((2, 2, 2), "payload count"), ((2, 4, 2), "payload count"),
+    ], ids=["1-d", "2-d", "4-d", "last-axis-3", "last-axis-1", "zero-periods",
+            "K-1", "K+1"])
+    def test_bad_shape_rejected(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            encode(self.CFG, np.zeros(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool, object])
+    def test_non_integer_dtype_rejected(self, dtype):
+        with pytest.raises(TypeError, match="payload fields must be integers"):
+            encode(self.CFG, self.words().astype(dtype))
+
+    @pytest.mark.parametrize("dtype, value, device", [
+        (np.int64, -1, 1), (np.int64, 256, 2), (np.uint64, 2 ** 63, 0),
+        (np.int8, -128, 1), (np.uint16, 256, 2),
+    ], ids=["minus-1", "2^k", "uint64-2^63", "int8-min", "uint16-2^k"])
+    def test_out_of_range_word_rejected(self, dtype, value, device):
+        words = self.words(dtype=dtype)
+        words[1, device, 1] = value
+        with pytest.raises(ValueError, match=f"device {device} payload exceeds 8 bits"):
+            encode(self.CFG, words)
+
+    def test_first_bad_device_named(self):
+        words = self.words()
+        words[0, 2, 0] = 256
+        words[1, 0, 1] = 256
+        with pytest.raises(ValueError, match="device 2 payload"):
+            encode(self.CFG, words)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.uint64])
+    def test_every_integer_dtype_gives_the_same_timeline(self, dtype):
+        want = encode(self.CFG, self.words())
+        got = encode(self.CFG, self.words(dtype=dtype))
+        for name in ("bclk", "fsync", "sd", "driver"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_words_at_the_rails_accepted(self):
+        words = self.words()
+        words[0] = 0
+        words[1] = 255
+        assert np.array_equal(decode_words(encode(self.CFG, words), self.CFG), words)
 
 
 def grid_configs():
@@ -200,12 +262,12 @@ class TestRoundTrip:
     def test_full_grid(self):
         for i, cfg in enumerate(grid_configs()):
             frames = random_frames(cfg, 2, seed=i)
-            assert decode(encode(cfg, frames), cfg) == frames
+            assert decode(encode_frames(cfg, frames), cfg) == frames
 
     def test_all_zero_sd(self):
         cfg = BusConfig(BusMode.TDM_DSP, 4, 16)
         zero = [[FramePayload(d, 0, 0) for d in range(4)]]
-        assert decode(encode(cfg, zero), cfg) == zero
+        assert decode(encode_frames(cfg, zero), cfg) == zero
 
     def test_wrong_polarity_detected(self):
         # a polarity-sensitive pattern: data shifts one bit against FSYNC
@@ -213,7 +275,7 @@ class TestRoundTrip:
                         polarity=Polarity.SAMPLE_ON_RISING)
         preamble = [[FramePayload(0, 0xA5A5, 0x0F0F),
                      FramePayload(1, 0x3C3C, 0xFFFF)]] * 2
-        tl = encode(cfg, preamble)
+        tl = encode_frames(cfg, preamble)
         wrong_cfg = BusConfig(BusMode.TDM_DSP, 2, 32,
                               polarity=Polarity.SAMPLE_ON_FALLING)
         try:
@@ -223,10 +285,36 @@ class TestRoundTrip:
         assert got != preamble
 
 
+    def test_word_arrays_round_trip(self):
+        for i, cfg in enumerate(grid_configs()):
+            words = words_from_frames(cfg, random_frames(cfg, 3, seed=i))
+            tl = encode(cfg, words)
+            assert tl.n_ticks == timeline_ticks(cfg, 3)
+            decoded = decode_words(tl, cfg)
+            assert decoded.dtype == np.int64 and np.array_equal(decoded, words)
+
+
 class TestDecodeErrors:
+    @pytest.mark.parametrize("cut", [0, 1, 5, 40, 67])
+    def test_partial_before_one_frame_is_empty_words(self, cut):
+        # 2 devices x 16 bits: 4 lead-in ticks, then 64 ticks a frame
+        cfg = BusConfig(BusMode.TDM_DSP, 2, 16)
+        tl = encode_frames(cfg, random_frames(cfg, 2)).truncated(cut)
+        with pytest.raises(FramingError) as err:
+            decode_words(tl, cfg)
+        assert err.value.partial.shape == (0, 2, 2)
+
+    def test_truncated_words_partial(self):
+        cfg = BusConfig(BusMode.TDM_I2S, 3, 24)
+        words = words_from_frames(cfg, random_frames(cfg, 3, seed=4))
+        tl = encode(cfg, words)
+        with pytest.raises(FramingError, match="truncated") as err:
+            decode_words(tl.truncated(tl.n_ticks - 2), cfg)
+        assert np.array_equal(err.value.partial, words[:2])
+
     def test_no_fsync(self):
         cfg = BusConfig(BusMode.TDM_DSP, 2, 16)
-        tl = encode(cfg, random_frames(cfg, 1))
+        tl = encode_frames(cfg, random_frames(cfg, 1))
         tl.fsync[:] = 0
         with pytest.raises(FramingError):
             decode(tl, cfg)
@@ -234,11 +322,11 @@ class TestDecodeErrors:
     def test_truncated_with_partials(self):
         cfg = BusConfig(BusMode.TDM_DSP, 2, 16)
         frames = random_frames(cfg, 3, seed=9)
-        tl = encode(cfg, frames)
+        tl = encode_frames(cfg, frames)
         cut = tl.truncated(tl.n_ticks - cfg.frame_slots)  # lose half a frame
         with pytest.raises(FramingError) as err:
             decode(cut, cfg)
-        assert err.value.partial == frames[:2]
+        assert frames_from_array(err.value.partial) == frames[:2]
 
 
 class TestMeasureLatency:
@@ -247,7 +335,7 @@ class TestMeasureLatency:
         for K in (1, 2, 4, 8, 16):
             for n in (16, 24, 32):
                 cfg = BusConfig(mode, K, n)
-                tl = encode(cfg, random_frames(cfg, 2, seed=K * n))
+                tl = encode_frames(cfg, random_frames(cfg, 2, seed=K * n))
                 measured = measure_latency(tl, cfg)
                 want = (latency_dsp(n) if mode is BusMode.TDM_DSP
                         else latency_tdm(n, K))
@@ -255,13 +343,13 @@ class TestMeasureLatency:
 
     def test_k4_examples(self):
         cfg = BusConfig(BusMode.TDM_I2S, 4, 32)
-        assert measure_latency(encode(cfg, random_frames(cfg, 1)), cfg) == 80
+        assert measure_latency(encode_frames(cfg, random_frames(cfg, 1)), cfg) == 80
         cfg = BusConfig(BusMode.TDM_DSP, 4, 32)
-        assert measure_latency(encode(cfg, random_frames(cfg, 1)), cfg) == 32
+        assert measure_latency(encode_frames(cfg, random_frames(cfg, 1)), cfg) == 32
 
     def test_incomplete_timeline(self):
         cfg = BusConfig(BusMode.TDM_I2S, 4, 32)
-        tl = encode(cfg, random_frames(cfg, 1))
+        tl = encode_frames(cfg, random_frames(cfg, 1))
         with pytest.raises(FramingError):
             measure_latency(tl.truncated(cfg.frame_slots), cfg)
 
@@ -269,7 +357,7 @@ class TestMeasureLatency:
 class TestWaveformExport:
     def test_vcd_structure(self, tmp_path):
         cfg = BusConfig(BusMode.STANDARD_I2S, 1, 16)
-        tl = encode(cfg, random_frames(cfg, 1, seed=3))
+        tl = encode_frames(cfg, random_frames(cfg, 1, seed=3))
         path = tmp_path / "dump.vcd"
         write_vcd(tl, path)
         text = path.read_text()
@@ -284,5 +372,5 @@ class TestWaveformExport:
         cfg = BusConfig(BusMode.TDM_DSP, 4, n)
         frames = random_frames(cfg, 10, seed=n)
         path = tmp_path / "mics.wav"
-        payloads_to_wav(path, frames, cfg)
-        assert wav_to_payloads(path, cfg) == frames
+        payloads_to_wav(path, words_from_frames(cfg, frames), cfg)
+        assert frames_from_array(wav_to_payloads(path, cfg)) == frames

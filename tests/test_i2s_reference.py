@@ -1,11 +1,15 @@
 """The array codec against the per-bit, per-tick loops it replaced.
 
 ``ref_*`` are the scalar encoder, decoder, edge sampler, VCD writer and WAV
-writer, kept as the reference that ``fdsim.i2s`` must match exactly.
+writer, kept as the reference that ``fdsim.i2s`` must match exactly.  They
+take and give per-period ``FramePayload`` lists; ``words_from_frames``
+turns such a list into the codec's ``(periods, K, 2)`` word array.
 """
 
 import json
 import wave
+from itertools import chain
+from numbers import Integral
 
 import numpy as np
 import pytest
@@ -15,7 +19,49 @@ from hypothesis import strategies as st
 from fdsim.i2s import (FRAME_BITS_CHOICES, LEAD_IN_SLOTS, NO_DRIVER, Alignment,
                        BusConfig, BusMode, FramePayload, FramingError,
                        FsyncStyle, Polarity, Timeline, _sampled, decode,
-                       encode, payloads_to_wav, write_vcd)
+                       decode_words, encode, frames_from_array,
+                       payloads_to_wav, write_vcd)
+
+
+def words_from_frames(config, frames) -> np.ndarray:
+    """Checked ``(periods, K, 2)`` int64 left/right words, indexed by device,
+    from per-period payload lists.
+
+    Each period must hold one payload per device id 0..K-1, in any order,
+    and every word must fit in ``channel_bits``.
+    """
+    if not frames:
+        raise ValueError("need at least one sample period")
+    K = config.n_devices
+    if any(len(period) != K for period in frames):
+        raise ValueError("payload count must equal n_devices")
+    fields = list(chain.from_iterable(chain.from_iterable(frames)))
+    if not all(issubclass(t, Integral) for t in set(map(type, fields))):
+        raise TypeError("payload fields must be integers")
+    try:
+        table = np.array(fields, dtype=np.int64)
+    except OverflowError:
+        # ints past int64 stay exact here only to be rejected below
+        table = np.array(fields, dtype=object)
+    table = table.reshape(len(frames), K, 3)
+    devices = table[..., 0]
+    if not (np.sort(devices, axis=1) == np.arange(K)).all():
+        raise ValueError("payload device ids must be 0..K-1")
+    k = config.channel_bits
+    words = table[..., 1:]
+    bad = ((words < 0) | (words >= 1 << k)).any(axis=-1)
+    if bad.any():
+        raise ValueError(f"device {devices[bad][0]} payload exceeds {k} bits")
+    order = np.argsort(devices, axis=1)
+    return np.take_along_axis(words, order[..., None], axis=1)
+
+
+def listed_decode(timeline, config):
+    """``decode_words`` with its words, and any ``.partial``, as payload lists."""
+    try:
+        return frames_from_array(decode_words(timeline, config))
+    except FramingError as e:
+        raise FramingError(str(e), partial=frames_from_array(e.partial)) from None
 
 
 def ref_slot_layout(config, payloads):
@@ -207,7 +253,8 @@ class TestAgainstReference:
     @given(scenarios())
     def test_encode_levels(self, scenario):
         config, frames = scenario
-        got, want = encode(config, frames), ref_encode(config, frames)
+        got = encode(config, words_from_frames(config, frames))
+        want = ref_encode(config, frames)
         for name in ("bclk", "fsync", "sd", "driver"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype, name
@@ -217,7 +264,7 @@ class TestAgainstReference:
     @given(scenarios(), st.data())
     def test_decode_and_truncation(self, scenario, data):
         config, frames = scenario
-        timeline = encode(config, frames)
+        timeline = encode(config, words_from_frames(config, frames))
         decoded = decode(timeline, config)
         assert decoded == ref_decode(timeline, config)
         assert decoded == [sorted(period) for period in frames]
@@ -227,7 +274,7 @@ class TestAgainstReference:
         cut = timeline.truncated(data.draw(st.integers(0, timeline.n_ticks)))
         for got, want in zip(_sampled(cut, config), ref_sampled(cut, config)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert (decode_outcome(decode, cut, config)
+        assert (decode_outcome(listed_decode, cut, config)
                 == decode_outcome(ref_decode, cut, config))
 
     @pytest.mark.parametrize("mode", list(BusMode))
@@ -235,8 +282,9 @@ class TestAgainstReference:
     def test_vcd_bytes(self, tmp_path, mode, cut):
         K = 1 if mode is BusMode.STANDARD_I2S else 3
         config = BusConfig(mode, K, 24, alignment=Alignment.ONE_BIT_DELAY)
-        timeline = encode(config, [[FramePayload(d, 0xA5 ^ d, 0x3C + p)
-                                    for d in range(K)] for p in range(2)])
+        timeline = encode(config, words_from_frames(
+            config, [[FramePayload(d, 0xA5 ^ d, 0x3C + p) for d in range(K)]
+                     for p in range(2)]))
         if cut is not None:
             timeline = timeline.truncated(cut)
         write_vcd(timeline, tmp_path / "got.vcd")
@@ -248,7 +296,7 @@ class TestAgainstReference:
     def test_wav_samples(self, tmp_path_factory, scenario):
         config, frames = scenario
         path = tmp_path_factory.mktemp("wav") / "payloads.wav"
-        payloads_to_wav(path, frames, config)
+        payloads_to_wav(path, words_from_frames(config, frames), config)
         with wave.open(str(path), "rb") as w:
             got = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
         assert np.array_equal(got, ref_wav_data(frames, config).ravel())
