@@ -12,7 +12,7 @@ import io
 import json
 import math
 import wave
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -54,95 +54,10 @@ def ops_count(n_points: int) -> int:
 
 
 # -- config schema ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InputSpec:
-    source: str = "noise"           # noise | tone | impulse | file
-    amplitude: float = 0.9
-    bin: int = 3                    # tone bin
-    path: str | None = None         # WAV path for source == file
-
-
-@dataclass(frozen=True)
-class FftRunSpec:
-    job: FftJob
-    clock_hz: float = DEFAULT_CLOCK_HZ
-    input: InputSpec = field(default_factory=InputSpec)
-    dump_memory_image: bool = False
-
-
-@dataclass(frozen=True)
-class FftSweepSpec:
-    dtypes: tuple[DataType, ...]
-    n_points: tuple[int, ...] | None = None   # None: full grid per dtype
-    clock_hz: float = DEFAULT_CLOCK_HZ
-    input: InputSpec = field(default_factory=InputSpec)
-
-
-@dataclass(frozen=True)
-class I2sRunSpec:
-    bus: BusConfig
-    periods: int = 3
-    payload_source: str = "random"  # random | wav
-    payload_path: str | None = None
-    export_wav: bool = False
-
-
-@dataclass(frozen=True)
-class I2sSweepSpec:
-    modes: tuple[BusMode, ...]
-    n_devices: tuple[int, ...]
-    frame_bits: tuple[int, ...]
-    sample_rate: int = 48000
-    periods: int = 2
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kind: str
-    seed: int
-    spec: object
-
-
-def _require(mapping, key, kind):
-    if key not in mapping:
-        raise ConfigurationError(f"{kind} config missing required key {key!r}")
-    return mapping[key]
-
-
-def _section(mapping, key, kind, required=False) -> dict:
-    value = _require(mapping, key, kind) if required else mapping.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{kind} config section {key!r} must be a JSON object")
-    return value
-
-
-def _int(value, key) -> int:
-    """A JSON integer: not a fraction, NaN, inf, boolean or string."""
-    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(value, key) -> float:
-    """A finite JSON number: not a boolean or a string."""
-    if isinstance(value, (bool, str)) or not math.isfinite(value):
-        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _bool(value, key) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _path(value, key) -> str | None:
-    if value is not None and not isinstance(value, str):
-        raise ConfigurationError(f"{key} must be a string, got {value!r}")
-    return value
-
+#
+# Config sections are read by tables of key -> parser(value, key).  A key
+# the section leaves out is left out of the constructor call, so each
+# default is written once, on its dataclass below.
 
 # one second of frames at the fastest sample rate
 MAX_PERIODS = MAX_SAMPLE_RATE_HZ
@@ -165,80 +80,206 @@ def _check_size(bus: BusConfig, periods: int) -> None:
             f"timeline ticks, over the budget of {MAX_TIMELINE_TICKS}")
 
 
-def _list(value, key) -> list:
-    if not isinstance(value, list):
-        raise ConfigurationError(f"{key} must be a JSON list, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class InputSpec:
+    source: str = "noise"           # noise | tone | impulse | file
+    amplitude: float = 0.9
+    bin: int = 3                    # tone bin
+    path: str | None = None         # WAV path for source == file
+
+    def __post_init__(self):
+        if self.source not in ("noise", "tone", "impulse", "file"):
+            raise ConfigurationError(f"unknown input source {self.source!r}")
+        if self.source == "file" and not self.path:
+            raise ConfigurationError("file input needs a path")
 
 
-def _axis(sweep: dict, key, default, parse=None) -> tuple | None:
-    """Sweep axis ``key`` (``default`` if absent, None if that is None): a JSON
-    list of distinct values, each parsed by ``parse``, else as an integer."""
-    value = sweep.get(key, default)
-    if value is None and default is None:
-        return None
-    values = tuple(parse(v) if parse else _int(v, key) for v in _list(value, key))
-    if len(set(values)) < len(values):
-        raise ConfigurationError(f"{key} repeats a value: {value!r}")
-    return values
+@dataclass(frozen=True)
+class FftRunSpec:
+    job: FftJob
+    clock_hz: float = DEFAULT_CLOCK_HZ
+    input: InputSpec = field(default_factory=InputSpec)
+    dump_memory_image: bool = False
 
 
-def _parse_input(d: dict) -> InputSpec:
-    spec = InputSpec(source=d.get("source", "noise"),
-                     amplitude=_number(d.get("amplitude", 0.9), "amplitude"),
-                     bin=_int(d.get("bin", 3), "bin"),
-                     path=_path(d.get("path"), "path"))
-    if spec.source not in ("noise", "tone", "impulse", "file"):
-        raise ConfigurationError(f"unknown input source {spec.source!r}")
-    if spec.source == "file" and not spec.path:
-        raise ConfigurationError("file input needs a path")
-    return spec
+@dataclass(frozen=True)
+class FftSweepSpec:
+    dtypes: tuple[DataType, ...] = (DataType.C64, DataType.C32, DataType.C16)
+    n_points: tuple[int, ...] | None = None   # None: full grid per dtype
+    clock_hz: float = DEFAULT_CLOCK_HZ
+    input: InputSpec = field(default_factory=InputSpec)
 
 
-def _parse_clock(d: dict) -> float:
-    clock_hz = _number(d.get("clock_hz", DEFAULT_CLOCK_HZ), "clock_hz")
+@dataclass(frozen=True)
+class PayloadSpec:
+    source: str = "random"          # random | wav
+    path: str | None = None         # WAV path for source == wav
+    export_wav: bool = False
+
+    def __post_init__(self):
+        if self.source not in ("random", "wav"):
+            raise ConfigurationError(f"unknown payload source {self.source!r}")
+        if self.source == "wav" and not self.path:
+            raise ConfigurationError("wav payload needs a path")
+
+
+@dataclass(frozen=True)
+class I2sRunSpec:
+    bus: BusConfig
+    periods: int = 3
+    payload: PayloadSpec = field(default_factory=PayloadSpec)
+
+    def __post_init__(self):
+        # a WAV payload's size is known, and checked, once the file is read
+        if self.payload.source == "random":
+            _check_periods(self.periods)
+            _check_size(self.bus, self.periods)
+
+
+@dataclass(frozen=True)
+class I2sSweepSpec:
+    modes: tuple[BusMode, ...] = (BusMode.TDM_I2S, BusMode.TDM_DSP)
+    n_devices: tuple[int, ...] = tuple(range(1, 17))
+    frame_bits: tuple[int, ...] = (16, 24, 32)
+    sample_rate: int = 48000
+    periods: int = 2
+
+    def __post_init__(self):
+        _check_periods(self.periods)
+        _i2s_sweep_members(self)    # each member run checks its own size
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    kind: str
+    spec: object
+    seed: int = 0
+
+    def __post_init__(self):
+        # numpy seeds its generators with non-negative integers only
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
+
+
+def _int(value, key) -> int:
+    """A JSON integer: not a fraction, NaN, inf, boolean or string."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value, key) -> float:
+    """A finite JSON number: not a boolean or a string."""
+    if isinstance(value, (bool, str)) or not math.isfinite(value):
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _clock(value, key) -> float:
+    clock_hz = _number(value, key)
     if clock_hz <= 0:
-        raise ConfigurationError(f"clock_hz must be positive, got {clock_hz}")
+        raise ConfigurationError(f"{key} must be positive, got {clock_hz}")
     return clock_hz
 
 
-def _parse_fft_run(d: dict) -> FftRunSpec:
-    return FftRunSpec(
-        job=FftJob(
-            n_points=_int(_require(d, "n_points", "fft"), "n_points"),
-            dtype=DataType.from_tag(_require(d, "dtype", "fft")),
-            base_address=_int(d.get("base_address", 0), "base_address"),
-            scaling=ScalingPolicy(d.get("scaling", "divide-by-two-per-stage"))),
-        clock_hz=_parse_clock(d),
-        input=_parse_input(_section(d, "input", "fft")),
-        dump_memory_image=_bool(d.get("dump_memory_image", False),
-                                "dump_memory_image"),
-    )
+def _bool(value, key) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
-def full_size_grid(dtype: DataType) -> tuple[int, ...]:
-    sizes = []
-    n = 8
-    while n <= dtype.max_points:
-        sizes.append(n)
-        n *= 2
-    return tuple(sizes)
+def _path(value, key) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigurationError(f"{key} must be a string, got {value!r}")
+    return value
 
 
-def _parse_bus(d: dict) -> BusConfig:
-    try:
-        return BusConfig(
-            mode=BusMode(_require(d, "mode", "i2s")),
-            n_devices=_int(d.get("n_devices", 1), "n_devices"),
-            frame_bits=_int(d.get("frame_bits", 32), "frame_bits"),
-            sample_rate=_int(d.get("sample_rate", 48000), "sample_rate"),
-            clk_div=_int(d.get("clk_div", 1), "clk_div"),
-            polarity=Polarity(d.get("polarity", "sample-on-rising")),
-            alignment=Alignment(d.get("alignment", "aligned")),
-            fsync_style=FsyncStyle(d.get("fsync_style", "pulse")),
-        )
-    except ValueError as e:
-        raise ConfigurationError(str(e)) from None
+def _keyless(convert):
+    """Parser from a conversion, such as an enum, whose errors name no key."""
+    return lambda value, key: convert(value)
+
+
+def _axis(parse=_int):
+    """Parser of a sweep axis: a JSON list of distinct values, each ``parse``d."""
+    def read(value, key) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{key} must be a JSON list, got {value!r}")
+        values = tuple(parse(v, key) for v in value)
+        if len(set(values)) < len(values):
+            raise ConfigurationError(f"{key} repeats a value: {value!r}")
+        return values
+    return read
+
+
+def _sizes(value, key) -> tuple | None:
+    """Sweep sizes: an axis, or null for each type's full grid."""
+    return None if value is None else _axis()(value, key)
+
+
+def _fields(d: dict, table: dict, label: str, required=()) -> dict:
+    """Each key of ``table`` that ``d`` holds, parsed in table order."""
+    kwargs = {}
+    for key, parse in table.items():
+        if key in d:
+            kwargs[key] = parse(d[key], key)
+        elif key in required:
+            raise ConfigurationError(f"{label} config missing required key {key!r}")
+    return kwargs
+
+
+def _section(d: dict, key: str, label: str, table: dict, required=()) -> dict:
+    """``_fields`` of section ``key`` of the ``label`` config ``d``, which may
+    leave the section out unless it has ``required`` keys."""
+    section = _fields(d, {key: _AS_IS}, label, (key,) if required else ()).get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{label} config section {key!r} must be a JSON object")
+    return _fields(section, table, key, required)
+
+
+def _nested(cls, table, label):
+    """Parser of a section of a ``label`` config whose keys ``table`` reads
+    into a ``cls``."""
+    return lambda value, key: cls(**_section({key: value}, key, label, table))
+
+
+_AS_IS = _keyless(lambda value: value)    # for a value its spec type checks
+JOB_KEYS = {"n_points": _int, "dtype": _keyless(DataType.from_tag),
+            "base_address": _int, "scaling": _keyless(ScalingPolicy)}
+INPUT_KEYS = {"source": _AS_IS, "amplitude": _number, "bin": _int, "path": _path}
+FFT_RUN_KEYS = {"clock_hz": _clock, "input": _nested(InputSpec, INPUT_KEYS, "fft"),
+                "dump_memory_image": _bool}
+FFT_AXES = {"dtypes": _axis(_keyless(DataType.from_tag)), "n_points": _sizes}
+FFT_SWEEP_KEYS = {"clock_hz": _clock,
+                  "input": _nested(InputSpec, INPUT_KEYS, "fft-sweep")}
+BUS_KEYS = {"mode": _keyless(BusMode), "n_devices": _int, "frame_bits": _int,
+            "sample_rate": _int, "clk_div": _int, "polarity": _keyless(Polarity),
+            "alignment": _keyless(Alignment), "fsync_style": _keyless(FsyncStyle)}
+PAYLOAD_KEYS = {"source": _AS_IS, "path": _path, "export_wav": _bool}
+I2S_RUN_KEYS = {"periods": _int,
+                "payload": _nested(PayloadSpec, PAYLOAD_KEYS, "i2s-run")}
+I2S_AXES = {"modes": _axis(_keyless(BusMode)), "n_devices": _axis(),
+            "frame_bits": _axis()}
+I2S_SWEEP_KEYS = {"sample_rate": _int, "periods": _int}
+
+
+def _read_fft_run(raw: dict) -> FftRunSpec:
+    job = _section(raw, "fft", "fft-run", JOB_KEYS, ("n_points", "dtype"))
+    return FftRunSpec(FftJob(**job), **_section(raw, "fft", "fft-run", FFT_RUN_KEYS))
+
+
+def _read_fft_sweep(raw: dict) -> FftSweepSpec:
+    return FftSweepSpec(**_section(raw, "sweep", "fft-sweep", FFT_AXES),
+                        **_section(raw, "fft", "fft-sweep", FFT_SWEEP_KEYS))
+
+
+def _read_i2s_run(raw: dict) -> I2sRunSpec:
+    bus = _section(raw, "i2s", "i2s-run", BUS_KEYS, ("mode",))
+    return I2sRunSpec(BusConfig(**bus), **_section(raw, "i2s", "i2s-run", I2S_RUN_KEYS))
+
+
+def _read_i2s_sweep(raw: dict) -> I2sSweepSpec:
+    return I2sSweepSpec(**_section(raw, "sweep", "i2s-sweep", I2S_AXES),
+                        **_section(raw, "i2s", "i2s-sweep", I2S_SWEEP_KEYS))
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -249,52 +290,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigurationError(f"unsupported config version {version!r}")
     kind = raw.get("kind")
     try:
-        seed = _int(raw.get("seed", 0), "seed")
-        if kind == "fft-run":
-            spec = _parse_fft_run(_section(raw, "fft", kind, required=True))
-        elif kind == "fft-sweep":
-            sweep = _section(raw, "sweep", kind)
-            base = _section(raw, "fft", kind)
-            spec = FftSweepSpec(
-                dtypes=_axis(sweep, "dtypes", ["C64", "C32", "C16"], DataType.from_tag),
-                n_points=_axis(sweep, "n_points", None),
-                clock_hz=_parse_clock(base),
-                input=_parse_input(_section(base, "input", kind)))
-        elif kind == "i2s-run":
-            d = _section(raw, "i2s", kind, required=True)
-            payload = _section(d, "payload", kind)
-            spec = I2sRunSpec(bus=_parse_bus(d),
-                              periods=_int(d.get("periods", 3), "periods"),
-                              payload_source=payload.get("source", "random"),
-                              payload_path=_path(payload.get("path"), "path"),
-                              export_wav=_bool(payload.get("export_wav", False),
-                                               "export_wav"))
-            if spec.payload_source not in ("random", "wav"):
-                raise ConfigurationError(f"unknown payload source {spec.payload_source!r}")
-            if spec.payload_source == "wav" and not spec.payload_path:
-                raise ConfigurationError("wav payload needs a path")
-            if spec.payload_source == "random":
-                _check_periods(spec.periods)
-                _check_size(spec.bus, spec.periods)
-        elif kind == "i2s-sweep":
-            sweep = _section(raw, "sweep", kind)
-            base = _section(raw, "i2s", kind)
-            spec = I2sSweepSpec(
-                modes=_axis(sweep, "modes", ["tdm-i2s", "tdm-dsp"], BusMode),
-                n_devices=_axis(sweep, "n_devices", list(range(1, 17))),
-                frame_bits=_axis(sweep, "frame_bits", [16, 24, 32]),
-                sample_rate=_int(base.get("sample_rate", 48000), "sample_rate"),
-                periods=_int(base.get("periods", 2), "periods"))
-            _check_periods(spec.periods)
-            for _, member in _i2s_sweep_members(spec):
-                _check_size(member.bus, member.periods)
-        else:
+        seed = _fields(raw, {"seed": _int}, kind)
+        if not isinstance(kind, str) or kind not in KINDS:
             raise ConfigurationError(f"unknown experiment kind {kind!r}")
+        return ExperimentConfig(kind, KINDS[kind][0](raw), **seed)
     except (TypeError, ValueError, OverflowError) as e:
         if isinstance(e, ConfigurationError):
             raise
         raise ConfigurationError(str(e)) from None
-    return ExperimentConfig(kind, seed, spec)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -341,19 +344,15 @@ class Report:
         return out.getvalue()
 
 
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, DataType):
-        return value.name
+def _echo(value):
+    """A parsed config value as the report echoes it: a dataclass as its
+    fields, a DataType by name, any other enum by value, a tuple as a list."""
+    if is_dataclass(value):
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
+        return value.name if isinstance(value, DataType) else value.value
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
     return value
 
 
@@ -375,7 +374,7 @@ def _run_sweep(kind: str, echo: dict, run, members: list, columns: dict,
                      "passed": member.passed})
     rows.sort(key=lambda r: tuple(r[c] for c in order))
     checks = {"members_pass": all(r["passed"] for r in rows), **series_checks(rows)}
-    report = Report(kind, seed, _json_safe(echo), {"runs": len(rows)}, checks)
+    report = Report(kind, seed, echo, {"runs": len(rows)}, checks)
     if out_dir is not None:
         write_csv(Path(out_dir) / "summary.csv", rows)
     return report, rows
@@ -473,13 +472,21 @@ def run_fft_experiment(spec: FftRunSpec, seed: int,
         "peak_memory_bandwidth_bytes_per_s": bandwidth_bytes_per_s(spec.clock_hz),
         **stats.as_dict(),
     }
-    report = Report("fft-run", seed, _json_safe(
-        {**asdict(job), "clock_hz": spec.clock_hz, "input": asdict(spec.input)}),
-        metrics, checks)
+    report = Report("fft-run", seed, {**_echo(job), "clock_hz": spec.clock_hz,
+                                      "input": _echo(spec.input)}, metrics, checks)
     if out_dir is not None and spec.dump_memory_image:
         export_image(memory, Path(out_dir) / "memory.bin", job.dtype,
                      job.n_points, job.base_address)
     return report
+
+
+def full_size_grid(dtype: DataType) -> tuple[int, ...]:
+    sizes = []
+    n = 8
+    while n <= dtype.max_points:
+        sizes.append(n)
+        n *= 2
+    return tuple(sizes)
 
 
 def run_fft_sweep(spec: FftSweepSpec, seed: int,
@@ -489,9 +496,7 @@ def run_fft_sweep(spec: FftSweepSpec, seed: int,
                for dtype in spec.dtypes
                for n in (full_size_grid(dtype) if spec.n_points is None else spec.n_points)
                if n <= dtype.max_points]
-    echo = {"dtypes": [d.name for d in spec.dtypes],
-            "n_points": "full" if spec.n_points is None else list(spec.n_points),
-            "clock_hz": spec.clock_hz, "input": asdict(spec.input)}
+    echo = {**_echo(spec), "n_points": "full"} if spec.n_points is None else _echo(spec)
     columns = {c: c for c in ("butterfly_cycles", "reorder_cycles", "stall_cycles",
                               "overhead_cycles", "total_cycles", "conflicts",
                               "stage_conflicts", "snr_db", "gops")}
@@ -514,9 +519,9 @@ def _fft_series_checks(rows) -> dict:
 
 def build_payloads(spec: I2sRunSpec, seed: int) -> np.ndarray:
     """The run's ``(periods, K, 2)`` left/right words, indexed by device."""
-    if spec.payload_source == "wav":
+    if spec.payload.source == "wav":
         try:
-            words = wav_to_payloads(spec.payload_path, spec.bus)
+            words = wav_to_payloads(spec.payload.path, spec.bus)
         except WAV_READ_ERRORS as e:
             raise ConfigurationError(f"cannot read payload WAV: {e}") from None
         if not len(words):
@@ -565,12 +570,11 @@ def run_i2s_scenario(spec: I2sRunSpec, seed: int, out_dir: Path | None = None,
         out_dir = Path(out_dir)
         if timeline_dump:
             write_vcd(timeline, out_dir / "timeline.vcd")
-        if spec.export_wav:
+        if spec.payload.export_wav:
             payloads_to_wav(out_dir / "payloads.wav", words, bus)
-    return Report("i2s-run", seed, _json_safe({
-        "bus": asdict(bus), "periods": len(words),
-        "payload_source": spec.payload_source,
-    }), metrics, checks)
+    return Report("i2s-run", seed, {"bus": _echo(bus), "periods": len(words),
+                                    "payload_source": spec.payload.source},
+                  metrics, checks)
 
 
 def _i2s_sweep_members(spec: I2sSweepSpec) -> list[tuple[dict, I2sRunSpec]]:
@@ -583,8 +587,8 @@ def _i2s_sweep_members(spec: I2sSweepSpec) -> list[tuple[dict, I2sRunSpec]]:
 def run_i2s_sweep(spec: I2sSweepSpec, seed: int,
                   out_dir: Path | None = None) -> tuple[Report, list[dict]]:
     members = _i2s_sweep_members(spec)
-    echo = {"modes": [m.value for m in spec.modes], "n_devices": list(spec.n_devices),
-            "frame_bits": list(spec.frame_bits), "sample_rate": spec.sample_rate}
+    echo = {key: _echo(getattr(spec, key))
+            for key in ("modes", "n_devices", "frame_bits", "sample_rate")}
     columns = {"bclk_hz": "bclk_hz", "latency_tclk": "latency_tclk_measured"}
     return _run_sweep("i2s-sweep", echo, run_i2s_scenario, members, columns,
                       ("mode", "frame_bits", "n_devices"), _i2s_series_checks,
@@ -625,13 +629,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     """Dispatch a parsed config; returns (report, rows-or-None)."""
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    if config.kind == "fft-run":
-        return run_fft_experiment(config.spec, config.seed, out_dir), None
-    if config.kind == "fft-sweep":
-        return run_fft_sweep(config.spec, config.seed, out_dir)
-    if config.kind == "i2s-run":
-        return run_i2s_scenario(config.spec, config.seed, out_dir,
-                                timeline_dump), None
-    if config.kind == "i2s-sweep":
-        return run_i2s_sweep(config.spec, config.seed, out_dir)
-    raise ConfigurationError(f"unknown kind {config.kind!r}")
+    return KINDS[config.kind][1](config.spec, config.seed, out_dir, timeline_dump)
+
+
+# kind: (reader of the raw config, runner of its spec).  The runners look the
+# run functions up when they are called, so a patched one is the one run.
+KINDS = {
+    "fft-run": (_read_fft_run, lambda spec, seed, out, dump:
+                (run_fft_experiment(spec, seed, out), None)),
+    "fft-sweep": (_read_fft_sweep, lambda spec, seed, out, dump: run_fft_sweep(spec, seed, out)),
+    "i2s-run": (_read_i2s_run, lambda spec, seed, out, dump:
+                (run_i2s_scenario(spec, seed, out, dump), None)),
+    "i2s-sweep": (_read_i2s_sweep, lambda spec, seed, out, dump: run_i2s_sweep(spec, seed, out)),
+}

@@ -14,8 +14,8 @@ import fdsim.harness as harness
 from fdsim.fft import ConfigurationError, FftJob
 from fdsim.fixedpoint import DataType
 from fdsim.harness import (FftRunSpec, FftSweepSpec, I2sRunSpec, I2sSweepSpec,
-                           InputSpec, Report, build_fft_input, build_payloads,
-                           load_config, ops_count, parse_config,
+                           InputSpec, PayloadSpec, Report, build_fft_input,
+                           build_payloads, load_config, ops_count, parse_config,
                            run_fft_experiment, run_fft_sweep, run_i2s_scenario,
                            run_i2s_sweep)
 from fdsim.i2s import BusConfig, BusMode, frames_from_array
@@ -81,15 +81,18 @@ class TestConfigParsing:
 # one valid config per kind, every optional key spelled out
 VALID_CONFIGS = [
     fft_config(base_address=0, scaling="none", clock_hz=1e8, dump_memory_image=False,
-               input={"source": "tone", "amplitude": 0.5, "bin": 3}),
+               input={"source": "tone", "amplitude": 0.5, "bin": 3,
+                      "path": "no-such-input.wav"}),
     {"version": 1, "kind": "fft-sweep", "seed": 1,
      "sweep": {"dtypes": ["C64"], "n_points": [8, 16]},
-     "fft": {"clock_hz": 1e8, "input": {"source": "impulse", "amplitude": 0.5}}},
+     "fft": {"clock_hz": 1e8, "input": {"source": "impulse", "amplitude": 0.5,
+                                        "bin": 3, "path": "no-such-input.wav"}}},
     {"version": 1, "kind": "i2s-run", "seed": 2,
      "i2s": {"mode": "tdm-i2s", "n_devices": 4, "frame_bits": 32,
              "sample_rate": 48000, "clk_div": 1, "polarity": "sample-on-rising",
              "alignment": "aligned", "fsync_style": "pulse",
-             "periods": 2, "payload": {"source": "random", "export_wav": False}}},
+             "periods": 2, "payload": {"source": "random", "path": "no-such-payload.wav",
+                                       "export_wav": False}}},
     {"version": 1, "kind": "i2s-sweep", "seed": 3,
      "sweep": {"modes": ["tdm-dsp"], "n_devices": [1, 2], "frame_bits": [16]},
      "i2s": {"sample_rate": 48000, "periods": 2}},
@@ -101,6 +104,18 @@ def _key_paths(doc, prefix=()):
         yield prefix + (key,)
         if isinstance(value, dict):
             yield from _key_paths(value, prefix + (key,))
+
+
+# each kind's sections: (key path, the harness tables that read it)
+SCHEMA = {
+    "fft-run": {("fft",): (harness.JOB_KEYS, harness.FFT_RUN_KEYS),
+                ("fft", "input"): (harness.INPUT_KEYS,)},
+    "fft-sweep": {("sweep",): (harness.FFT_AXES,), ("fft",): (harness.FFT_SWEEP_KEYS,),
+                  ("fft", "input"): (harness.INPUT_KEYS,)},
+    "i2s-run": {("i2s",): (harness.BUS_KEYS, harness.I2S_RUN_KEYS),
+                ("i2s", "payload"): (harness.PAYLOAD_KEYS,)},
+    "i2s-sweep": {("sweep",): (harness.I2S_AXES,), ("i2s",): (harness.I2S_SWEEP_KEYS,)},
+}
 
 
 def _json_values(numbers):
@@ -135,6 +150,15 @@ class TestConfigRobustness:
     @pytest.mark.parametrize("doc", VALID_CONFIGS, ids=lambda d: d["kind"])
     def test_valid_configs_parse(self, doc):
         assert parse_config(doc).kind == doc["kind"]
+
+    def test_valid_configs_spell_out_every_key(self):
+        # the key-replacement properties below fuzz only the keys spelled out here
+        assert set(SCHEMA) == set(harness.KINDS) == {doc["kind"] for doc in VALID_CONFIGS}
+        for doc in VALID_CONFIGS:
+            schema = {("version",), ("kind",), ("seed",)}
+            for section, tables in SCHEMA[doc["kind"]].items():
+                schema |= {section} | {section + (key,) for t in tables for key in t}
+            assert schema <= set(_key_paths(doc)), doc["kind"]
 
     @given(ONE_KEY_OF_A_VALID_CONFIG, JSON_VALUES)
     @settings(max_examples=80)
@@ -303,13 +327,12 @@ class TestSweeps:
 
     def test_i2s_scenario_wav_payload(self, tmp_path):
         bus = BusConfig(BusMode.TDM_DSP, 2, 16)
-        spec = I2sRunSpec(bus=bus, periods=4, export_wav=True)
+        spec = I2sRunSpec(bus=bus, periods=4, payload=PayloadSpec(export_wav=True))
         report = run_i2s_scenario(spec, seed=3, out_dir=tmp_path)
         assert report.passed
         wav = tmp_path / "payloads.wav"
         assert wav.exists()
-        spec2 = I2sRunSpec(bus=bus, payload_source="wav",
-                           payload_path=str(wav))
+        spec2 = I2sRunSpec(bus=bus, payload=PayloadSpec("wav", str(wav)))
         report2 = run_i2s_scenario(spec2, seed=0)
         assert report2.passed
         assert report2.metrics["periods"] == 4
@@ -462,7 +485,7 @@ class TestSizeBudget:
 
         bus = BusConfig(BusMode.TDM_DSP, 16, 32)
         fits = write_wav(tmp_path / "fits.wav", 4095)
-        words = build_payloads(I2sRunSpec(bus, payload_source="wav", payload_path=fits), 0)
+        words = build_payloads(I2sRunSpec(bus, payload=PayloadSpec("wav", fits)), 0)
         assert words.shape == (4095, 16, 2)
         over = write_wav(tmp_path / "over.wav", 4096)
         monkeypatch.setattr(harness, "encode", _encode_must_not_run)
@@ -563,59 +586,111 @@ class TestCli:
         assert cli.main(["fft", "run", "--config", cfg]) == 2
         assert "NaN" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb, text", [
-        ("fft run", json.dumps(fft_config(input="noise"))),
-        ("fft sweep", '{"version": 1, "kind": "fft-sweep", "sweep": "x"}'),
+    @pytest.mark.parametrize("verb, text, message", [
+        ("fft run", json.dumps(fft_config(input="noise")),
+         "fft config section 'input' must be a JSON object"),
+        ("fft sweep", '{"version": 1, "kind": "fft-sweep", "sweep": "x"}',
+         "fft-sweep config section 'sweep' must be a JSON object"),
         ("i2s run", json.dumps({"version": 1, "kind": "i2s-run",
-                                "i2s": {"mode": "tdm-i2s", "payload": "random"}})),
-        ("fft run", json.dumps(fft_config(dtype=5))),
-        ("fft run", json.dumps(fft_config(n_points="N")).replace('"N"', "1e400")),
-        ("fft run", json.dumps(fft_config(n_points=64.5))),
-        ("fft run", json.dumps(fft_config()).replace('"seed": 7', '"seed": [7]')),
-        ("fft run", json.dumps(fft_config(dump_memory_image="no"))),
-        ("fft run", json.dumps(fft_config(dump_memory_image=1))),
-        ("fft run", json.dumps({**fft_config(), "version": True})),
-        ("fft run", json.dumps(fft_config(input={"source": "file", "path": 5}))),
+                                "i2s": {"mode": "tdm-i2s", "payload": "random"}}),
+         "i2s-run config section 'payload' must be a JSON object"),
+        ("fft run", json.dumps(fft_config(dtype=5)), "data type must be a string tag, got 5"),
+        ("fft run", json.dumps(fft_config(n_points="N")).replace('"N"', "1e400"),
+         "n_points must be an integer, got inf"),
+        ("fft run", json.dumps(fft_config(n_points=64.5)),
+         "n_points must be an integer, got 64.5"),
+        ("fft run", json.dumps(fft_config()).replace('"seed": 7', '"seed": [7]'),
+         "int() argument must be a string, a bytes-like object or a real number, "
+         "not 'list'"),
+        ("fft run", json.dumps(fft_config(dump_memory_image="no")),
+         "dump_memory_image must be true or false, got 'no'"),
+        ("fft run", json.dumps(fft_config(dump_memory_image=1)),
+         "dump_memory_image must be true or false, got 1"),
+        ("fft run", json.dumps({**fft_config(), "version": True}),
+         "unsupported config version True"),
+        ("fft run", json.dumps(fft_config(input={"source": "file", "path": 5})),
+         "path must be a string, got 5"),
         ("fft run", json.dumps(fft_config(input={"source": "file",
-                                                 "path": "/nonexistent.wav"}))),
-        ("i2s run", json.dumps(i2s_config(payload={"export_wav": "yes"}))),
-        ("i2s run", json.dumps(i2s_config(payload={"source": "wav", "path": 5}))),
+                                                 "path": "/nonexistent.wav"})),
+         "cannot read WAV input: [Errno 2] No such file or directory: '/nonexistent.wav'"),
+        ("i2s run", json.dumps(i2s_config(payload={"export_wav": "yes"})),
+         "export_wav must be true or false, got 'yes'"),
+        ("i2s run", json.dumps(i2s_config(payload={"source": "wav", "path": 5})),
+         "path must be a string, got 5"),
         ("i2s run", json.dumps(i2s_config(payload={"source": "wav",
-                                                   "path": "/nonexistent.wav"}))),
-        ("i2s run", json.dumps(i2s_config(payload={"source": "wav", "path": "/"}))),
-        ("i2s run", json.dumps(i2s_config(periods=-1))),
+                                                   "path": "/nonexistent.wav"})),
+         "cannot read payload WAV: [Errno 2] No such file or directory: "
+         "'/nonexistent.wav'"),
+        ("i2s run", json.dumps(i2s_config(payload={"source": "wav", "path": "/"})),
+         "cannot read payload WAV: [Errno 21] Is a directory: '/'"),
+        ("i2s run", json.dumps(i2s_config(periods=-1)), "periods must be in 1..48000, got -1"),
         ("i2s sweep", json.dumps({"version": 1, "kind": "i2s-sweep",
-                                  "i2s": {"periods": 0}})),
+                                  "i2s": {"periods": 0}}),
+         "periods must be in 1..48000, got 0"),
         ("fft sweep", json.dumps({"version": 1, "kind": "fft-sweep",
-                                  "sweep": {"dtypes": ["C64"], "n_points": [4096]}})),
+                                  "sweep": {"dtypes": ["C64"], "n_points": [4096]}}),
+         "fft-sweep config selects no runs"),
         ("fft sweep", json.dumps({"version": 1, "kind": "fft-sweep",
-                                  "sweep": {"dtypes": []}})),
+                                  "sweep": {"dtypes": []}}),
+         "fft-sweep config selects no runs"),
         ("i2s sweep", json.dumps({"version": 1, "kind": "i2s-sweep",
                                   "sweep": {"modes": ["standard-i2s"],
-                                            "n_devices": [2, 4]}})),
+                                            "n_devices": [2, 4]}}),
+         "i2s-sweep config selects no runs"),
         *[("fft sweep", json.dumps({"version": 1, "kind": "fft-sweep",
-                                    "sweep": {"dtypes": ["C64"], "n_points": sizes}}))
-          for sizes in ([], 0, False, "", [64, 8, 8])],
+                                    "sweep": {"dtypes": ["C64"], "n_points": sizes}}),
+           message)
+          for sizes, message in [
+              ([], "fft-sweep config selects no runs"),
+              (0, "n_points must be a JSON list, got 0"),
+              (False, "n_points must be a JSON list, got False"),
+              ("", "n_points must be a JSON list, got ''"),
+              ([64, 8, 8], "n_points repeats a value: [64, 8, 8]")]],
         ("i2s sweep", json.dumps({"version": 1, "kind": "i2s-sweep",
-                                  "sweep": {"n_devices": [2, 2]}})),
-        ("schedule dump", json.dumps(fft_config(n_points=2, dtype="C16"))),
-        ("schedule dump", json.dumps(fft_config(n_points=4, dtype="C64"))),
-        ("fft run", json.dumps({**fft_config(), "seed": "7"})),
-        ("fft run", json.dumps(fft_config(n_points="8"))),
-        ("fft run", json.dumps(fft_config(clock_hz=True))),
-        ("fft run", json.dumps(fft_config(clock_hz="1e9"))),
-        ("fft run", json.dumps(fft_config(input={"source": "noise", "amplitude": "0.5"}))),
-        ("fft run", json.dumps(fft_config(input={"source": "noise", "amplitude": True}))),
+                                  "sweep": {"n_devices": [2, 2]}}),
+         "n_devices repeats a value: [2, 2]"),
+        ("schedule dump", json.dumps(fft_config(n_points=2, dtype="C16")),
+         "n_points 2 must be a power of two >= 8"),
+        ("schedule dump", json.dumps(fft_config(n_points=4, dtype="C64")),
+         "n_points 4 must be a power of two >= 8"),
+        ("fft run", json.dumps({**fft_config(), "seed": "7"}), "seed must be an integer, got '7'"),
+        ("fft run", json.dumps(fft_config(n_points="8")), "n_points must be an integer, got '8'"),
+        ("fft run", json.dumps(fft_config(clock_hz=True)),
+         "clock_hz must be a finite number, got True"),
+        ("fft run", json.dumps(fft_config(clock_hz="1e9")),
+         "clock_hz must be a finite number, got '1e9'"),
+        ("fft run", json.dumps(fft_config(input={"source": "noise", "amplitude": "0.5"})),
+         "amplitude must be a finite number, got '0.5'"),
+        ("fft run", json.dumps(fft_config(input={"source": "noise", "amplitude": True})),
+         "amplitude must be a finite number, got True"),
         ("fft sweep", json.dumps({"version": 1, "kind": "fft-sweep",
                                   "sweep": {"dtypes": ["C64"], "n_points": [8]},
-                                  "fft": {"clock_hz": True}})),
-        ("i2s run", json.dumps(i2s_config(n_devices="2"))),
+                                  "fft": {"clock_hz": True}}),
+         "clock_hz must be a finite number, got True"),
+        ("i2s run", json.dumps(i2s_config(n_devices="2")),
+         "n_devices must be an integer, got '2'"),
         ("i2s run", json.dumps({"version": 1, "kind": "i2s-run",
                                 "i2s": {"mode": "tdm-dsp", "n_devices": 16,
-                                        "periods": 10 ** 12}})),
+                                        "periods": 10 ** 12}}),
+         "periods must be in 1..48000, got 1000000000000"),
         ("i2s sweep", json.dumps({"version": 1, "kind": "i2s-sweep",
-                                  "i2s": {"periods": 10 ** 12}})),
-        *[(verb, json.dumps(doc)) for verb, doc in OVER_BUDGET],
+                                  "i2s": {"periods": 10 ** 12}}),
+         "periods must be in 1..48000, got 1000000000000"),
+        *[(verb, json.dumps(doc), message) for (verb, doc), message in zip(OVER_BUDGET, [
+            "4096 periods of 512 bit slots need 4194308 timeline ticks, "
+            "over the budget of 4194304",
+            "5462 periods of 384 bit slots need 4194820 timeline ticks, "
+            "over the budget of 4194304",
+            "4096 periods of 512 bit slots need 4194308 timeline ticks, "
+            "over the budget of 4194304",
+            "16384 periods of 128 bit slots need 4194308 timeline ticks, "
+            "over the budget of 4194304"])],
+        # numpy would reject these seeds only when it draws, or never for a
+        # tone, which draws nothing
+        *[(verb, json.dumps({**doc, "seed": -5}),
+           "seed must be a non-negative integer, got -5")
+          for verb, doc in [("fft run", fft_config(input={"source": "tone"})),
+                            ("fft run", fft_config()), ("i2s run", i2s_config())]],
     ], ids=["input-str", "sweep-str", "payload-str", "dtype-int", "n_points-1e400",
             "n_points-64.5", "seed-list", "dump_memory_image-str",
             "dump_memory_image-int", "version-true", "file-path-int",
@@ -628,8 +703,10 @@ class TestCli:
             "schedule-dump-C16-2", "schedule-dump-C64-4", "seed-str", "n_points-str",
             "clock_hz-true", "clock_hz-str", "amplitude-str", "amplitude-true",
             "fft-sweep-clock_hz-true", "i2s-n_devices-str", "i2s-run-periods-huge",
-            "i2s-sweep-periods-huge", *OVER_BUDGET_IDS])
-    def test_malformed_config_exits_2(self, tmp_path, capsys, monkeypatch, verb, text):
+            "i2s-sweep-periods-huge", *OVER_BUDGET_IDS, "seed-negative-tone",
+            "seed-negative-noise", "seed-negative-i2s-run"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, monkeypatch, verb, text,
+                                      message):
         monkeypatch.setattr(harness, "encode", _encode_must_not_run)
         p = tmp_path / "cfg.json"
         p.write_text(text)
@@ -637,6 +714,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and "Traceback" not in err
         assert err.count("\n") == 1
+        assert err == f"configuration error: {message}\n"
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, fft_config())
+        assert cli.main(["fft", "run", "--config", cfg, "--seed", "-1",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: seed must be a non-negative integer, got -1\n")
+        assert not (tmp_path / "out").exists()
 
     def test_kind_mismatch_exits_2(self, tmp_path):
         cfg = self._write(tmp_path, fft_config())
