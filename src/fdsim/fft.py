@@ -15,6 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -210,54 +211,70 @@ class FftResultSummary:
 
 @lru_cache(maxsize=None)
 def _program(n_points: int, dtype: DataType):
-    """The compiled program of (n_points, dtype): the port matrix of every
-    stage and then the reorder, each phase's first row and read cycles,
-    each stage's (2 x blocks x 1) int64 block twiddles, and the reorder's
-    (dst, src) half-words."""
-    stages = [schedule_stage(n_points, dtype, s) for s in range(n_points.bit_length() - 1)]
-    twiddles = tuple(twiddle_table(dtype).parts[:, compile_stage(p), None] for p in stages)
+    """The compiled program of (n_points, dtype): its cycle statistics, each
+    stage's twiddles in constant geometry as one read-only ``(stages, 2, n)``
+    array of ``dtype.register``, and the reorder's (dst, src) half-words.
+
+    The program is arbitrated here, once, in one ``access_batch`` call over
+    the port matrix of every stage and then the reorder, at base address 0.
+    A base address b moves bank k to (k + b) mod 16, a bijection, so which
+    requests share a bank, and with that every stall, is the same at every
+    base.  A phase's stalls and read cycles are those of its rows; the
+    reorder's stalls are the only ones outside ``stage_conflicts``.
+
+    Stage s of ``fft_fixed`` pairs register positions q and q + n/2, which
+    after s constant-geometry passes hold block q mod 2^s of the in-place
+    stage, so column q of its twiddles is that block's twiddle.
+    """
+    m = n_points.bit_length() - 1
+    stages = [schedule_stage(n_points, dtype, s) for s in range(m)]
     reorder = schedule_reorder(n_points, dtype)
     phases = [p.ports for p in stages] + [reorder.ports]
-    first_rows = np.cumsum([0] + [len(p) for p in phases[:-1]])
+    conflicts, _ = BankedMemory().access_batch(np.concatenate(phases), WRITE_COLUMN)
+    stalls = np.add.reduceat(conflicts, np.cumsum([0] + [len(p) for p in phases[:-1]]))
     reading = np.array([(p[:, ~WRITE_COLUMN] != IDLE).any(axis=1).sum() for p in phases])
-    return np.concatenate(phases), first_rows, reading, twiddles, compile_reorder(reorder)
+    stats = MappingProxyType({
+        "butterfly_cycles": int(reading[:-1].sum()), "reorder_cycles": int(reading[-1]),
+        "stall_cycles": int(stalls.sum()),
+        "overhead_cycles": sum(map(len, phases)) - int(reading.sum()),
+        "conflicts": int(stalls.sum()), "stage_conflicts": int(stalls[:-1].sum())})
+    pair = np.arange(n_points // 2)
+    table = twiddle_table(dtype).parts.astype(dtype.register)
+    twiddles = np.stack([np.tile(table[:, compile_stage(p)[pair % (1 << s)]], 2)
+                         for s, p in enumerate(stages)])
+    twiddles.flags.writeable = False
+    return stats, twiddles, compile_reorder(reorder)
 
 
 def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
     """In-place fixed-point FFT on the memory image, cycle-accounted.
 
-    The whole program is arbitrated cycle by cycle in one pass; a rejected
-    request retries alone, one stall cycle each.  A phase's stalls and read
-    cycles are those of its rows; the reorder's stalls are the only ones
-    outside ``stage_conflicts``.  The stages run in place on one int64
-    (re, im) x n register image of the sample array, as (2, blocks, 2, h)
-    views; the reorder moves half-words.  The compiled programs prove that
-    this equals moving the data cycle by cycle through the ports.  On return
-    the memory holds the natural-order spectrum scaled by 2**-scaling_stages;
-    the summary carries the sticky overflow flag and the cycle statistics.
+    The cycle statistics are the program's (``_program``): its arbitration
+    does not depend on the data or the base address, so an op does only the
+    work that depends on its samples.  The stages run on a register image
+    of the sample array (``butterfly_array``) whose m constant-geometry
+    passes leave every sample at its in-place position; the image is
+    stored back once, and the reorder moves half-words.  The compiled
+    programs prove that this equals moving the data cycle by cycle through
+    the ports.  On return the memory holds the natural-order spectrum
+    scaled by 2**-scaling_stages; the summary carries the sticky overflow
+    flag and the cycle statistics.
     """
     job.validate(memory)
-    ports, first_rows, reading, twiddles, (dst, src) = _program(job.n_points, job.dtype)
-    base = job.base_address
-    addresses = np.where(ports == IDLE, IDLE, ports + base) if base else ports
-    conflicts, _ = memory.access_batch(addresses, WRITE_COLUMN)
-    stalls = np.add.reduceat(conflicts, first_rows)
-    stats = CycleStats(butterfly_cycles=int(reading[:-1].sum()),
-                       reorder_cycles=int(reading[-1]), stall_cycles=int(stalls.sum()),
-                       overhead_cycles=len(ports) - int(reading.sum()),
-                       conflicts=int(stalls.sum()), stage_conflicts=int(stalls[:-1].sum()))
+    stats, twiddles, (dst, src) = _program(job.n_points, job.dtype)
     flag = OverflowFlag()
-    parts = sample_array(memory, base, job.n_points, job.dtype)
-    image = parts.T.astype(np.int64, order="C")
-    for w in twiddles:
-        butterfly_array(image.reshape(2, w.shape[1], 2, -1), w, job.dtype, job.scaling, flag)
-    parts[:] = image.T
+    parts = sample_array(memory, job.base_address, job.n_points, job.dtype)
+    in_image_order = parts.reshape(2, -1, 2).transpose(0, 2, 1)   # (half, part, sample)
+    image = np.empty(2 * job.n_points, dtype=job.dtype.register)
+    image.reshape(in_image_order.shape)[:] = in_image_order
+    butterfly_array(image, twiddles, job.dtype, job.scaling, flag)
+    in_image_order[:] = image.reshape(in_image_order.shape)
     halves = parts.reshape(-1).view("<u2")
     halves[dst] = halves[src]
 
     m = job.n_points.bit_length() - 1
     scaling = m if job.scaling is ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE else 0
-    return FftResultSummary(job, stats, flag.seen, scaling)
+    return FftResultSummary(job, CycleStats(**stats), flag.seen, scaling)
 
 
 def load_quantized(memory: BankedMemory, job: FftJob, values,

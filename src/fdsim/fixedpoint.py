@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,12 @@ class DataType(Enum):
     @property
     def max_raw(self) -> int:
         return (1 << (self.part_width - 1)) - 1
+
+    @property
+    def register(self) -> str:
+        """The executor's register type: signed integers of twice the part
+        width, which hold every intermediate of ``butterfly_array``."""
+        return f"<i{self.part_width // 4}"
 
     @classmethod
     def from_tag(cls, tag: str) -> "DataType":
@@ -162,8 +169,10 @@ def butterfly(a: FixedComplex, b: FixedComplex, w: FixedComplex,
     """Radix-2 butterfly: t = w*b; returns (a + t, a - t).
 
     Under DIVIDE_BY_TWO_PER_STAGE both outputs are halved (round to
-    nearest-even) before storage, which makes overflow impossible for any
-    in-range operands with |w| <= 1.
+    nearest-even) before storage.  That does not rule out saturation for
+    in-range operands with |w| <= 1: t saturates once |w * b| reaches 1,
+    and a - t = 2^w - 1 (a at max_raw, t at min_raw, as for b = (0, min_raw)
+    and w = -j) is a tie that rounds up to 2^(w-1) and saturates.
     """
     if not (a.dtype is b.dtype is w.dtype):
         raise ValueError("butterfly operands must share a dtype")
@@ -179,30 +188,51 @@ def butterfly(a: FixedComplex, b: FixedComplex, w: FixedComplex,
 
 # -- array forms ---------------------------------------------------------------
 #
-# The executor moves whole stages at once, so it needs the same arithmetic on
-# int64 arrays of raw parts.  Every intermediate fits: C64 partial products
-# reach 2^62 and a complex product's real or imaginary sum stays within
-# |w| * |b| <= 2^62.5 because every twiddle has |w| <= 1 (checked when the
-# twiddle table is built).
+# The executor runs whole stages at once, on integers of twice the part width
+# (``DataType.register``).  Every intermediate fits: a partial product of two
+# parts is at most 2^(2w-2), and a complex product's real or imaginary sum is
+# at most |w| * |b| <= 2^(2w-2) * sqrt(2) because every twiddle has |w| <= 1
+# (checked when the twiddle table is built).  With the rounding offset added
+# it stays below 2^(2w-1): 23234 < 32767 for C16.
+
+
+@lru_cache(maxsize=None)
+def _constant(register: np.dtype, value: int) -> np.ndarray:
+    """``value`` as a read-only 0-d array of the register type; a Python int
+    operand costs a conversion on every ufunc call."""
+    c = np.array(value, dtype=register)
+    c.flags.writeable = False
+    return c
 
 
 def sat_round_array(values, width: int, shift: int = 0,
-                    flag: OverflowFlag | None = None) -> np.ndarray:
-    """Element-wise ``sat_round`` on an int64 array; the flag is set if any
-    element saturates.  An int64 ``values`` is rounded in place and
-    returned; any other input is converted to a new int64 array first.
+                    flag: OverflowFlag | None = None, scratch=None) -> np.ndarray:
+    """Element-wise ``sat_round`` on an integer array; the flag is set if any
+    element saturates.  An integer ``values`` is rounded in place, at its
+    own integer width, and returned; any other input is converted to a new
+    int64 array first.  ``scratch``, if given, is an array of the same shape
+    and type that receives the parity bits.
 
     Ties go to even by adding ``half - 1`` plus the parity of the truncated
-    quotient before the shift.  That sum stays in int64, so the rounding is
-    exact, only for |values| < 2^63 - 2^shift; the executor stays below
-    2^62.5.  Clipping runs only if the extremes are out of range.
+    quotient before the shift.  That sum stays in the integer type, so the
+    rounding is exact only for |values| < 2^(bits-1) - 2^shift; the
+    executor's registers stay below that.  Clipping runs only if the
+    extremes are out of range.
     """
-    q = np.asarray(values, dtype=np.int64)
+    q = np.asarray(values)
+    if q.dtype.kind != "i":
+        q = q.astype(np.int64)
     if shift:
-        q += ((q >> shift) & 1) + ((1 << (shift - 1)) - 1)
-        q >>= shift
-    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
-    if q.size and (q.min() < lo or q.max() > hi):
+        shift_c = _constant(q.dtype, shift)
+        parity = np.right_shift(q, shift_c, out=scratch)
+        np.bitwise_and(parity, _constant(q.dtype, 1), out=parity)
+        q += parity
+        if shift > 1:
+            q += _constant(q.dtype, (1 << (shift - 1)) - 1)
+        q >>= shift_c
+    lo, hi = _constant(q.dtype, -(1 << (width - 1))), _constant(q.dtype, (1 << (width - 1)) - 1)
+    if q.size and (np.minimum.reduce(q, axis=None) < lo
+                   or np.maximum.reduce(q, axis=None) > hi):
         if flag is not None:
             flag.seen = True
         np.minimum(np.maximum(q, lo, out=q), hi, out=q)
@@ -235,25 +265,48 @@ def dequantize_parts(re, im, dtype: DataType) -> np.ndarray:
     return out
 
 
-def butterfly_array(x, w, dtype: DataType,
+def butterfly_array(x, twiddles, dtype: DataType,
                     policy: ScalingPolicy = ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE,
                     flag: OverflowFlag | None = None) -> np.ndarray:
-    """``butterfly`` over raw parts, in place and bit-exact with the scalar
-    form.  ``x`` is an int64 array with (re, im) on its first axis and the
-    operands (a, b) on its second-to-last; ``w`` holds (re, im) on its first
-    axis, |w| <= 1, and broadcasts against ``a``.  Every (a, b) becomes
-    (out0, out1) and ``x`` is returned.  Rounds twice: both product sums,
-    then all of ``x``."""
+    """``butterfly`` over every pair of a register image, one pass per
+    twiddle array, in place and bit-exact with the scalar form.
+
+    ``x`` is a 1-D image of n samples (n a multiple of 4) in ``dtype.register``:
+    re then im parts of samples 0..n/2-1, then re then im of samples
+    n/2..n-1, i.e. ``(2, 2, n/2)`` as (half, part, sample).  Each ``(2, n)``
+    array in ``twiddles`` is one pass: rows (re, im), with columns q and
+    n/2 + q both holding the twiddle of pair q, |w| <= 1.  A pass pairs
+    samples a = q and b = q + n/2 and writes out0 to sample 2q and out1 to
+    sample 2q + 1 (constant geometry), so a sample at q moves to the
+    m-bit left rotation of q; after m = log2(n) passes every sample is
+    back where it started.  Rounds twice per pass: both product sums, then
+    all outputs.  Returns ``x``.
+    """
     width = dtype.part_width
     shift = 1 if policy is ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE else 0
-    a, b = x[..., 0, :], x[..., 1, :]
-    t, u = w[0] * b, w[1] * b[::-1]         # u = (w im * b im, w im * b re)
-    t[0] -= u[0]
-    t[1] += u[1]
-    sat_round_array(t, width, width - 1, flag)
-    np.subtract(a, t, out=b)
-    a += t
-    return sat_round_array(x, width, shift, flag)
+    n = len(x) // 2
+    other, scratch = np.empty_like(x), np.empty_like(x)
+    t, u = scratch[:n], scratch[n:]          # t = w re * b, u = w im * b
+    t_re, t_im, u_re, u_im = t[:n // 2], t[n // 2:], u[:n // 2], u[n // 2:]
+    t_q = t.reshape(2, 2, -1)                # (part, half of the pairs, pair)
+    passes = []
+    for src, dst in ((x, other), (other, x)):
+        out = dst.reshape(2, 2, -1, 2)       # (half, part, pair, out0/out1)
+        passes.append((src[:n].reshape(2, 2, -1), src[n:], dst,
+                       out[..., 0].swapaxes(0, 1), out[..., 1].swapaxes(0, 1)))
+    for i, w in enumerate(twiddles):
+        a, b, dst, out0, out1 = passes[i & 1]
+        np.multiply(b, w[0], out=t)
+        np.multiply(b, w[1], out=u)
+        t_re -= u_im
+        t_im += u_re
+        sat_round_array(t, width, width - 1, flag, u)
+        np.add(a, t_q, out=out0)
+        np.subtract(a, t_q, out=out1)
+        sat_round_array(dst, width, shift, flag, scratch)
+    if len(twiddles) & 1:
+        x[:] = other
+    return x
 
 
 # Sample packing into 32-bit memory words:

@@ -587,10 +587,8 @@ def _i2s_sweep_members(spec: I2sSweepSpec) -> list[tuple[dict, I2sRunSpec]]:
 def run_i2s_sweep(spec: I2sSweepSpec, seed: int,
                   out_dir: Path | None = None) -> tuple[Report, list[dict]]:
     members = _i2s_sweep_members(spec)
-    echo = {key: _echo(getattr(spec, key))
-            for key in ("modes", "n_devices", "frame_bits", "sample_rate")}
     columns = {"bclk_hz": "bclk_hz", "latency_tclk": "latency_tclk_measured"}
-    return _run_sweep("i2s-sweep", echo, run_i2s_scenario, members, columns,
+    return _run_sweep("i2s-sweep", _echo(spec), run_i2s_scenario, members, columns,
                       ("mode", "frame_bits", "n_devices"), _i2s_series_checks,
                       seed, out_dir)
 

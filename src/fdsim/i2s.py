@@ -213,31 +213,32 @@ def encode(config: BusConfig, words: np.ndarray) -> Timeline:
     _check_words(config, words)
     if config.mode is not BusMode.TDM_DSP:
         words = words.transpose(0, 2, 1)
+    # every level is built per tick: a bit slot is two ticks
     k = config.channel_bits
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint16)
+    shifts = np.repeat(np.arange(k - 1, -1, -1, dtype=np.uint16), 2)
     bits = ((words.astype(np.uint16)[..., None] >> shifts) & 1).astype(np.int8)
 
     periods = len(words)
-    data = slice(LEAD_IN_SLOTS + config.data_delay,
-                 LEAD_IN_SLOTS + config.data_delay + periods * config.frame_slots)
-    total_slots = data.stop
-    sd = np.zeros(total_slots, dtype=np.int8)
+    first = 2 * (LEAD_IN_SLOTS + config.data_delay)
+    data = slice(first, first + 2 * periods * config.frame_slots)
+    n_ticks = timeline_ticks(config, periods)
+    sd = np.zeros(n_ticks, dtype=np.int8)
     sd[data] = bits.ravel()
-    driver = np.full(total_slots, NO_DRIVER, dtype=np.int16)
-    driver[data] = np.tile(_slot_driver(config), periods)
-    fsync = np.full(total_slots, config.idle_fsync, dtype=np.int8)
-    fsync[LEAD_IN_SLOTS:LEAD_IN_SLOTS + periods * config.frame_slots] = np.tile(
-        _fsync_period(config), periods)
+    driver = np.full(n_ticks, NO_DRIVER, dtype=np.int16)
+    driver[data].reshape(periods, -1)[:] = np.repeat(_slot_driver(config), 2)
+    # FSYNC is driven on the opposite half-edge, half a slot (one tick) ahead
+    # of SD; the last tick keeps its slot's level
+    fsync = np.full(n_ticks, config.idle_fsync, dtype=np.int8)
+    lead = 2 * LEAD_IN_SLOTS - 1
+    fsync[lead:lead + 2 * periods * config.frame_slots].reshape(periods, -1)[:] = \
+        np.repeat(_fsync_period(config), 2)
+    fsync[-1] = fsync[-2]
 
     if config.polarity is Polarity.SAMPLE_ON_RISING:
         phases = np.array([0, 1], dtype=np.int8)    # drive low phase, rise mid-slot
     else:
         phases = np.array([1, 0], dtype=np.int8)
-    bclk = np.tile(phases, total_slots)
-    # FSYNC is driven on the opposite half-edge, half a slot ahead of SD.
-    fsync_ticks = np.repeat(fsync, 2)
-    fsync_ticks = np.append(fsync_ticks[1:], fsync_ticks[-1])
-    return Timeline(bclk, fsync_ticks, np.repeat(sd, 2), np.repeat(driver, 2))
+    return Timeline(np.tile(phases, n_ticks // 2), fsync, sd, driver)
 
 
 def _sampled(timeline: Timeline, config: BusConfig):

@@ -1,5 +1,7 @@
 import cmath
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from fdsim.fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                        load_quantized, read_spectrum, spectrum_snr_db,
                        twiddle_lookup, twiddle_table)
 from fdsim.fixedpoint import (DataType, OverflowFlag, ScalingPolicy,
-                              butterfly_array, dequantize, quantize)
+                              dequantize, quantize)
 from fdsim.harness import SNR_FLOORS_DB, full_size_grid
 from fdsim.membank import (_STROBE_MASKS, FULL_STROBE, HI_HALF_STROBE, IDLE,
                            LO_HALF_STROBE, WRITE_COLUMN, BankedMemory, CycleStats,
@@ -22,6 +24,7 @@ from fdsim.schedule import (WRITE_LAG_REORDER, WRITE_LAG_STAGE,
                             bit_reverse_index, compile_reorder, compile_stage,
                             schedule_reorder, schedule_stage, total_cycle_model)
 from reference_packing import pack_parts, unpack_parts
+from test_fixedpoint import one_pass
 
 ALL_DTYPES = list(DataType)
 
@@ -266,10 +269,10 @@ class TestSpectra:
             assert summary.stats.stage_conflicts == 0
 
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
-    def test_every_row_charged_to_its_phase(self, dtype, monkeypatch):
+    def test_every_row_charged_to_its_phase(self, dtype, monkeypatch, fresh_programs):
         # an arbiter that rejects one request in every cycle: each phase's
         # stalls are then its cycle count, which a bound off by one row in
-        # either direction gets wrong; the op arbitrates once
+        # either direction gets wrong; the program arbitrates once
         calls = []
 
         def one_stall_per_cycle(memory, addresses, write_mask):
@@ -286,6 +289,26 @@ class TestSpectra:
             assert calls == [stages + reorder]
             assert (summary.stats.stage_conflicts, summary.stats.conflicts) == \
                 (stages, stages + reorder), (dtype, n)
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_program_arbitrates_once(self, dtype, monkeypatch, fresh_programs):
+        # the first op of a program arbitrates all of it in one call; any
+        # later op, at any base, takes its statistics from the program
+        calls, arbitrate = [], BankedMemory.access_batch
+
+        def counting(memory, addresses, write_mask):
+            calls.append(len(addresses))
+            return arbitrate(memory, addresses, write_mask)
+
+        monkeypatch.setattr(BankedMemory, "access_batch", counting)
+        n = 64
+        rows = sum(len(schedule_stage(n, dtype, s).ports) for s in range(6)) \
+            + len(schedule_reorder(n, dtype).ports)
+        first = run_fixed(np.zeros(n), dtype, n)[2].stats
+        assert calls == [rows]
+        second = run_fixed(np.full(n, 0.5), dtype, n, base=12)[2].stats
+        assert calls == [rows]
+        assert first.as_dict() == second.as_dict() == total_cycle_model(n, dtype).as_dict()
 
     def test_determinism(self):
         n, dtype = 128, DataType.C32
@@ -330,6 +353,43 @@ class TestSpectra:
                     assert summary.overflow == flag
                     assert summary.stats.as_dict() == stats.as_dict()
                     assert flag or scaling is not ScalingPolicy.NONE
+
+
+# sha256 of the executor's memory words, overflow flag and cycle statistics
+# over the whole size grid, both scaling policies and four bank offsets,
+# computed before the executor was rewritten; any change of a bit fails
+GOLDEN_EXECUTOR_SHA256 = (
+    "fe91bd3989080f61fa3d030942ad6895066c23c5557c79b40802a764fa838642")
+
+
+def _frozen_inputs(n):
+    """Noise at 0.9, and noise at 2.0 with +-(1+1j)*0.999 corners, which
+    saturates on load.  Unscaled runs saturate in the stages on both; the
+    loud input also saturates under divide-by-two at 9 of the 24 sizes."""
+    rng = np.random.default_rng(n)
+    quiet = 0.9 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    loud = 2.0 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    loud[:4] = np.array([1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j]) * 0.999
+    return quiet, loud
+
+
+def executor_digest():
+    digest = hashlib.sha256()
+    for dtype in ALL_DTYPES:
+        for n in full_size_grid(dtype):
+            for x in _frozen_inputs(n):
+                for scaling in ScalingPolicy:
+                    for base in (0, 4, 8, 12):
+                        mem, _, summary, _ = run_fixed(x, dtype, n, scaling, base)
+                        digest.update(mem.words.tobytes())
+                        digest.update(json.dumps([summary.overflow,
+                                                  summary.stats.as_dict()]).encode())
+    return digest.hexdigest()
+
+
+class TestFrozenOutput:
+    def test_executor_output_frozen(self):
+        assert executor_digest() == GOLDEN_EXECUTOR_SHA256
 
 
 class TestCompiledPrograms:
@@ -542,9 +602,9 @@ def reference_fft(phases, job, memory):
         stats.stage_conflicts += stalls
         (a, b, w), route = routing
         re, im = unpack_parts(words[reads], dtype)
-        (re[a], re[b]), (im[a], im[b]) = butterfly_array(
-            np.stack([re[a], re[b], im[a], im[b]]).reshape(2, 2, -1),
-            table.parts[:, w], dtype, job.scaling, flag)
+        (re[a], im[a]), (re[b], im[b]) = one_pass(
+            np.stack([re[a], im[a], re[b], im[b]]), table.parts[:, w], dtype,
+            job.scaling, flag)
         words[writes] = pack_parts(re[route], im[route], dtype)
     stats.stall_cycles = stats.conflicts
     return flag.seen, stats

@@ -132,6 +132,17 @@ class TestButterfly:
         assert flag.seen
 
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_halving_saturates_at_one_corner(self, dtype):
+        # t = -j * (0, min) = (min, 0) exactly, and (max - min) / 2 is a tie
+        # that rounds up to 2^(w-1): halving does not rule out saturation
+        flag = OverflowFlag()
+        a = FixedComplex(dtype.max_raw, 0, dtype)
+        b = w = FixedComplex(0, dtype.min_raw, dtype)
+        assert cmul(w, b, flag) == FixedComplex(dtype.min_raw, 0, dtype) and not flag.seen
+        _, out1 = butterfly(a, b, w, ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE, flag)
+        assert out1.re == dtype.max_raw and flag.seen
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
     def test_quarter_turn_oracle(self, dtype):
         # hand oracle: a + w*b and a - w*b with w = -i exactly representable
         a = quantize(0.25 + 0j, dtype)
@@ -243,13 +254,11 @@ class TestArrayForms:
         want = [butterfly(x, y, z, policy, scalar_flag) for x, y, z in zip(a, b, w)]
 
         def parts(samples):
-            return (np.array([s.re for s in samples], dtype=np.int64),
-                    np.array([s.im for s in samples], dtype=np.int64))
+            return [[s.re for s in samples], [s.im for s in samples]]
 
-        got = butterfly_array(np.stack([*parts(a), *parts(b)]).reshape(2, 2, -1).swapaxes(0, 1),
-                              np.stack(parts(w)).astype(np.int32), dtype, policy,
-                              array_flag).swapaxes(0, 1).reshape(4, -1)
-        assert got.tolist() == [
+        got = one_pass(np.array(parts(a) + parts(b)), np.array(parts(w)), dtype,
+                       policy, array_flag)
+        assert got.reshape(4, -1).tolist() == [
             [o0.re for o0, _ in want], [o0.im for o0, _ in want],
             [o1.re for _, o1 in want], [o1.im for _, o1 in want]]
         assert array_flag.seen == scalar_flag.seen
@@ -269,16 +278,52 @@ class TestArrayForms:
         self._check_butterflies(dtype, *zip(*cases), policy)
 
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    @pytest.mark.parametrize("policy", list(ScalingPolicy))
+    def test_register_headroom(self, dtype, policy):
+        # the largest product sums a register must hold: b at the negative
+        # corner against W^0 and the twiddles at -45 and -135 degrees, whose
+        # real or imaginary sum reaches sqrt(2) * 2^(2w-2); a register
+        # narrower than twice the part width wraps here
+        assert np.dtype(dtype.register).itemsize * 8 == 2 * dtype.part_width
+        table = _twiddles(dtype)
+        eighth = len(table) // 4
+        a = FixedComplex(dtype.max_raw, dtype.max_raw, dtype)
+        b = FixedComplex(dtype.min_raw, dtype.min_raw, dtype)
+        for w in (table[0], table[eighth], table[3 * eighth]):
+            self._check_butterflies(dtype, [a, b], [b, b], [w, w], policy)
+
+    @pytest.mark.parametrize("register", ["<i2", "<i4", "<i8"])
+    def test_sat_round_array_keeps_the_integer_type(self, register):
+        # ties of both parities at shift 7, and both rails, rounded in place
+        values = np.array([64, 192, -64, -192, 127 << 7, -129 << 7], dtype=register)
+        flag = OverflowFlag()
+        got = sat_round_array(values, 8, 7, flag)
+        assert got is values and got.dtype == np.dtype(register)
+        assert got.tolist() == [0, 2, 0, -2, 127, -128] and flag.seen
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
     @given(data=st.data())
     @settings(max_examples=15)
     def test_butterfly_array_matches_scalar(self, dtype, data):
         table = _twiddles(dtype)
-        n = data.draw(st.integers(1, 20))
+        n = 2 * data.draw(st.integers(1, 10))     # a pass takes pairs in twos
         a = data.draw(st.lists(_fixed(dtype), min_size=n, max_size=n))
         b = data.draw(st.lists(_fixed(dtype), min_size=n, max_size=n))
         w = data.draw(st.lists(st.sampled_from(table), min_size=n, max_size=n))
         policy = data.draw(st.sampled_from(list(ScalingPolicy)))
         self._check_butterflies(dtype, a, b, w, policy)
+
+
+def one_pass(operands, w, dtype, scaling, flag):
+    """``butterfly_array`` as a plain butterfly over k pairs (k even):
+    ``operands`` is the (4 x k) rows (a re, a im, b re, b im), ``w`` the
+    (2 x k) twiddles; returns the (2 x 2 x k) outputs (out0, out1) x (re, im).
+    One pass writes out0 of pair q to sample 2q and out1 to 2q + 1."""
+    k = operands.shape[1]
+    image = operands.astype(dtype.register).ravel()
+    butterfly_array(image, [np.tile(w, 2).astype(dtype.register)], dtype, scaling, flag)
+    # (half, part, pair in the half, out0/out1) -> (out0/out1, part, pair)
+    return image.reshape(2, 2, k // 2, 2).transpose(3, 1, 0, 2).reshape(2, 2, k)
 
 
 def _quantize_part(dtype):

@@ -297,6 +297,22 @@ class TestSweeps:
                if r["mode"] == "tdm-i2s"]
         assert sorted(tdm) == tdm and len({v for _, v in tdm}) == len(tdm)
 
+    def test_i2s_sweep_echoes_periods(self, tmp_path):
+        # two sweeps that differ only in periods run differently, so their
+        # reports must differ, each echoing its own value
+        reports = []
+        for periods in (2, 5):
+            cfg = tmp_path / f"sweep{periods}.json"
+            cfg.write_text(json.dumps({
+                "version": 1, "kind": "i2s-sweep", "seed": 3,
+                "sweep": {"modes": ["tdm-dsp"], "n_devices": [1, 2], "frame_bits": [16]},
+                "i2s": {"periods": periods}}))
+            out = tmp_path / f"out{periods}"
+            assert cli.main(["i2s", "sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_text())
+            assert json.loads(reports[-1])["config"]["periods"] == periods
+        assert reports[0] != reports[1]
+
     @pytest.mark.parametrize("frame_bits", [16, 24, 32])
     def test_payload_draw_is_the_per_word_stream(self, frame_bits):
         bus = BusConfig(BusMode.TDM_I2S, 5, frame_bits)
