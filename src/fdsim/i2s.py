@@ -253,10 +253,9 @@ def _sampled(timeline: Timeline, config: BusConfig):
 
 
 def _find_frame_start(fsync_bits: np.ndarray, config: BusConfig) -> int:
-    if config.mode is BusMode.TDM_DSP:
-        hits = np.nonzero((fsync_bits[1:] == 1) & (fsync_bits[:-1] == 0))[0] + 1
-    else:
-        hits = np.nonzero((fsync_bits[1:] == 0) & (fsync_bits[:-1] == 1))[0] + 1
+    """Index of the first sampled slot where FSYNC leaves its idle level."""
+    idle = config.idle_fsync
+    hits = np.flatnonzero((fsync_bits[1:] != idle) & (fsync_bits[:-1] == idle)) + 1
     if len(hits) == 0:
         raise FramingError("frame sync never asserted",
                            partial=np.zeros((0, config.n_devices, 2), dtype=np.int64))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import wave
@@ -249,6 +250,21 @@ class TestFftReport:
         ops = report.metrics["ops"]
         clock = report.metrics["clock_hz"]
         assert abs(gops * 1e9 * total / clock - ops) <= 1e-6 * ops
+
+    def test_gops_inconsistent_on_cycle_undercount(self, monkeypatch):
+        real = harness.fft_fixed
+
+        def undercounting(job, memory):
+            summary = real(job, memory)
+            summary.stats = dataclasses.replace(
+                summary.stats, butterfly_cycles=summary.stats.butterfly_cycles * 4 // 5)
+            return summary
+
+        monkeypatch.setattr(harness, "fft_fixed", undercounting)
+        spec = parse_config(fft_config(n_points=512, dtype="C64")).spec
+        report = run_fft_experiment(spec, seed=1)
+        assert report.metrics["ops"] > 10 * report.metrics["total_cycles"]
+        assert not report.checks["gops_consistent"]
 
     def test_byte_identical_reports(self):
         spec = parse_config(fft_config(n_points=128, dtype="C16")).spec
