@@ -11,7 +11,6 @@ decomposition exact (checked against the oracle down to the last stage).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,15 +19,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .fixedpoint import (DataType, FixedComplex, OverflowFlag, ScalingPolicy,
-                         butterfly_array, dequantize_parts, quantize,
-                         quantize_parts)
+                         butterfly_array, dequantize_parts, quantize_parts)
 from .membank import (IDLE, WRITE_COLUMN, BankedMemory, CycleStats, sample_array,
                       words_per_samples)
 from .schedule import (compile_reorder, compile_stage, schedule_reorder,
                        schedule_stage)
 
 # The scalar forms stay importable from here; the run path uses the arrays.
-from .fixedpoint import butterfly  # noqa: F401
+from .fixedpoint import butterfly, quantize  # noqa: F401
 from .membank import (load_samples, pack_samples, read_samples,  # noqa: F401
                       unpack_samples)
 
@@ -51,8 +49,8 @@ class TwiddleTable:
     Entry k holds exp(-2*pi*i*k/n_max) quantized to the data type; smaller
     transforms stride through the same table.  Quantization is
     round-to-nearest with a magnitude fix-up: entries that round outside
-    the unit circle are nudged toward zero (minimal-error component) so
-    that |entry| <= 1.0 always holds.
+    the unit circle are nudged one step toward zero (minimal-error choice
+    of component) so that |entry| <= 1.0 always holds.
     """
 
     dtype: DataType
@@ -62,31 +60,24 @@ class TwiddleTable:
     @classmethod
     def build(cls, dtype: DataType) -> "TwiddleTable":
         n_max = dtype.max_points
-        scale = dtype.scale
-        entries = []
-        for k in range(n_max // 2):
-            z = cmath.exp(-2j * cmath.pi * k / n_max)
-            q = quantize(z, dtype)
-            re, im = q.re, q.im
-            while re * re + im * im > scale * scale:
-                candidates = []
-                if re:
-                    candidates.append((re - (1 if re > 0 else -1), im))
-                if im:
-                    candidates.append((re, im - (1 if im > 0 else -1)))
-                if re and im:
-                    candidates.append((re - (1 if re > 0 else -1),
-                                       im - (1 if im > 0 else -1)))
-                ok = [c for c in candidates
-                      if c[0] * c[0] + c[1] * c[1] <= scale * scale]
-                pool = ok or candidates
-                re, im = min(pool, key=lambda c: (c[0] - z.real * scale) ** 2
-                             + (c[1] - z.imag * scale) ** 2)
-            entries.append((re, im))
+        z = np.exp(-2j * np.pi * np.arange(n_max // 2) / n_max)
+        re, im = quantize_parts(z, dtype)
+        # an entry that rounds outside the unit circle takes the in-circle
+        # candidate of least error among (re - sgn, im), (re, im - sgn) and
+        # (re - sgn, im - sgn), the first of them on a tie
+        r2 = dtype.scale ** 2
+        out = np.flatnonzero(re * re + im * im > r2)
+        cand_re = re[out] - np.array([[1], [0], [1]]) * np.sign(re[out])
+        cand_im = im[out] - np.array([[0], [1], [1]]) * np.sign(im[out])
+        error = ((cand_re - z.real[out] * dtype.scale) ** 2
+                 + (cand_im - z.imag[out] * dtype.scale) ** 2)
+        error[cand_re * cand_re + cand_im * cand_im > r2] = np.inf
+        best = error.argmin(axis=0), np.arange(len(out))
+        re[out], im[out] = cand_re[best], cand_im[best]
         # the array butterfly's int64 product sums stay below 2^63 only if |w| <= 1
-        if any(re * re + im * im > scale * scale for re, im in entries):
+        if (re * re + im * im > r2).any():
             raise AssertionError(f"{dtype.name} twiddle outside the unit circle")
-        return cls(dtype, n_max, np.array(entries, dtype=np.int64).T)
+        return cls(dtype, n_max, np.stack([re, im]))
 
 
 @lru_cache(maxsize=None)

@@ -22,9 +22,9 @@ from .fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                   load_quantized, read_spectrum, spectrum_snr_db)
 from .fixedpoint import DataType, OverflowFlag, ScalingPolicy
 from .i2s import (MAX_SAMPLE_RATE_HZ, Alignment, BusConfig, BusMode, FsyncStyle,
-                  Polarity, _sampled, bclk_frequency, decode_words, encode,
-                  latency_dsp, latency_tdm, measure_latency, payloads_to_wav,
-                  timeline_ticks, wav_to_payloads, write_vcd)
+                  Polarity, bclk_frequency, decode_words, encode, latency_dsp,
+                  latency_tdm, measure_latency, payloads_to_wav, timeline_ticks,
+                  wav_to_payloads, write_vcd)
 # Not on the run path: the benchmark's span tracer (perfbench/spans.py)
 # looks the list decoder up under this name.
 from .i2s import decode  # noqa: F401
@@ -61,9 +61,9 @@ def ops_count(n_points: int) -> int:
 
 # one second of frames at the fastest sample rate
 MAX_PERIODS = MAX_SAMPLE_RATE_HZ
-# Timeline length budget of one I2S run.  A run holds about 12 bytes of
-# arrays per tick at its peak, so this bounds it near 50 MB: 4095 periods
-# of 16 devices x 32 bits.
+# Timeline length budget of one I2S run.  A run holds about 7.6 bytes of
+# arrays per tick at its peak (tracemalloc, 16 devices x 32 bits), so this
+# bounds it near 32 MB: 4095 periods of 16 devices x 32 bits.
 MAX_TIMELINE_TICKS = 1 << 22
 
 
@@ -542,9 +542,8 @@ def run_i2s_scenario(spec: I2sRunSpec, seed: int, out_dir: Path | None = None,
     bus = spec.bus
     words = build_payloads(spec, seed)
     timeline = encode(bus, words)
-    sampled = _sampled(timeline, bus)          # decode and latency share one pass
-    decoded = decode_words(timeline, bus, sampled)
-    measured = measure_latency(timeline, bus, sampled)
+    decoded = decode_words(timeline, bus)
+    measured = measure_latency(timeline, bus)
     if bus.mode is BusMode.TDM_DSP:
         formula = latency_dsp(bus.frame_bits)
     else:

@@ -180,14 +180,16 @@ def _check_words(config: BusConfig, words: np.ndarray) -> None:
         raise ValueError(f"device {np.nonzero(bad)[1][0]} payload exceeds {k} bits")
 
 
-def _slot_driver(config: BusConfig) -> np.ndarray:
-    """Driving device per bit slot of one sample period, before the data delay."""
-    K = config.n_devices
+def _slot_words(config: BusConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(device, channel) of the word carried in each word slot of one sample
+    period, channel 0 being left.  DSP mode sends each device's left then
+    right word; TDM and standard I2S send every device's left word, then
+    every right word."""
+    slots = np.arange(2 * config.n_devices, dtype=np.int16)
     if config.mode is BusMode.TDM_DSP:
-        word_driver = np.repeat(np.arange(K, dtype=np.int16), 2)
-    else:
-        word_driver = np.tile(np.arange(K, dtype=np.int16), 2)
-    return np.repeat(word_driver, config.channel_bits)
+        return np.divmod(slots, 2)
+    channel, device = np.divmod(slots, config.n_devices)
+    return device, channel
 
 
 def _fsync_period(config: BusConfig) -> np.ndarray:
@@ -205,18 +207,17 @@ def encode(config: BusConfig, words: np.ndarray) -> Timeline:
     """Serialize ``(periods, K, 2)`` left/right words into a bit-exact timeline.
 
     ``words[p, d]`` is device ``d``'s (left, right) pair in sample period
-    ``p``; ``_check_words`` states what is accepted.  MSB first; SD changes
-    on the driving edge; FSYNC per mode and style.  DSP mode sends each
-    device's left then right word; TDM and standard I2S send every
-    device's left word, then every right word.
+    ``p``; ``_check_words`` states what is accepted, ``_slot_words`` the
+    order the words go out in.  MSB first; SD changes on the driving edge;
+    FSYNC per mode and style.
     """
     _check_words(config, words)
-    if config.mode is not BusMode.TDM_DSP:
-        words = words.transpose(0, 2, 1)
+    device, channel = _slot_words(config)
     # every level is built per tick: a bit slot is two ticks
     k = config.channel_bits
     shifts = np.repeat(np.arange(k - 1, -1, -1, dtype=np.uint16), 2)
-    bits = ((words.astype(np.uint16)[..., None] >> shifts) & 1).astype(np.int8)
+    slots = words[:, device, channel].astype(np.uint16)
+    bits = ((slots[..., None] >> shifts) & 1).astype(np.int8)
 
     periods = len(words)
     first = 2 * (LEAD_IN_SLOTS + config.data_delay)
@@ -225,7 +226,7 @@ def encode(config: BusConfig, words: np.ndarray) -> Timeline:
     sd = np.zeros(n_ticks, dtype=np.int8)
     sd[data] = bits.ravel()
     driver = np.full(n_ticks, NO_DRIVER, dtype=np.int16)
-    driver[data].reshape(periods, -1)[:] = np.repeat(_slot_driver(config), 2)
+    driver[data].reshape(periods, -1)[:] = np.repeat(device, 2 * k)
     # FSYNC is driven on the opposite half-edge, half a slot (one tick) ahead
     # of SD; the last tick keeps its slot's level
     fsync = np.full(n_ticks, config.idle_fsync, dtype=np.int8)
@@ -242,35 +243,37 @@ def encode(config: BusConfig, words: np.ndarray) -> Timeline:
 
 
 def _sampled(timeline: Timeline, config: BusConfig):
-    """Line levels captured at each sampling edge (setup values)."""
-    b = timeline.bclk
-    if config.polarity is Polarity.SAMPLE_ON_RISING:
-        before_edge = np.flatnonzero(b[1:] > b[:-1])
-    else:
-        before_edge = np.flatnonzero(b[1:] < b[:-1])
+    """Views of the line levels captured at each sampling edge (setup values).
+
+    BCLK toggles every tick, so the level just before each sampling edge is
+    every other tick, from tick 0 if BCLK sits at its sampled-edge level at
+    tick 1 and from tick 1 if not (a wrong-polarity decode).
+    """
+    after_edge = 1 if config.polarity is Polarity.SAMPLE_ON_RISING else 0
+    first = int(timeline.n_ticks > 1 and timeline.bclk[1] != after_edge)
+    before_edge = slice(first, timeline.n_ticks - 1, 2)
     return (timeline.sd[before_edge], timeline.fsync[before_edge],
             timeline.driver[before_edge])
 
 
 def _find_frame_start(fsync_bits: np.ndarray, config: BusConfig) -> int:
     """Index of the first sampled slot where FSYNC leaves its idle level."""
-    idle = config.idle_fsync
-    hits = np.flatnonzero((fsync_bits[1:] != idle) & (fsync_bits[:-1] == idle)) + 1
-    if len(hits) == 0:
+    active = fsync_bits != config.idle_fsync
+    starts = active[1:] > active[:-1]
+    if not starts.any():
         raise FramingError("frame sync never asserted",
                            partial=np.zeros((0, config.n_devices, 2), dtype=np.int64))
-    return int(hits[0])
+    return int(starts.argmax()) + 1
 
 
-def decode_words(timeline: Timeline, config: BusConfig, sampled=None) -> np.ndarray:
+def decode_words(timeline: Timeline, config: BusConfig) -> np.ndarray:
     """Recover the ``(periods, K, 2)`` words; exact inverse of ``encode``.
 
     Raises FramingError when FSYNC never appears or when the timeline
     ends inside a frame (the complete periods ride on ``.partial``, shaped
-    ``(0, K, 2)`` when there are none).  ``sampled`` is
-    ``_sampled(timeline, config)``, if the caller has it.
+    ``(0, K, 2)`` when there are none).
     """
-    sd_bits, fs_bits, _ = sampled or _sampled(timeline, config)
+    sd_bits, fs_bits, _ = _sampled(timeline, config)
     # data of period p lives in slots [base + p*per, base + (p+1)*per)
     base = _find_frame_start(fs_bits, config) + config.data_delay
     k, K = config.channel_bits, config.n_devices
@@ -280,11 +283,10 @@ def decode_words(timeline: Timeline, config: BusConfig, sampled=None) -> np.ndar
     tail = available - complete * per
 
     window = sd_bits[base:base + complete * per].reshape(complete, 2 * K, k)
-    values = window @ (1 << np.arange(k - 1, -1, -1))
-    if config.mode is BusMode.TDM_DSP:
-        words = values.reshape(complete, K, 2)
-    else:
-        words = values.reshape(complete, 2, K).transpose(0, 2, 1)
+    device, channel = _slot_words(config)
+    words = np.empty((complete, K, 2), dtype=np.int64)
+    # words are below 2^16, so int32 weights are exact
+    words[:, device, channel] = window @ (1 << np.arange(k - 1, -1, -1, dtype=np.int32))
     if complete == 0:
         raise FramingError("timeline ends before one complete frame", partial=words)
     if tail > 0:
@@ -299,14 +301,13 @@ def decode(timeline: Timeline, config: BusConfig) -> list[list[FramePayload]]:
     return frames_from_array(decode_words(timeline, config))
 
 
-def measure_latency(timeline: Timeline, config: BusConfig, sampled=None) -> int:
+def measure_latency(timeline: Timeline, config: BusConfig) -> int:
     """First-sample-complete latency in Tclk units, read off the timeline.
 
     Measured from the start of the first frame's data slots to the end of
     the slot in which device 0 finishes its frame (left and right).
-    ``sampled`` is as for ``decode_words``.
     """
-    sd_bits, fs_bits, drv_bits = sampled or _sampled(timeline, config)
+    _, fs_bits, drv_bits = _sampled(timeline, config)
     start = _find_frame_start(fs_bits, config)
     base = start + config.data_delay
     window = drv_bits[base:base + config.frame_slots]

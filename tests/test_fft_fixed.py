@@ -54,7 +54,42 @@ class TestBitReverse:
         assert bit_reverse_index(bit_reverse_index(i, bits), bits) == i
 
 
+def ref_twiddle_parts(dtype):
+    """The per-entry twiddle builder ``TwiddleTable.build`` replaced: scalar
+    ``quantize``, then nudges toward zero until the entry is in the circle."""
+    n_max = dtype.max_points
+    scale = dtype.scale
+    entries = []
+    for k in range(n_max // 2):
+        z = cmath.exp(-2j * cmath.pi * k / n_max)
+        q = quantize(z, dtype)
+        re, im = q.re, q.im
+        while re * re + im * im > scale * scale:
+            candidates = []
+            if re:
+                candidates.append((re - (1 if re > 0 else -1), im))
+            if im:
+                candidates.append((re, im - (1 if im > 0 else -1)))
+            if re and im:
+                candidates.append((re - (1 if re > 0 else -1),
+                                   im - (1 if im > 0 else -1)))
+            ok = [c for c in candidates
+                  if c[0] * c[0] + c[1] * c[1] <= scale * scale]
+            pool = ok or candidates
+            re, im = min(pool, key=lambda c: (c[0] - z.real * scale) ** 2
+                         + (c[1] - z.imag * scale) ** 2)
+        entries.append((re, im))
+    return np.array(entries, dtype=np.int64).T
+
+
 class TestTwiddleTable:
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_matches_scalar_builder(self, dtype):
+        table = twiddle_table(dtype)
+        want = ref_twiddle_parts(dtype)
+        assert table.parts.dtype == want.dtype
+        assert np.array_equal(table.parts, want)
+
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
     def test_endpoints(self, dtype):
         table = twiddle_table(dtype)

@@ -340,23 +340,6 @@ class TestSweeps:
             words = build_payloads(I2sRunSpec(bus=bus, periods=4), seed)
             assert frames_from_array(words) == want
 
-    @pytest.mark.parametrize("mode", list(BusMode))
-    def test_i2s_scenario_samples_its_timeline_once(self, mode, monkeypatch):
-        # decode and the latency measurement read the same sampled edges
-        calls = []
-        real = harness._sampled
-
-        def counted(timeline, config):
-            calls.append(timeline.n_ticks)
-            return real(timeline, config)
-
-        monkeypatch.setattr("fdsim.i2s._sampled", counted)
-        monkeypatch.setattr(harness, "_sampled", counted)
-        n_devices = 1 if mode is BusMode.STANDARD_I2S else 4
-        report = run_i2s_scenario(I2sRunSpec(BusConfig(mode, n_devices, 32), 3), seed=1)
-        assert report.passed
-        assert calls == [report.metrics["timeline_ticks"]]
-
     def test_i2s_scenario_wav_payload(self, tmp_path):
         bus = BusConfig(BusMode.TDM_DSP, 2, 16)
         spec = I2sRunSpec(bus=bus, periods=4, payload=PayloadSpec(export_wav=True))

@@ -6,6 +6,7 @@ take and give per-period ``FramePayload`` lists; ``words_from_frames``
 turns such a list into the codec's ``(periods, K, 2)`` word array.
 """
 
+import dataclasses
 import json
 import wave
 from itertools import chain
@@ -272,8 +273,13 @@ class TestAgainstReference:
                    for period in decoded for p in period)
         json.dumps(decoded)
         cut = timeline.truncated(data.draw(st.integers(0, timeline.n_ticks)))
-        for got, want in zip(_sampled(cut, config), ref_sampled(cut, config)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the opposite polarity samples the other edge: odd ticks
+        for polarity in Polarity:
+            sampler = dataclasses.replace(config, polarity=polarity)
+            for got, want, line in zip(_sampled(cut, sampler), ref_sampled(cut, sampler),
+                                       (cut.sd, cut.fsync, cut.driver)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert np.shares_memory(got, line) or not got.size
         assert (decode_outcome(listed_decode, cut, config)
                 == decode_outcome(ref_decode, cut, config))
 
