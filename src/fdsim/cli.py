@@ -15,10 +15,9 @@ import argparse
 import sys
 from dataclasses import replace
 from functools import lru_cache
-from pathlib import Path
 
 from .fft import ConfigurationError
-from .harness import load_config, run_experiment, write_report
+from .harness import load_config, make_out_dir, run_experiment, write_report
 from .membank import BankedMemory
 from .schedule import (dump_reorder_schedule, dump_stage_schedule,
                        schedule_reorder, schedule_stage)
@@ -109,9 +108,7 @@ def _cmd_schedule_dump(args):
             schedule_reorder(job.n_points, job.dtype)))
     text = "\n".join(pieces)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "schedule.txt").write_text(text)
+        (make_out_dir(args.out) / "schedule.txt").write_text(text)
     sys.stdout.write(text)
     return EXIT_OK
 

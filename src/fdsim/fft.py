@@ -19,7 +19,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .fixedpoint import (DataType, FixedComplex, OverflowFlag, ScalingPolicy,
-                         butterfly_array, dequantize_parts, quantize_parts)
+                         butterfly_array, complex_pairs, dequantize_parts,
+                         pass_twiddles, quantize_pairs, quantize_parts)
 from .membank import (IDLE, WRITE_COLUMN, BankedMemory, CycleStats, sample_array,
                       words_per_samples)
 from .schedule import (compile_reorder, compile_stage, schedule_reorder,
@@ -113,10 +114,8 @@ def fft_reference(x) -> np.ndarray:
 
 def spectrum_snr_db(reference, measured) -> float:
     """10*log10(|ref|^2 / |ref - measured|^2) over a whole spectrum."""
-    reference = np.asarray(reference, dtype=np.complex128)
-    measured = np.asarray(measured, dtype=np.complex128)
-    err = np.sum(np.abs(reference - measured) ** 2)
-    sig = np.sum(np.abs(reference) ** 2)
+    err = np.add.reduce(np.square(np.abs(np.subtract(reference, measured))), axis=None)
+    sig = np.add.reduce(np.square(np.abs(reference)), axis=None)
     if err == 0:
         return math.inf
     if sig == 0:
@@ -160,8 +159,9 @@ class FftResultSummary:
 @lru_cache(maxsize=None)
 def _program(n_points: int, dtype: DataType):
     """The compiled program of (n_points, dtype): its cycle statistics, each
-    stage's twiddles in constant geometry as one read-only ``(stages, 2, n)``
-    array of ``dtype.register``, and the reorder's (dst, src) half-words.
+    stage's twiddles in constant geometry as the pair of rows of its
+    ``pass_twiddles`` array (read-only, in ``dtype.register``), and the
+    reorder's (dst, src) half-words.
 
     The program is arbitrated here, once, in one ``access_batch`` call over
     the port matrix of every stage and then the reorder, at base address 0.
@@ -188,10 +188,10 @@ def _program(n_points: int, dtype: DataType):
         "conflicts": int(stalls.sum()), "stage_conflicts": int(stalls[:-1].sum())})
     pair = np.arange(n_points // 2)
     table = twiddle_table(dtype).parts.astype(dtype.register)
-    twiddles = np.stack([np.tile(table[:, compile_stage(p)[pair % (1 << s)]], 2)
+    twiddles = np.stack([pass_twiddles(table[:, compile_stage(p)[pair % (1 << s)]])
                          for s, p in enumerate(stages)])
     twiddles.flags.writeable = False
-    return stats, twiddles, compile_reorder(reorder)
+    return stats, tuple(map(tuple, twiddles)), compile_reorder(reorder)
 
 
 def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
@@ -231,16 +231,16 @@ def load_quantized(memory: BankedMemory, job: FftJob, values,
 
     Returns the quantized samples as exact doubles: the oracle's input.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    if len(values) != job.n_points:
-        raise ConfigurationError(f"expected {job.n_points} samples, got {len(values)}")
-    re, im = quantize_parts(values, job.dtype, flag)
-    sample_array(memory, job.base_address, job.n_points, job.dtype).T[:] = re, im
-    return dequantize_parts(re, im, job.dtype)
+    pairs = complex_pairs(values)
+    if len(pairs) != job.n_points:
+        raise ConfigurationError(f"expected {job.n_points} samples, got {len(pairs)}")
+    parts = sample_array(memory, job.base_address, job.n_points, job.dtype)
+    parts[:] = quantize_pairs(pairs, job.dtype, flag)
+    return dequantize_parts(parts, job.dtype)
 
 
-def read_spectrum(memory: BankedMemory, job: FftJob) -> np.ndarray:
-    """Dequantized natural-order spectrum currently in memory."""
-    # widened first: NumPy 2 will not divide int8 parts by the int scale 128
-    re, im = sample_array(memory, job.base_address, job.n_points, job.dtype).T.astype(np.int64)
-    return dequantize_parts(re, im, job.dtype)
+def read_spectrum(memory: BankedMemory, job: FftJob, gain: int = 1) -> np.ndarray:
+    """Dequantized natural-order spectrum currently in memory, times
+    ``gain``; a power-of-two gain, such as 2**scaling_stages, is exact."""
+    return dequantize_parts(sample_array(memory, job.base_address, job.n_points, job.dtype),
+                            job.dtype, gain)

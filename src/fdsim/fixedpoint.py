@@ -197,72 +197,103 @@ def butterfly(a: FixedComplex, b: FixedComplex, w: FixedComplex,
 
 
 @lru_cache(maxsize=None)
-def _constant(register: np.dtype, value: int) -> np.ndarray:
-    """``value`` as a read-only 0-d array of the register type; a Python int
-    operand costs a conversion on every ufunc call."""
-    c = np.array(value, dtype=register)
-    c.flags.writeable = False
-    return c
+def _rounding(register: np.dtype, width: int, shift: int, floor_safe: bool = False):
+    """``sat_round`` on arrays of ``register``, with its constants bound once:
+    ``round(q, parity, flag)`` rounds ``q`` in place and returns it, using
+    ``parity`` (same shape and type, or None) as scratch.  ``floor_safe``
+    skips the lower rail for sums that cannot reach below it.
+
+    Ties go to even by adding ``half - 1`` plus the parity of the truncated
+    quotient before the shift.  That sum stays in the integer type, so the
+    rounding is exact only for |q| < 2^(bits-1) - 2^shift; the executor's
+    registers stay below that.  Clipping runs only if the extremes are out
+    of range.  The constants are 0-d arrays of the register type, since a
+    Python int operand costs a conversion on every ufunc call.
+    """
+    def constant(value):
+        return np.array(value, dtype=register)
+
+    shift_c, one = constant(shift), constant(1)
+    offset = constant((1 << (shift - 1)) - 1) if shift > 1 else None
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    lo_c, hi_c = constant(lo), constant(hi)
+    minimum, maximum = np.minimum.reduce, np.maximum.reduce
+
+    def round_(q, parity, flag):
+        if shift:
+            parity = np.right_shift(q, shift_c, out=parity)
+            np.bitwise_and(parity, one, out=parity)
+            q += parity
+            if offset is not None:
+                q += offset
+            q >>= shift_c
+        if q.size and (maximum(q, axis=None) > hi
+                       or not floor_safe and minimum(q, axis=None) < lo):
+            if flag is not None:
+                flag.seen = True
+            np.minimum(np.maximum(q, lo_c, out=q), hi_c, out=q)
+        return q
+    return round_
 
 
 def sat_round_array(values, width: int, shift: int = 0,
                     flag: OverflowFlag | None = None, scratch=None) -> np.ndarray:
     """Element-wise ``sat_round`` on an integer array; the flag is set if any
     element saturates.  An integer ``values`` is rounded in place, at its
-    own integer width, and returned; any other input is converted to a new
-    int64 array first.  ``scratch``, if given, is an array of the same shape
-    and type that receives the parity bits.
-
-    Ties go to even by adding ``half - 1`` plus the parity of the truncated
-    quotient before the shift.  That sum stays in the integer type, so the
-    rounding is exact only for |values| < 2^(bits-1) - 2^shift; the
-    executor's registers stay below that.  Clipping runs only if the
-    extremes are out of range.
+    own integer width (see ``_rounding``), and returned; any other input is
+    converted to a new int64 array first.  ``scratch``, if given, is an
+    array of the same shape and type that receives the parity bits.
     """
     q = np.asarray(values)
     if q.dtype.kind != "i":
         q = q.astype(np.int64)
-    if shift:
-        shift_c = _constant(q.dtype, shift)
-        parity = np.right_shift(q, shift_c, out=scratch)
-        np.bitwise_and(parity, _constant(q.dtype, 1), out=parity)
-        q += parity
-        if shift > 1:
-            q += _constant(q.dtype, (1 << (shift - 1)) - 1)
-        q >>= shift_c
-    lo, hi = _constant(q.dtype, -(1 << (width - 1))), _constant(q.dtype, (1 << (width - 1)) - 1)
-    if q.size and (np.minimum.reduce(q, axis=None) < lo
-                   or np.maximum.reduce(q, axis=None) > hi):
+    return _rounding(q.dtype, width, shift)(q, scratch, flag)
+
+
+def quantize_pairs(pairs: np.ndarray, dtype: DataType,
+                   flag: OverflowFlag | None = None) -> np.ndarray:
+    """``quantize`` on the interleaved ``(samples, 2)`` float64 (re, im) view
+    of a complex array: the raw parts as integral doubles, saturated.
+
+    ``np.rint`` rounds half to even like ``round``.  A part saturates
+    exactly when it lies outside [-1 - 2^-w, 1 - 2^-w) (the scale is a power
+    of two, so scaling is exact and a tie at either edge rounds to the even
+    rail value), so one range check on the input finds every saturation,
+    NaN and infinity before anything is scaled; huge finite values are
+    clipped, and flagged, where the scalar form would overflow.
+    """
+    edge = 0.5 / dtype.scale
+    if not (np.minimum.reduce(pairs, axis=None) >= -1 - edge
+            and np.maximum.reduce(pairs, axis=None) < 1 - edge):
+        if not np.isfinite(pairs).all():
+            raise ValueError("cannot quantize NaN or infinite samples")
         if flag is not None:
             flag.seen = True
-        np.minimum(np.maximum(q, lo, out=q), hi, out=q)
-    return q
+        with np.errstate(over="ignore"):
+            scaled = np.rint(pairs * dtype.scale)
+        return np.clip(scaled, dtype.min_raw, dtype.max_raw, out=scaled)
+    scaled = np.multiply(pairs, dtype.scale)
+    return np.rint(scaled, out=scaled)
+
+
+def complex_pairs(values) -> np.ndarray:
+    """The interleaved ``(samples, 2)`` float64 (re, im) view of ``values``
+    as a contiguous complex128 vector: memory's part order."""
+    return np.ascontiguousarray(values, dtype=np.complex128).view(np.float64).reshape(-1, 2)
 
 
 def quantize_parts(values, dtype: DataType,
-                   flag: OverflowFlag | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``quantize`` over a complex array: int64 raw (re, im), saturated.
-
-    ``np.rint`` rounds half to even like ``round``; clipping one step past
-    either rail before the cast keeps huge finite values saturating (and
-    flagging) where the scalar form would overflow converting them.
-    """
-    x = np.asarray(values, dtype=np.complex128)
-    if not np.isfinite(x).all():
-        raise ValueError("cannot quantize NaN or infinite samples")
-    with np.errstate(over="ignore"):
-        scaled = np.rint(np.stack([x.real, x.imag]) * dtype.scale)
-    raw = np.clip(scaled, dtype.min_raw - 1, dtype.max_raw + 1).astype(np.int64)
-    re, im = sat_round_array(raw, dtype.part_width, 0, flag)
-    return re, im
+                   flag: OverflowFlag | None = None) -> np.ndarray:
+    """``quantize`` over a complex array: the ``(2, samples)`` int64 raw
+    (re, im), saturated; a transposed view of the interleaved parts."""
+    return quantize_pairs(complex_pairs(values), dtype, flag).astype(np.int64).T
 
 
-def dequantize_parts(re, im, dtype: DataType) -> np.ndarray:
-    """``dequantize`` over arrays of raw parts; exact, the scale being 2^(w-1)."""
-    out = np.empty(len(re), dtype=np.complex128)
-    out.real = np.divide(re, dtype.scale)
-    out.imag = np.divide(im, dtype.scale)
-    return out
+def dequantize_parts(parts, dtype: DataType, gain: int = 1) -> np.ndarray:
+    """``dequantize`` over the interleaved ``(samples, 2)`` raw (re, im)
+    parts, times ``gain``: a complex vector.  Exact for a power-of-two gain,
+    the scale being 2^(w-1); a zero part gives +0.0."""
+    return np.multiply(parts, gain / dtype.scale).view(np.complex128).reshape(-1)
 
 
 def butterfly_array(x, twiddles, dtype: DataType,
@@ -273,40 +304,53 @@ def butterfly_array(x, twiddles, dtype: DataType,
 
     ``x`` is a 1-D image of n samples (n a multiple of 4) in ``dtype.register``:
     re then im parts of samples 0..n/2-1, then re then im of samples
-    n/2..n-1, i.e. ``(2, 2, n/2)`` as (half, part, sample).  Each ``(2, n)``
-    array in ``twiddles`` is one pass: rows (re, im), with columns q and
-    n/2 + q both holding the twiddle of pair q, |w| <= 1.  A pass pairs
-    samples a = q and b = q + n/2 and writes out0 to sample 2q and out1 to
-    sample 2q + 1 (constant geometry), so a sample at q moves to the
-    m-bit left rotation of q; after m = log2(n) passes every sample is
-    back where it started.  Rounds twice per pass: both product sums, then
-    all outputs.  Returns ``x``.
+    n/2..n-1, i.e. ``(2, 2, n/2)`` as (half, part, sample).  Each item of
+    ``twiddles``, a ``(2, n)`` array or the pair of its rows, is one pass of
+    pairs q, |w_q| <= 1 (``pass_twiddles`` builds it): row 0 holds
+    w_q re at columns q and n/2 + q, row 1 holds w_q im at column q and
+    -w_q im at column n/2 + q, the sign of the b im * w im term of the
+    complex product.  A pass pairs samples a = q and b = q + n/2 and writes
+    out0 to sample 2q and out1 to sample 2q + 1 (constant geometry), so a
+    sample at q moves to the m-bit left rotation of q; after m = log2(n)
+    passes every sample is back where it started.  Rounds twice per pass:
+    both product sums, then all outputs.  Returns ``x``.
     """
     width = dtype.part_width
-    shift = 1 if policy is ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE else 0
+    halve = policy is ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE
+    round_product = _rounding(x.dtype, width, width - 1)
+    # a +- t >= -2^w halves to min_raw at the lowest, so only the upper
+    # rail can clip a halved output
+    round_output = _rounding(x.dtype, width, int(halve), halve)
     n = len(x) // 2
     other, scratch = np.empty_like(x), np.empty_like(x)
     t, u = scratch[:n], scratch[n:]          # t = w re * b, u = w im * b
-    t_re, t_im, u_re, u_im = t[:n // 2], t[n // 2:], u[:n // 2], u[n // 2:]
+    t_parts = t.reshape(2, -1)               # (part, sample)
+    u_swapped = u.reshape(2, -1)[::-1]       # (b im * -w im, b re * w im)
     t_q = t.reshape(2, 2, -1)                # (part, half of the pairs, pair)
     passes = []
     for src, dst in ((x, other), (other, x)):
         out = dst.reshape(2, 2, -1, 2)       # (half, part, pair, out0/out1)
         passes.append((src[:n].reshape(2, 2, -1), src[n:], dst,
                        out[..., 0].swapaxes(0, 1), out[..., 1].swapaxes(0, 1)))
-    for i, w in enumerate(twiddles):
+    for i, (w_re, w_im) in enumerate(twiddles):
         a, b, dst, out0, out1 = passes[i & 1]
-        np.multiply(b, w[0], out=t)
-        np.multiply(b, w[1], out=u)
-        t_re -= u_im
-        t_im += u_re
-        sat_round_array(t, width, width - 1, flag, u)
+        np.multiply(b, w_re, out=t)
+        np.multiply(b, w_im, out=u)
+        np.add(t_parts, u_swapped, out=t_parts)
+        round_product(t, u, flag)
         np.add(a, t_q, out=out0)
         np.subtract(a, t_q, out=out1)
-        sat_round_array(dst, width, shift, flag, scratch)
+        round_output(dst, scratch, flag)
     if len(twiddles) & 1:
         x[:] = other
     return x
+
+
+def pass_twiddles(w) -> np.ndarray:
+    """The ``butterfly_array`` twiddle array of one pass from the ``(2, k)``
+    (re, im) twiddles of its k pairs."""
+    re, im = w
+    return np.concatenate([re, re, im, -im]).reshape(2, -1)
 
 
 # Sample packing into 32-bit memory words:

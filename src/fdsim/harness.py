@@ -12,8 +12,11 @@ import io
 import json
 import math
 import wave
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -301,10 +304,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """Parse the config file at ``path``: UTF-8 text with universal newlines,
+    as ``Path.read_text`` reads it on a UTF-8 host."""
     try:
-        raw = json.loads(Path(path).read_text())
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        raw = json.loads(text)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise ConfigurationError(f"cannot read config: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"config is not valid JSON: {e}") from None
     return parse_config(raw)
@@ -329,7 +340,7 @@ class Report:
         doc = {"kind": self.kind, "seed": self.seed, "config": self.config,
                "metrics": self.metrics, "checks": self.checks,
                "passed": self.passed}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _indented_json(doc) + "\n"
 
     def to_text(self) -> str:
         out = io.StringIO()
@@ -344,15 +355,80 @@ class Report:
         return out.getvalue()
 
 
+JSON_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=None)
+def _json_level(level: int):
+    """What ``json.dumps(..., indent=2)`` writes around the members of a
+    container nested ``level`` deep: json's C encoder, with sorted keys and
+    the members' line break and indent as its item separator; the opening
+    line break and indent; that separator; the closing line break and indent.
+    """
+    indent = "\n" + "  " * (level + 1)
+    encoder = c_make_encoder(None, None, encode_basestring_ascii, None, ": ",
+                             "," + indent, True, False, True)
+    return encoder, indent, "," + indent, "\n" + "  " * level
+
+
+def _indented_json(value, level: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` of a value nested
+    ``level`` deep, whose dict keys are strings.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder.  Here the C
+    encoder writes each container that holds no container in one call, with
+    its level's separator (``_json_level``); only the others are walked in
+    Python (``_member_lines``).
+    """
+    encode, indent, separator, close = _json_level(level)
+    if isinstance(value, dict):
+        brackets, members = "{}", value.values()
+    elif isinstance(value, (list, tuple)):
+        brackets, members = "[]", value
+    else:
+        return "".join(encode(value, 0))
+    if not value:
+        return brackets
+    if any(map(isinstance, members, repeat(JSON_CONTAINERS))):
+        body = separator.join(_member_lines(value, level, encode))
+    else:
+        body = "".join(encode(value, 0))[1:-1]
+    return brackets[0] + indent + body + close + brackets[1]
+
+
+def _member_lines(value, level: int, encode) -> list[str]:
+    """The members of a dict or list that holds containers, as
+    ``_indented_json`` writes them: each non-empty container on its own,
+    each run of other members in one call of its level's ``encode``."""
+    is_dict = isinstance(value, dict)
+    lines, run = [], {} if is_dict else []
+    for member in sorted(value.items()) if is_dict else value:
+        inner = member[1] if is_dict else member
+        if not (isinstance(inner, JSON_CONTAINERS) and inner):
+            if is_dict:
+                run[member[0]] = inner
+            else:
+                run.append(inner)
+            continue
+        if run:
+            lines.append("".join(encode(run, 0))[1:-1])
+            run = {} if is_dict else []
+        text = _indented_json(inner, level + 1)
+        lines.append(f"{encode_basestring_ascii(member[0])}: {text}" if is_dict else text)
+    if run:
+        lines.append("".join(encode(run, 0))[1:-1])
+    return lines
+
+
 def _echo(value):
     """A parsed config value as the report echoes it: a dataclass as its
     fields, a DataType by name, any other enum by value, a tuple as a list."""
-    if is_dataclass(value):
-        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Enum):
         return value.name if isinstance(value, DataType) else value.value
     if isinstance(value, tuple):
         return [_echo(v) for v in value]
+    if is_dataclass(value):
+        return {key: _echo(v) for key, v in vars(value).items()}
     return value
 
 
@@ -403,9 +479,11 @@ def build_fft_input(spec: InputSpec, n_points: int, seed: int) -> np.ndarray:
         t = np.arange(n_points)
         return spec.amplitude * np.exp(2j * np.pi * spec.bin * t / n_points)
     if spec.source == "noise":
-        rng = np.random.default_rng(seed)
-        return (rng.uniform(-spec.amplitude, spec.amplitude, n_points)
-                + 1j * rng.uniform(-spec.amplitude, spec.amplitude, n_points))
+        # one (2, n) draw is the stream of an n-sample draw of the re parts
+        # then one of the im parts; re + 1j * im of those gives these bits
+        parts = np.random.default_rng(seed).uniform(-spec.amplitude, spec.amplitude,
+                                                    (2, n_points))
+        return parts.T.copy().view(np.complex128).reshape(-1)
     # file: first channel of a WAV, scaled to [-1, 1)
     try:
         with wave.open(str(spec.path), "rb") as w:
@@ -434,7 +512,7 @@ def run_fft_experiment(spec: FftRunSpec, seed: int,
     oracle_input = load_quantized(memory, job, x, input_flag)
 
     summary = fft_fixed(job, memory)
-    spectrum = read_spectrum(memory, job) * float(2 ** summary.scaling_stages)
+    spectrum = read_spectrum(memory, job, 1 << summary.scaling_stages)
     reference = fft_reference(oracle_input)
     snr = spectrum_snr_db(reference, spectrum)
 
@@ -616,9 +694,19 @@ def write_csv(path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def write_report(report: Report, out_dir) -> None:
+def make_out_dir(out_dir) -> Path:
+    """Create the output directory ``out_dir``; a path that cannot be one,
+    such as an existing file, is a ConfigurationError that names it."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigurationError(f"cannot create output directory: {e}") from None
+    return out_dir
+
+
+def write_report(report: Report, out_dir) -> None:
+    out_dir = make_out_dir(out_dir)
     (out_dir / "report.json").write_text(report.to_json())
     (out_dir / "report.txt").write_text(report.to_text())
 
@@ -627,7 +715,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
                    timeline_dump: bool = False):
     """Dispatch a parsed config; returns (report, rows-or-None)."""
     if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        make_out_dir(out_dir)
     return KINDS[config.kind][1](config.spec, config.seed, out_dir, timeline_dump)
 
 

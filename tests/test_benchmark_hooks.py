@@ -9,7 +9,11 @@ benchmark, so these checks load the tracer's tables, without changing
 """
 
 import importlib.util
+import json
+from collections import Counter
 from pathlib import Path
+
+import fdsim.cli as cli
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -17,6 +21,11 @@ SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 # cli.config_s
 HARNESS_LABELS = ("harness.build_fft_input", "harness.build_payloads",
                   "harness.run_experiment", "harness.load_config")
+# the per-layer spans of one FFT op: each is called once per `fft run`
+ONCE_PER_FFT_RUN = (("fdsim.harness", "build_fft_input"), ("fdsim.harness", "load_quantized"),
+                    ("fdsim.harness", "fft_fixed"), ("fdsim.harness", "read_spectrum"),
+                    ("fdsim.harness", "fft_reference"), ("fdsim.harness", "total_cycle_model"),
+                    ("fdsim.cli", "load_config"))
 
 
 def _spans():
@@ -41,3 +50,17 @@ def test_harness_labels_name_harness_functions():
     for label in HARNESS_LABELS:
         assert label in labels, label
         assert labels[label].__module__ == "fdsim.harness", label
+
+
+def test_fft_run_calls_each_traced_name_once(tmp_path, capsys):
+    spans = _spans()
+    assert set(ONCE_PER_FFT_RUN) <= set(spans.WARM_POINTS)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "kind": "fft-run", "seed": 3,
+                               "fft": {"n_points": 64, "dtype": "C32"}}))
+    with spans.Tracer(ONCE_PER_FFT_RUN) as tracer:
+        assert cli.main(["fft", "run", "--config", str(cfg), "--format", "json"]) == 0
+    calls = Counter(tracer.names[i] for i in tracer.name)
+    assert len(tracer.names) == len(ONCE_PER_FFT_RUN)
+    assert calls == {label: 1 for label in tracer.names}
+    assert cli.load_config.__module__ == "fdsim.harness"     # the tracer restored it

@@ -188,6 +188,27 @@ class TestLoadAndReadBack:
         want = [dequantize(s) for s in read_samples(mem, 0, n, dtype)]
         assert _bits(read_spectrum(mem, job)) == _bits(want)
 
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_read_spectrum_gain_is_exact(self, dtype):
+        # a power-of-two gain scales the dequantized parts without rounding
+        n = 256 if dtype is DataType.C64 else dtype.max_points
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-0.9, 0.9, n) + 1j * rng.uniform(-0.9, 0.9, n)
+        mem, job, summary, _ = run_fixed(x, dtype, n)
+        gain = 1 << summary.scaling_stages
+        want = [complex(s.re / dtype.scale * gain, s.im / dtype.scale * gain)
+                for s in read_samples(mem, 0, n, dtype)]
+        assert _bits(read_spectrum(mem, job, gain)) == _bits(want)
+        assert _bits(read_spectrum(mem, job, gain)) == _bits(read_spectrum(mem, job) * gain)
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_zero_parts_load_as_positive_zero(self, dtype):
+        # parts that round to 0 from below are +0.0 in the oracle's input
+        tiny = -0.25 / dtype.scale
+        x = np.array([tiny + 1j * tiny, -0.0 - 0.0j] * 4)
+        got = load_quantized(BankedMemory(), FftJob(8, dtype), x)
+        assert _bits(got) == [0] * 16
+
     def test_length_checked_before_values(self):
         job = FftJob(8, DataType.C64)
         with pytest.raises(ConfigurationError):

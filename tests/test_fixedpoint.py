@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from fdsim.fft import twiddle_lookup, twiddle_table
 from fdsim.fixedpoint import (DataType, FixedComplex, OverflowFlag,
                               ScalingPolicy, butterfly, butterfly_array, cmul,
-                              dequantize, one, quantize, quantize_parts,
-                              sat_round, sat_round_array, zero)
+                              dequantize, one, pass_twiddles, quantize,
+                              quantize_parts, sat_round, sat_round_array, zero)
 
 ALL_DTYPES = list(DataType)
 
@@ -321,7 +321,7 @@ def one_pass(operands, w, dtype, scaling, flag):
     One pass writes out0 of pair q to sample 2q and out1 to 2q + 1."""
     k = operands.shape[1]
     image = operands.astype(dtype.register).ravel()
-    butterfly_array(image, [np.tile(w, 2).astype(dtype.register)], dtype, scaling, flag)
+    butterfly_array(image, [pass_twiddles(w.astype(dtype.register))], dtype, scaling, flag)
     # (half, part, pair in the half, out0/out1) -> (out0/out1, part, pair)
     return image.reshape(2, 2, k // 2, 2).transpose(3, 1, 0, 2).reshape(2, 2, k)
 
@@ -375,6 +375,21 @@ class TestQuantizeParts:
         assert got_re.tolist() == [q.re for q in want]
         assert got_im.tolist() == [q.im for q in want]
         assert flag.seen == want_flag
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_each_value_next_to_a_rail(self, dtype):
+        # one value at a time, so no other sample decides whether the array
+        # saturates: the ties at 1 - 2^-w and -1 - 2^-w round to the even
+        # rail values 2^(w-1) (saturating) and -2^(w-1) (in range)
+        edge = 0.5 / dtype.scale
+        for v in (1 - edge, np.nextafter(1 - edge, 0), -1 - edge,
+                  np.nextafter(-1 - edge, -2), 1.0, -1.0):
+            for z in (complex(v, 0.25), complex(-0.25, v)):
+                want, want_flag = self._scalar([z], dtype)
+                flag = OverflowFlag()
+                re, im = quantize_parts([z], dtype, flag)
+                assert (re.tolist(), im.tolist()) == ([want[0].re], [want[0].im]), z
+                assert flag.seen == want_flag, z
 
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
     def test_exact_ties_round_to_even(self, dtype):

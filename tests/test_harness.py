@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import wave
@@ -212,6 +213,16 @@ class TestInputs:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("n", [8, 2048])
+    def test_noise_is_the_two_draw_stream(self, n):
+        # the one (2, n) draw gives the bits of a draw of re then one of im
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            want = rng.uniform(-0.9, 0.9, n) + 1j * rng.uniform(-0.9, 0.9, n)
+            got = build_fft_input(InputSpec(amplitude=0.9), n, seed)
+            assert got.dtype == np.complex128
+            assert got.tobytes() == want.tobytes(), seed
+
     def test_wav_file(self, tmp_path):
         path = tmp_path / "in.wav"
         data = (np.arange(64, dtype=np.int16) * 256).astype("<i2")
@@ -290,6 +301,75 @@ class TestFftReport:
         run_fft_experiment(spec, seed=0, out_dir=tmp_path)
         assert (tmp_path / "memory.bin").exists()
         assert (tmp_path / "memory.bin.json").exists()
+
+
+# strings json escapes: quotes, backslashes, control and non-ASCII characters
+JSON_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')
+                    | st.characters(), max_size=6)
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+                | st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+                | JSON_TEXT)
+
+
+def _nested(depth):
+    """JSON values nested up to ``depth`` containers deep; empty ones too."""
+    if depth == 0:
+        return JSON_SCALARS
+    inner = _nested(depth - 1)
+    return (inner | st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+            | st.dictionaries(JSON_TEXT, inner, max_size=4))
+
+
+# sha256 of report.json then report.txt, written by the parent of the C-encoded
+# report writer
+PINNED_REPORTS = {
+    "fft-run": ("fft run", fft_config(),
+                "10af8f84ab5a5a3edaf3697d27630945f3830f542ee9815ac9d842f719e958ad"),
+    "fft-sweep": ("fft sweep", {"version": 1, "kind": "fft-sweep", "seed": 3,
+                                "sweep": {"dtypes": ["C64", "C16"], "n_points": [8, 64]},
+                                "fft": {"input": {"source": "tone", "bin": 5}}},
+                  "ebc87305961602ef6da83567ba41e49a32b123d117c0b69b9fa6daf09b9d8ad6"),
+    "i2s-run": ("i2s run", i2s_config(periods=4),
+                "c37f02290cf3c82446a65a0d62bacb5ad821a9c74e449098f26aaac4dcb3c6dc"),
+    "i2s-sweep": ("i2s sweep", {"version": 1, "kind": "i2s-sweep", "seed": 2,
+                                "sweep": {"modes": ["tdm-dsp", "tdm-i2s"],
+                                          "n_devices": [1, 4], "frame_bits": [16, 32]}},
+                  "e95ba4c8dd106097a679e2be345d3ac3090f9e462da7af04c89236f257080453"),
+}
+
+
+class TestReportWriter:
+    """``Report.to_json`` writes the bytes of ``json.dumps(doc,
+    sort_keys=True, indent=2)`` without json's pure-Python encoder."""
+
+    @given(_nested(3))
+    @settings(max_examples=300)
+    def test_matches_json_dumps(self, value):
+        assert harness._indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @given(_nested(2), st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=6),
+           st.dictionaries(JSON_TEXT, st.booleans(), max_size=4))
+    @settings(max_examples=100)
+    def test_report_matches_json_dumps(self, config, metrics, checks):
+        report = Report("k\u00e9nd", 7, config, metrics, checks)
+        doc = {"kind": report.kind, "seed": 7, "config": config, "metrics": metrics,
+               "checks": checks, "passed": report.passed}
+        assert report.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_bool_beside_int_and_signed_zeros(self):
+        doc = {"b": [True, 1, False, 0, None], "z": [0.0, -0.0], "": {},
+               "l": [[], {}, [[]]], "n": [math.nan, math.inf, -math.inf, 2 ** 100]}
+        assert harness._indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_REPORTS))
+    def test_reports_pinned(self, tmp_path, capsys, kind):
+        verb, doc, digest = PINNED_REPORTS[kind]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(verb.split() + ["--config", str(cfg), "--out", str(out)]) == 0
+        text = (out / "report.json").read_bytes() + (out / "report.txt").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == digest
 
 
 class TestSweeps:
@@ -547,6 +627,60 @@ class TestCli:
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = self._write(tmp_path, {"version": 1, "kind": "nope"})
         assert cli.main(["fft", "run", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("where", ["directory", "under-a-file"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, where):
+        # a directory used to exit 1 with an IsADirectoryError traceback
+        path = tmp_path
+        if where == "under-a-file":
+            (tmp_path / "file").write_text("{}")
+            path = tmp_path / "file" / "cfg.json"
+        assert cli.main(["fft", "run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read config: [Errno ")
+        assert err.endswith(f"'{path}'\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"\xef\xbb\xbf" + json.dumps(fft_config()).encode(),
+         "configuration error: config is not valid JSON: Unexpected UTF-8 BOM "
+         "(decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+        (b'{"version": 1, "kind": "\xff"}',
+         "invalid argument: 'utf-8' codec can't decode byte 0xff in position 24: "
+         "invalid start byte\n"),
+    ], ids=["bom", "invalid-utf-8"])
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, raw, message):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(raw)
+        assert cli.main(["fft", "run", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_config_newlines_read_as_text(self, tmp_path, newline):
+        # JSON error positions count characters after universal-newline
+        # translation, as Path.read_text gives them
+        p = tmp_path / "cfg.json"
+        p.write_bytes(newline.join(['{', '"version": 1,', '"kind" "fft-run"', '}']).encode())
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(p.read_text())
+        with pytest.raises(ConfigurationError) as got:
+            load_config(p)
+        assert str(got.value) == f"config is not valid JSON: {want.value}"
+
+    @pytest.mark.parametrize("verb", ["fft run", "schedule dump"])
+    def test_out_path_of_a_file_exits_2(self, tmp_path, capsys, monkeypatch, verb):
+        # used to exit 1 with a FileExistsError traceback
+        def must_not_run(*args):
+            raise AssertionError("ran with an unusable output directory")
+
+        monkeypatch.setattr(harness, "run_fft_experiment", must_not_run)
+        cfg = self._write(tmp_path, fft_config(n_points=8))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.main(verb.split() + ["--config", cfg, "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: cannot create output directory: "
+                                f"[Errno 17] File exists: '{taken}'\n")
+        assert taken.read_text() == ""
 
     @pytest.mark.parametrize("kind", ["fft-run", "fft-sweep"])
     @pytest.mark.parametrize("clock_hz", [0, float("nan"), -1.0, float("inf")])
