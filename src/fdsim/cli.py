@@ -2,7 +2,7 @@
 
     fdsim fft run    --config cfg.json [--seed N] [--out DIR] [--format text|json]
     fdsim fft sweep  --config cfg.json ...
-    fdsim i2s run    --config cfg.json [--timeline-dump] ...
+    fdsim i2s run    --config cfg.json [--out DIR [--timeline-dump]] ...
     fdsim i2s sweep  --config cfg.json ...
     fdsim schedule dump --config cfg.json [--stage N | --reorder] [--out DIR]
 
@@ -78,12 +78,14 @@ def _expected_kind(config, expected):
 
 
 def _cmd_experiment(args, expected_kind):
+    timeline_dump = getattr(args, "timeline_dump", False)
+    if timeline_dump and not args.out:
+        raise ConfigurationError("--timeline-dump needs --out")
     config = load_config(args.config)
     _expected_kind(config, expected_kind)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    report, _rows = run_experiment(config, out_dir=args.out,
-                                   timeline_dump=getattr(args, "timeline_dump", False))
+    report, _rows = run_experiment(config, out_dir=args.out, timeline_dump=timeline_dump)
     if args.out:
         write_report(report, args.out)
     sys.stdout.write(report.to_json() if args.format == "json"

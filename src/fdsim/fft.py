@@ -150,7 +150,6 @@ class FftJob:
 
 @dataclass
 class FftResultSummary:
-    job: FftJob
     stats: CycleStats
     overflow: bool
     scaling_stages: int   # spectrum is DFT / 2**scaling_stages
@@ -222,7 +221,7 @@ def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
 
     m = job.n_points.bit_length() - 1
     scaling = m if job.scaling is ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE else 0
-    return FftResultSummary(job, CycleStats(**stats), flag.seen, scaling)
+    return FftResultSummary(CycleStats(**stats), flag.seen, scaling)
 
 
 def load_quantized(memory: BankedMemory, job: FftJob, values,

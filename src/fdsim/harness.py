@@ -219,30 +219,24 @@ def _sizes(value, key) -> tuple | None:
     return None if value is None else _axis()(value, key)
 
 
-def _fields(d: dict, table: dict, label: str, required=()) -> dict:
-    """Each key of ``table`` that ``d`` holds, parsed in table order."""
-    kwargs = {}
-    for key, parse in table.items():
-        if key in d:
-            kwargs[key] = parse(d[key], key)
-        elif key in required:
-            raise ConfigurationError(f"{label} config missing required key {key!r}")
-    return kwargs
-
-
-def _section(d: dict, key: str, label: str, table: dict, required=()) -> dict:
-    """``_fields`` of section ``key`` of the ``label`` config ``d``, which may
-    leave the section out unless it has ``required`` keys."""
-    section = _fields(d, {key: _AS_IS}, label, (key,) if required else ()).get(key, {})
-    if not isinstance(section, dict):
+def _fields(d, table: dict, key: str, label: str, required=()) -> dict:
+    """Each key of ``table`` that ``d``, section ``key`` of a ``label``
+    config, holds, parsed in table order."""
+    if not isinstance(d, dict):
         raise ConfigurationError(f"{label} config section {key!r} must be a JSON object")
-    return _fields(section, table, key, required)
+    kwargs = {}
+    for name, parse in table.items():
+        if name in d:
+            kwargs[name] = parse(d[name], name)
+        elif name in required:
+            raise ConfigurationError(f"{key} config missing required key {name!r}")
+    return kwargs
 
 
 def _nested(cls, table, label):
     """Parser of a section of a ``label`` config whose keys ``table`` reads
     into a ``cls``."""
-    return lambda value, key: cls(**_section({key: value}, key, label, table))
+    return lambda value, key: cls(**_fields(value, table, key, label))
 
 
 _AS_IS = _keyless(lambda value: value)    # for a value its spec type checks
@@ -266,23 +260,29 @@ I2S_SWEEP_KEYS = {"sample_rate": _int, "periods": _int}
 
 
 def _read_fft_run(raw: dict) -> FftRunSpec:
-    job = _section(raw, "fft", "fft-run", JOB_KEYS, ("n_points", "dtype"))
-    return FftRunSpec(FftJob(**job), **_section(raw, "fft", "fft-run", FFT_RUN_KEYS))
+    if "fft" not in raw:
+        raise ConfigurationError("fft-run config missing required key 'fft'")
+    fft = raw["fft"]
+    job = _fields(fft, JOB_KEYS, "fft", "fft-run", ("n_points", "dtype"))
+    return FftRunSpec(FftJob(**job), **_fields(fft, FFT_RUN_KEYS, "fft", "fft-run"))
 
 
 def _read_fft_sweep(raw: dict) -> FftSweepSpec:
-    return FftSweepSpec(**_section(raw, "sweep", "fft-sweep", FFT_AXES),
-                        **_section(raw, "fft", "fft-sweep", FFT_SWEEP_KEYS))
+    return FftSweepSpec(**_fields(raw.get("sweep", {}), FFT_AXES, "sweep", "fft-sweep"),
+                        **_fields(raw.get("fft", {}), FFT_SWEEP_KEYS, "fft", "fft-sweep"))
 
 
 def _read_i2s_run(raw: dict) -> I2sRunSpec:
-    bus = _section(raw, "i2s", "i2s-run", BUS_KEYS, ("mode",))
-    return I2sRunSpec(BusConfig(**bus), **_section(raw, "i2s", "i2s-run", I2S_RUN_KEYS))
+    if "i2s" not in raw:
+        raise ConfigurationError("i2s-run config missing required key 'i2s'")
+    i2s = raw["i2s"]
+    bus = _fields(i2s, BUS_KEYS, "i2s", "i2s-run", ("mode",))
+    return I2sRunSpec(BusConfig(**bus), **_fields(i2s, I2S_RUN_KEYS, "i2s", "i2s-run"))
 
 
 def _read_i2s_sweep(raw: dict) -> I2sSweepSpec:
-    return I2sSweepSpec(**_section(raw, "sweep", "i2s-sweep", I2S_AXES),
-                        **_section(raw, "i2s", "i2s-sweep", I2S_SWEEP_KEYS))
+    return I2sSweepSpec(**_fields(raw.get("sweep", {}), I2S_AXES, "sweep", "i2s-sweep"),
+                        **_fields(raw.get("i2s", {}), I2S_SWEEP_KEYS, "i2s", "i2s-sweep"))
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -293,7 +293,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigurationError(f"unsupported config version {version!r}")
     kind = raw.get("kind")
     try:
-        seed = _fields(raw, {"seed": _int}, kind)
+        seed = {"seed": _int(raw["seed"], "seed")} if "seed" in raw else {}
         if not isinstance(kind, str) or kind not in KINDS:
             raise ConfigurationError(f"unknown experiment kind {kind!r}")
         return ExperimentConfig(kind, KINDS[kind][0](raw), **seed)
@@ -377,8 +377,8 @@ def _indented_json(value, level: int = 0) -> str:
 
     ``indent`` sends ``json.dumps`` to its pure-Python encoder.  Here the C
     encoder writes each container that holds no container in one call, with
-    its level's separator (``_json_level``); only the others are walked in
-    Python (``_member_lines``).
+    its level's separator (``_json_level``); a container that holds one
+    writes each member through this function, dicts in sorted key order.
     """
     encode, indent, separator, close = _json_level(level)
     if isinstance(value, dict):
@@ -389,35 +389,15 @@ def _indented_json(value, level: int = 0) -> str:
         return "".join(encode(value, 0))
     if not value:
         return brackets
-    if any(map(isinstance, members, repeat(JSON_CONTAINERS))):
-        body = separator.join(_member_lines(value, level, encode))
-    else:
+    if not any(map(isinstance, members, repeat(JSON_CONTAINERS))):
         body = "".join(encode(value, 0))[1:-1]
+    elif isinstance(value, dict):
+        body = separator.join(f"{encode_basestring_ascii(key)}: "
+                              f"{_indented_json(member, level + 1)}"
+                              for key, member in sorted(value.items()))
+    else:
+        body = separator.join(_indented_json(member, level + 1) for member in value)
     return brackets[0] + indent + body + close + brackets[1]
-
-
-def _member_lines(value, level: int, encode) -> list[str]:
-    """The members of a dict or list that holds containers, as
-    ``_indented_json`` writes them: each non-empty container on its own,
-    each run of other members in one call of its level's ``encode``."""
-    is_dict = isinstance(value, dict)
-    lines, run = [], {} if is_dict else []
-    for member in sorted(value.items()) if is_dict else value:
-        inner = member[1] if is_dict else member
-        if not (isinstance(inner, JSON_CONTAINERS) and inner):
-            if is_dict:
-                run[member[0]] = inner
-            else:
-                run.append(inner)
-            continue
-        if run:
-            lines.append("".join(encode(run, 0))[1:-1])
-            run = {} if is_dict else []
-        text = _indented_json(inner, level + 1)
-        lines.append(f"{encode_basestring_ascii(member[0])}: {text}" if is_dict else text)
-    if run:
-        lines.append("".join(encode(run, 0))[1:-1])
-    return lines
 
 
 def _echo(value):

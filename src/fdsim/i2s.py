@@ -344,8 +344,7 @@ def write_vcd(timeline: Timeline, path) -> None:
     lines += ["$upscope $end", "$enddefinitions $end"]
 
     n_ticks = timeline.n_ticks
-    stamped = np.zeros(n_ticks, dtype=bool)
-    changes = []
+    ticks, texts = [], []
     for _, width, ident, levels in signals:
         at = np.flatnonzero(levels[1:] != levels[:-1]) + 1
         if n_ticks:
@@ -353,20 +352,16 @@ def write_vcd(timeline: Timeline, path) -> None:
         values = np.unique(levels)
         text = np.array([_vcd_line(ident, width, v) for v in values.tolist()],
                         dtype=object)
-        changes.append((at, text[np.searchsorted(values, levels[at])]))
-        stamped[at] = True
-    stamps = np.flatnonzero(stamped)
-    # one row per stamped tick: "\n#", the tick, then each signal's change
-    rows = np.empty((len(stamps), 2 + len(signals)), dtype=object)
-    present = np.zeros(rows.shape, dtype=bool)
-    rows[:, 0] = "\n#"
-    rows[:, 1] = list(map(str, stamps.tolist()))
-    present[:, :2] = True
-    for column, (at, text) in enumerate(changes, 2):
-        row = np.searchsorted(stamps, at)
-        rows[row, column] = text
-        present[row, column] = True
-    body = "".join(rows[present].tolist())
+        ticks.append(at)
+        texts.append(text[np.searchsorted(values, levels[at])])
+    # a stable sort by tick keeps signal order within a tick; each tick's
+    # "#tick" stamp goes before its first change
+    ticks = np.concatenate(ticks)
+    order = np.argsort(ticks, kind="stable")
+    ticks, texts = ticks[order], np.concatenate(texts)[order]
+    first = np.flatnonzero(np.diff(ticks, prepend=-1))
+    stamps = [f"\n#{tick}" for tick in ticks[first].tolist()]
+    body = "".join(np.insert(texts, first, stamps).tolist())
     Path(path).write_text("\n".join(lines) + body + f"\n#{n_ticks}\n")
 
 

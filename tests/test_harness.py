@@ -891,6 +891,14 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "timeline.vcd").exists()
 
+    def test_timeline_dump_needs_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "encode", _encode_must_not_run)
+        monkeypatch.chdir(tmp_path)
+        cfg = self._write(tmp_path, i2s_config())
+        assert cli.main(["i2s", "run", "--config", cfg, "--timeline-dump"]) == 2
+        assert capsys.readouterr().err == "configuration error: --timeline-dump needs --out\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_sweep_csv(self, tmp_path):
         cfg = self._write(tmp_path, {
             "version": 1, "kind": "fft-sweep", "seed": 1,

@@ -283,14 +283,19 @@ class TestAgainstReference:
         assert (decode_outcome(listed_decode, cut, config)
                 == decode_outcome(ref_decode, cut, config))
 
-    @pytest.mark.parametrize("mode", list(BusMode))
+    @pytest.mark.parametrize("mode, K, frame_bits, periods", [
+        *[pytest.param(mode, 1 if mode is BusMode.STANDARD_I2S else 3, 24, 2, id=str(mode))
+          for mode in BusMode],
+        # the benchmark's bus: driver ids up to 15, and several signals
+        # changing on one tick
+        *[pytest.param(mode, 16, 32, 3, id=f"16x32-{mode}")
+          for mode in (BusMode.TDM_I2S, BusMode.TDM_DSP)]])
     @pytest.mark.parametrize("cut", [None, 0, 1, 101])
-    def test_vcd_bytes(self, tmp_path, mode, cut):
-        K = 1 if mode is BusMode.STANDARD_I2S else 3
-        config = BusConfig(mode, K, 24, alignment=Alignment.ONE_BIT_DELAY)
+    def test_vcd_bytes(self, tmp_path, mode, K, frame_bits, periods, cut):
+        config = BusConfig(mode, K, frame_bits, alignment=Alignment.ONE_BIT_DELAY)
         timeline = encode(config, words_from_frames(
             config, [[FramePayload(d, 0xA5 ^ d, 0x3C + p) for d in range(K)]
-                     for p in range(2)]))
+                     for p in range(periods)]))
         if cut is not None:
             timeline = timeline.truncated(cut)
         write_vcd(timeline, tmp_path / "got.vcd")
