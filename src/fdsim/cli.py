@@ -17,7 +17,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 from .fft import ConfigurationError
-from .harness import load_config, make_out_dir, run_experiment, write_report
+from .harness import load_config, make_out_dir, run_experiment
 from .membank import BankedMemory
 from .schedule import (dump_reorder_schedule, dump_stage_schedule,
                        schedule_reorder, schedule_stage)
@@ -79,15 +79,13 @@ def _expected_kind(config, expected):
 
 def _cmd_experiment(args, expected_kind):
     timeline_dump = getattr(args, "timeline_dump", False)
-    if timeline_dump and not args.out:
+    if timeline_dump and args.out is None:
         raise ConfigurationError("--timeline-dump needs --out")
     config = load_config(args.config)
     _expected_kind(config, expected_kind)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    report, _rows = run_experiment(config, out_dir=args.out, timeline_dump=timeline_dump)
-    if args.out:
-        write_report(report, args.out)
+    report = run_experiment(config, out_dir=args.out, timeline_dump=timeline_dump)
     sys.stdout.write(report.to_json() if args.format == "json"
                      else report.to_text())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -109,7 +107,7 @@ def _cmd_schedule_dump(args):
         pieces.append(dump_reorder_schedule(
             schedule_reorder(job.n_points, job.dtype)))
     text = "\n".join(pieces)
-    if args.out:
+    if args.out is not None:
         (make_out_dir(args.out) / "schedule.txt").write_text(text)
     sys.stdout.write(text)
     return EXIT_OK

@@ -23,8 +23,8 @@ from .fixedpoint import (DataType, FixedComplex, OverflowFlag, ScalingPolicy,
                          pass_twiddles, quantize_pairs, quantize_parts)
 from .membank import (IDLE, WRITE_COLUMN, BankedMemory, CycleStats, sample_array,
                       words_per_samples)
-from .schedule import (compile_reorder, compile_stage, schedule_reorder,
-                       schedule_stage)
+from .schedule import (MIN_POINTS, compile_reorder, compile_stage,
+                       schedule_reorder, schedule_stage)
 
 # The scalar forms stay importable from here; the run path uses the arrays.
 from .fixedpoint import butterfly, quantize  # noqa: F401
@@ -36,64 +36,54 @@ class ConfigurationError(ValueError):
     """Run configuration the model rejects (size, alignment, schema...)."""
 
 
-MIN_POINTS = 8
 BASE_ALIGN_WORDS = 4
 
 
 # -- twiddle storage ----------------------------------------------------------
 
 
-@dataclass
-class TwiddleTable:
-    """One lookup table per data type, sized for that type's largest FFT.
+@lru_cache(maxsize=None)
+def twiddle_table(dtype: DataType) -> np.ndarray:
+    """The one lookup table of a data type, sized for its largest FFT: the
+    read-only (2 x max_points/2) int64 raw (re, im) parts of each entry.
 
-    Entry k holds exp(-2*pi*i*k/n_max) quantized to the data type; smaller
-    transforms stride through the same table.  Quantization is
+    Entry k holds exp(-2*pi*i*k/max_points) quantized to the data type;
+    smaller transforms stride through the same table.  Quantization is
     round-to-nearest with a magnitude fix-up: entries that round outside
     the unit circle are nudged one step toward zero (minimal-error choice
     of component) so that |entry| <= 1.0 always holds.
     """
-
-    dtype: DataType
-    n_max: int
-    parts: np.ndarray   # (2 x n_max/2) int64 raw (re, im) of each entry
-
-    @classmethod
-    def build(cls, dtype: DataType) -> "TwiddleTable":
-        n_max = dtype.max_points
-        z = np.exp(-2j * np.pi * np.arange(n_max // 2) / n_max)
-        re, im = quantize_parts(z, dtype)
-        # an entry that rounds outside the unit circle takes the in-circle
-        # candidate of least error among (re - sgn, im), (re, im - sgn) and
-        # (re - sgn, im - sgn), the first of them on a tie
-        r2 = dtype.scale ** 2
-        out = np.flatnonzero(re * re + im * im > r2)
-        cand_re = re[out] - np.array([[1], [0], [1]]) * np.sign(re[out])
-        cand_im = im[out] - np.array([[0], [1], [1]]) * np.sign(im[out])
-        error = ((cand_re - z.real[out] * dtype.scale) ** 2
-                 + (cand_im - z.imag[out] * dtype.scale) ** 2)
-        error[cand_re * cand_re + cand_im * cand_im > r2] = np.inf
-        best = error.argmin(axis=0), np.arange(len(out))
-        re[out], im[out] = cand_re[best], cand_im[best]
-        # the array butterfly's int64 product sums stay below 2^63 only if |w| <= 1
-        if (re * re + im * im > r2).any():
-            raise AssertionError(f"{dtype.name} twiddle outside the unit circle")
-        return cls(dtype, n_max, np.stack([re, im]))
+    n_max = dtype.max_points
+    z = np.exp(-2j * np.pi * np.arange(n_max // 2) / n_max)
+    re, im = quantize_parts(z, dtype)
+    # an entry that rounds outside the unit circle takes the in-circle
+    # candidate of least error among (re - sgn, im), (re, im - sgn) and
+    # (re - sgn, im - sgn), the first of them on a tie
+    r2 = dtype.scale ** 2
+    out = np.flatnonzero(re * re + im * im > r2)
+    cand_re = re[out] - np.array([[1], [0], [1]]) * np.sign(re[out])
+    cand_im = im[out] - np.array([[0], [1], [1]]) * np.sign(im[out])
+    error = ((cand_re - z.real[out] * dtype.scale) ** 2
+             + (cand_im - z.imag[out] * dtype.scale) ** 2)
+    error[cand_re * cand_re + cand_im * cand_im > r2] = np.inf
+    best = error.argmin(axis=0), np.arange(len(out))
+    re[out], im[out] = cand_re[best], cand_im[best]
+    # the array butterfly's int64 product sums stay below 2^63 only if |w| <= 1
+    if (re * re + im * im > r2).any():
+        raise AssertionError(f"{dtype.name} twiddle outside the unit circle")
+    parts = np.stack([re, im])
+    parts.flags.writeable = False
+    return parts
 
 
-@lru_cache(maxsize=None)
-def twiddle_table(dtype: DataType) -> TwiddleTable:
-    return TwiddleTable.build(dtype)
-
-
-def twiddle_lookup(table: TwiddleTable, n_points: int, k: int) -> FixedComplex:
-    """W_n^k from the shared table; one table serves all sizes by stride."""
-    if n_points > table.n_max:
-        raise ValueError(f"{n_points} points exceed table size {table.n_max}")
+def twiddle_lookup(dtype: DataType, n_points: int, k: int) -> FixedComplex:
+    """W_n^k from the type's table; one table serves all sizes by stride."""
+    if n_points > dtype.max_points:
+        raise ValueError(f"{n_points} points exceed table size {dtype.max_points}")
     if not 0 <= k < n_points // 2:
         raise ValueError(f"twiddle exponent {k} out of range for {n_points} points")
-    re, im = table.parts[:, k * (table.n_max // n_points)].tolist()
-    return FixedComplex(re, im, table.dtype)
+    re, im = twiddle_table(dtype)[:, k * (dtype.max_points // n_points)].tolist()
+    return FixedComplex(re, im, dtype)
 
 
 # -- double-precision reference oracle ---------------------------------------
@@ -186,7 +176,7 @@ def _program(n_points: int, dtype: DataType):
         "overhead_cycles": sum(map(len, phases)) - int(reading.sum()),
         "conflicts": int(stalls.sum()), "stage_conflicts": int(stalls[:-1].sum())})
     pair = np.arange(n_points // 2)
-    table = twiddle_table(dtype).parts.astype(dtype.register)
+    table = twiddle_table(dtype).astype(dtype.register)
     twiddles = np.stack([pass_twiddles(table[:, compile_stage(p)[pair % (1 << s)]])
                          for s, p in enumerate(stages)])
     twiddles.flags.writeable = False

@@ -34,10 +34,19 @@ from .membank import (FULL_STROBE, HI_HALF_STROBE, IDLE, LO_HALF_STROBE,
 WRITE_LAG_STAGE = 3
 WRITE_LAG_REORDER = 2
 
+MIN_POINTS = 8
 # butterflies the engine completes per cycle
 THROUGHPUT = {DataType.C64: 1, DataType.C32: 2, DataType.C16: 4}
-# register-set capacity in samples ("two sets of four C64 registers")
-REGISTER_CAPACITY = {DataType.C64: 4, DataType.C32: 8, DataType.C16: 16}
+# register-set capacity in samples ("two sets of four C64 registers"): four
+# registers per butterfly lane
+REGISTER_CAPACITY = {dtype: 4 * lanes for dtype, lanes in THROUGHPUT.items()}
+
+
+def fft_sizes(dtype: DataType) -> tuple[int, ...]:
+    """The transform sizes the engine runs on ``dtype``: the powers of two
+    from MIN_POINTS up to the type's limit."""
+    return tuple(1 << m for m in range(MIN_POINTS.bit_length() - 1,
+                                       dtype.max_points.bit_length()))
 
 
 def bit_reverse_index(i, bits: int):
@@ -52,17 +61,11 @@ def bit_reverse_index(i, bits: int):
     return r
 
 
-def _log2_points(n_points: int) -> int:
-    if n_points < 2 or n_points & (n_points - 1):
-        raise ValueError(f"{n_points} is not a power of two")
-    return n_points.bit_length() - 1
-
-
 def _check_size(n_points: int, dtype: DataType) -> int:
-    m = _log2_points(n_points)
-    if n_points > dtype.max_points:
-        raise ValueError(f"{n_points} points exceed {dtype.name} limit")
-    return m
+    """log2 of ``n_points``, one of ``fft_sizes(dtype)``."""
+    if n_points not in fft_sizes(dtype):
+        raise ValueError(f"{n_points} points invalid for {dtype.name}")
+    return n_points.bit_length() - 1
 
 
 def _port_plan(reads, write_lag):
@@ -194,7 +197,7 @@ def _greedy_slots(units, per_slot, lag):
 def _reorder_read_cycles(n_points, dtype):
     """Swap units grouped into read cycles: (cycles, entries), cycles as
     lists of (word, strobe) reads and entries as the units' moves."""
-    m = _log2_points(n_points)
+    m = n_points.bit_length() - 1
     if dtype is not DataType.C16:
         # one slot per cycle, as many swap units as fill the read ports
         per_sample = words_per_samples(dtype, 1)
@@ -383,7 +386,7 @@ def compile_reorder(sched: ReorderSchedule) -> tuple[np.ndarray, np.ndarray]:
 
 # -- cycle model -----------------------------------------------------------------
 
-# Reorder stalls per size, from 8 points up: the greedy that orders the swap
+# Reorder stalls per size of ``fft_sizes``: the greedy that orders the swap
 # units has no closed form, so its counts are replayed once and pinned here.
 # The executor arbitrates every cycle it runs, so a changed greedy shows up
 # as a mismatch with this table.
@@ -423,11 +426,9 @@ def _reorder_read_cycles_closed_form(n_points: int, m: int, dtype: DataType) -> 
 def total_cycle_model(n_points: int, dtype: DataType) -> CycleStats:
     """Closed-form cycle prediction; the simulator must match it exactly.
     It reads nothing from the schedulers."""
-    m = _log2_points(n_points)
-    if not 8 <= n_points <= dtype.max_points:
-        raise ValueError(f"{n_points} points invalid for {dtype.name}")
+    m = _check_size(n_points, dtype)
     reorder = _reorder_read_cycles_closed_form(n_points, m, dtype)
-    stalls = REORDER_STALLS[dtype][m - 3]
+    stalls = REORDER_STALLS[dtype][fft_sizes(dtype).index(n_points)]
     return CycleStats(
         butterfly_cycles=(n_points // 2) * m // THROUGHPUT[dtype],
         reorder_cycles=reorder,

@@ -10,13 +10,12 @@ from fdsim.fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                        load_quantized, read_spectrum, spectrum_snr_db)
 from fdsim.fixedpoint import DataType
 from fdsim.harness import (DEFAULT_CLOCK_HZ, SNR_CALIBRATION, SNR_FLOORS_DB,
-                           FftRunSpec, InputSpec, full_size_grid,
-                           run_fft_experiment)
+                           FftRunSpec, InputSpec, run_fft_experiment)
 from fdsim.i2s import (Alignment, BusConfig, BusMode, FramePayload,
                        FsyncStyle, Polarity, bclk_frequency, decode, encode,
                        latency_dsp, latency_tdm, measure_latency)
 from fdsim.membank import BankedMemory
-from fdsim.schedule import THROUGHPUT, total_cycle_model
+from fdsim.schedule import THROUGHPUT, fft_sizes, total_cycle_model
 from test_i2s_reference import words_from_frames
 
 ALL_DTYPES = list(DataType)
@@ -47,7 +46,7 @@ def full_grid_runs():
     t0 = time.monotonic()
     runs = {}
     for dtype in ALL_DTYPES:
-        for n in full_size_grid(dtype):
+        for n in fft_sizes(dtype):
             runs[(dtype, n)] = run_noise(dtype, n)
     elapsed = time.monotonic() - t0
     return runs, elapsed
@@ -126,7 +125,7 @@ def test_6_numerical_fidelity(full_grid_runs):
         details.append(f"{dtype.name}:{snr:.1f}dB>={SNR_FLOORS_DB[dtype]}")
     # impulse / DC / single-tone bin positions across the whole grid
     for dtype in ALL_DTYPES:
-        for n in full_size_grid(dtype):
+        for n in fft_sizes(dtype):
             for bin_k in (0, 3):                     # DC and a tone
                 t = np.arange(n)
                 x = 0.7 * np.exp(2j * np.pi * bin_k * t / n)

@@ -1,21 +1,28 @@
-"""The names the benchmark's span tracer wraps still exist.
+"""The names the benchmark uses still exist.
 
 ``perfbench/spans.py`` wraps fdsim functions by the module and attribute
 its callers look them up by, and ``perfbench/run.py`` turns the spans into
 per-layer metrics by label (defining module plus function name).  A renamed
 or moved function would make its metric read 0 without failing the
 benchmark, so these checks load the tracer's tables, without changing
-``sys.path``, and resolve every name.
+``sys.path``, and resolve every name.  The benchmark's other modules import
+fdsim names inside their functions; a name that no longer resolves there
+fails each op that reaches it, so every such import is resolved too.
 """
 
+import ast
 import importlib.util
 import json
 from collections import Counter
 from pathlib import Path
 
-import fdsim.cli as cli
+import numpy as np
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import fdsim.cli as cli
+import fdsim.i2s as i2s
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 # span labels perfbench/run.py reads for harness.input_s, harness.run_s and
 # cli.config_s
@@ -64,3 +71,29 @@ def test_fft_run_calls_each_traced_name_once(tmp_path, capsys):
     assert len(tracer.names) == len(ONCE_PER_FFT_RUN)
     assert calls == {label: 1 for label in tracer.names}
     assert cli.load_config.__module__ == "fdsim.harness"     # the tracer restored it
+
+
+def _fdsim_imports():
+    """(file, module, name) of each ``from fdsim... import name`` in the
+    benchmark's modules."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fdsim":
+                yield from ((path.name, node.module, alias.name) for alias in node.names)
+
+
+def test_every_benchmark_import_resolves():
+    imports = list(_fdsim_imports())
+    assert ("guard.py", "fdsim.i2s", "decode") in imports
+    missing = [(file, module, name) for file, module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_decode_gives_what_the_guard_reads():
+    # perfbench/guard.py digests (device, left, right) of each decoded payload
+    bus = i2s.BusConfig(i2s.BusMode.TDM_I2S, n_devices=2, frame_bits=16)
+    words = np.array([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
+    decoded = [[(p.device, p.left, p.right) for p in period]
+               for period in i2s.decode(i2s.encode(bus, words), bus)]
+    assert decoded == [[(0, 1, 2), (1, 3, 4)], [(0, 5, 6), (1, 7, 8)]]

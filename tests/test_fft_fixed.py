@@ -15,14 +15,15 @@ from fdsim.fft import (ConfigurationError, FftJob, fft_fixed, fft_reference,
                        twiddle_lookup, twiddle_table)
 from fdsim.fixedpoint import (DataType, OverflowFlag, ScalingPolicy,
                               dequantize, quantize)
-from fdsim.harness import SNR_FLOORS_DB, full_size_grid
+from fdsim.harness import SNR_FLOORS_DB
 from fdsim.membank import (_STROBE_MASKS, FULL_STROBE, HI_HALF_STROBE, IDLE,
                            LO_HALF_STROBE, WRITE_COLUMN, BankedMemory, CycleStats,
                            MemoryModelError, pack_samples, read_samples,
                            words_per_samples)
 from fdsim.schedule import (WRITE_LAG_REORDER, WRITE_LAG_STAGE,
                             bit_reverse_index, compile_reorder, compile_stage,
-                            schedule_reorder, schedule_stage, total_cycle_model)
+                            fft_sizes, schedule_reorder, schedule_stage,
+                            total_cycle_model)
 from reference_packing import pack_parts, unpack_parts
 from test_fixedpoint import one_pass
 
@@ -55,7 +56,7 @@ class TestBitReverse:
 
 
 def ref_twiddle_parts(dtype):
-    """The per-entry twiddle builder ``TwiddleTable.build`` replaced: scalar
+    """The per-entry twiddle builder ``twiddle_table`` replaced: scalar
     ``quantize``, then nudges toward zero until the entry is in the circle."""
     n_max = dtype.max_points
     scale = dtype.scale
@@ -87,41 +88,39 @@ class TestTwiddleTable:
     def test_matches_scalar_builder(self, dtype):
         table = twiddle_table(dtype)
         want = ref_twiddle_parts(dtype)
-        assert table.parts.dtype == want.dtype
-        assert np.array_equal(table.parts, want)
+        assert table.dtype == want.dtype
+        assert np.array_equal(table, want)
+        assert not table.flags.writeable
 
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
     def test_endpoints(self, dtype):
-        table = twiddle_table(dtype)
-        assert table.parts.shape == (2, dtype.max_points // 2)
-        first = twiddle_lookup(table, dtype.max_points, 0)
+        assert twiddle_table(dtype).shape == (2, dtype.max_points // 2)
+        first = twiddle_lookup(dtype, dtype.max_points, 0)
         assert (first.re, first.im) == (dtype.max_raw, 0)
-        quarter = twiddle_lookup(table, dtype.max_points, dtype.max_points // 4)
+        quarter = twiddle_lookup(dtype, dtype.max_points, dtype.max_points // 4)
         assert (quarter.re, quarter.im) == (0, -dtype.scale)
 
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
     def test_unit_magnitude_bound(self, dtype):
         table = twiddle_table(dtype)
         s2 = dtype.scale ** 2
-        assert all(re * re + im * im <= s2 for re, im in table.parts.T.tolist())
+        assert all(re * re + im * im <= s2 for re, im in table.T.tolist())
 
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
     def test_entries_near_exact(self, dtype):
-        table = twiddle_table(dtype)
         ulp = 1.0  # raw units
         for k in range(0, dtype.max_points // 2, 37):
             z = cmath.exp(-2j * cmath.pi * k / dtype.max_points)
-            e = twiddle_lookup(table, dtype.max_points, k)
+            e = twiddle_lookup(dtype, dtype.max_points, k)
             assert abs(e.re - z.real * dtype.scale) <= ulp + 0.5
             assert abs(e.im - z.imag * dtype.scale) <= ulp + 0.5
 
     def test_lookup_stride(self):
-        table = twiddle_table(DataType.C64)
-        q = twiddle_lookup(table, 4, 1)
+        q = twiddle_lookup(DataType.C64, 4, 1)
         assert (q.re, q.im) == (0, -DataType.C64.scale)      # ~ -1j
         # exp(-i*pi/4) rounds just outside the unit circle; the stored
         # entry is the nearest-rounded value pulled back inside by 1 ulp
-        eighth = twiddle_lookup(table, 8, 1)
+        eighth = twiddle_lookup(DataType.C64, 8, 1)
         want = quantize(cmath.exp(-2j * cmath.pi / 8), DataType.C64)
         assert abs(eighth.re - want.re) <= 1
         assert abs(eighth.im - want.im) <= 1
@@ -130,11 +129,10 @@ class TestTwiddleTable:
         assert want.re ** 2 + want.im ** 2 > s2  # why the nudge exists
 
     def test_lookup_range_checks(self):
-        table = twiddle_table(DataType.C64)
         with pytest.raises(ValueError):
-            twiddle_lookup(table, 16, 8)
+            twiddle_lookup(DataType.C64, 16, 8)
         with pytest.raises(ValueError):
-            twiddle_lookup(table, 1024, 0)
+            twiddle_lookup(DataType.C64, 1024, 0)
 
 
 class TestJobValidation:
@@ -317,7 +315,7 @@ class TestSpectra:
         # a base shift renames the banks, and the whole program is arbitrated
         # in one pass: each phase's stalls and read cycles must still land
         # where the cycle model puts them, no stall in a butterfly stage
-        for n in full_size_grid(dtype):
+        for n in fft_sizes(dtype):
             x = np.random.default_rng(n + base).uniform(-0.9, 0.9, n) + 0.2j
             _, _, summary, _ = run_fixed(x, dtype, n, base=base)
             assert summary.stats.as_dict() == total_cycle_model(n, dtype).as_dict(), \
@@ -336,7 +334,7 @@ class TestSpectra:
             return np.ones(len(addresses), dtype=np.int64), None
 
         monkeypatch.setattr(BankedMemory, "access_batch", one_stall_per_cycle)
-        for n in full_size_grid(dtype):
+        for n in fft_sizes(dtype):
             stages = sum(len(schedule_stage(n, dtype, s).ports)
                          for s in range(n.bit_length() - 1))
             reorder = len(schedule_reorder(n, dtype).ports)
@@ -380,7 +378,7 @@ class TestSpectra:
         # over the whole size grid: the executor's memory words equal those of
         # the scalar butterfly applied stage by stage on a plain list, and its
         # cycle statistics equal the cycle model's
-        for n in full_size_grid(dtype):
+        for n in fft_sizes(dtype):
             rng = np.random.default_rng(n)
             x = rng.uniform(-0.9, 0.9, n) + 1j * rng.uniform(-0.9, 0.9, n)
             mem, job, summary, _ = run_fixed(x, dtype, n)
@@ -395,7 +393,7 @@ class TestSpectra:
         # against the unpack -> butterfly -> route -> pack executor, at every
         # size and bank offset, with and without scaling; samples 0 and n/2
         # meet in stage 0 with w = 1, so an unscaled run always saturates
-        for n in full_size_grid(dtype):
+        for n in fft_sizes(dtype):
             phases = reference_phases(n, dtype)
             x = np.random.default_rng(n).uniform(-0.95, 0.95, n) + 0.3j
             x[[0, n // 2]] = 0.9 + 0.9j
@@ -432,7 +430,7 @@ def _frozen_inputs(n):
 def executor_digest():
     digest = hashlib.sha256()
     for dtype in ALL_DTYPES:
-        for n in full_size_grid(dtype):
+        for n in fft_sizes(dtype):
             for x in _frozen_inputs(n):
                 for scaling in ScalingPolicy:
                     for base in (0, 4, 8, 12):
@@ -659,7 +657,7 @@ def reference_fft(phases, job, memory):
         (a, b, w), route = routing
         re, im = unpack_parts(words[reads], dtype)
         (re[a], im[a]), (re[b], im[b]) = one_pass(
-            np.stack([re[a], im[a], re[b], im[b]]), table.parts[:, w], dtype,
+            np.stack([re[a], im[a], re[b], im[b]]), table[:, w], dtype,
             job.scaling, flag)
         words[writes] = pack_parts(re[route], im[route], dtype)
     stats.stall_cycles = stats.conflicts
@@ -669,16 +667,15 @@ def reference_fft(phases, job, memory):
 def straight_line_fft(samples, dtype):
     """Textbook in-place walk of the same stage recurrence, no scheduling."""
     from fdsim.fixedpoint import butterfly
-    from fdsim.fft import twiddle_lookup, twiddle_table
+    from fdsim.fft import twiddle_lookup
 
     x = list(samples)
     n = len(x)
     m = n.bit_length() - 1
-    table = twiddle_table(dtype)
     for s in range(m):
         h = n >> (s + 1)
         for c in range(1 << s):
-            w = twiddle_lookup(table, n, bit_reverse_index(c, s) * h)
+            w = twiddle_lookup(dtype, n, bit_reverse_index(c, s) * h)
             base = c * 2 * h
             for j in range(base, base + h):
                 x[j], x[j + h] = butterfly(x[j], x[j + h], w)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsim.fft import twiddle_lookup, twiddle_table
+from fdsim.fft import twiddle_lookup
 from fdsim.fixedpoint import (DataType, FixedComplex, OverflowFlag,
                               ScalingPolicy, butterfly, butterfly_array, cmul,
                               dequantize, one, pass_twiddles, quantize,
@@ -82,8 +82,7 @@ def _fixed(dtype):
 
 def _twiddles(dtype):
     """Every entry of the type's twiddle table, in order."""
-    table = twiddle_table(dtype)
-    return [twiddle_lookup(table, dtype.max_points, k) for k in range(dtype.max_points // 2)]
+    return [twiddle_lookup(dtype, dtype.max_points, k) for k in range(dtype.max_points // 2)]
 
 
 class TestCmul:

@@ -899,6 +899,28 @@ class TestCli:
         assert capsys.readouterr().err == "configuration error: --timeline-dump needs --out\n"
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("argv", [["fft", "run"], ["i2s", "run", "--timeline-dump"],
+                                      ["schedule", "dump"]], ids=" ".join)
+    def test_empty_out_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        # used to exit 0, fft run writing memory.bin into the working directory
+        # and no report, schedule dump writing nothing
+        monkeypatch.chdir(tmp_path)
+        doc = i2s_config() if argv[0] == "i2s" else fft_config(dump_memory_image=True)
+        cfg = self._write(tmp_path, doc)
+        assert cli.main(argv + ["--config", cfg, "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: output directory path is empty\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_out_holds_every_file_of_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = self._write(tmp_path, fft_config(dump_memory_image=True))
+        assert cli.main(["fft", "run", "--config", cfg, "--out", "out"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "memory.bin", "memory.bin.json", "report.json", "report.txt"]
+
     def test_sweep_csv(self, tmp_path):
         cfg = self._write(tmp_path, {
             "version": 1, "kind": "fft-sweep", "seed": 1,

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsim.fixedpoint import DataType, FixedComplex, sample_parts
-from fdsim.harness import full_size_grid
 from fdsim.membank import (HI_HALF_STROBE, IDLE, LO_HALF_STROBE, N_BANKS, N_PORTS,
                            WRITE_COLUMN, BankedMemory, MemoryModelError,
                            Request, bandwidth_bytes_per_s,
                            bank_of, export_image, import_image, load_samples,
                            pack_samples, read_samples, unpack_samples,
                            words_per_samples)
+from fdsim.schedule import fft_sizes
 from reference_packing import pack_parts, unpack_parts
 
 
@@ -195,7 +195,7 @@ class TestPacking:
     def test_words_per_samples_matches_the_packing(self, dtype):
         per_type = {DataType.C64: lambda n: 2 * n, DataType.C32: lambda n: n,
                     DataType.C16: lambda n: n // 2}[dtype]
-        for n in full_size_grid(dtype):
+        for n in fft_sizes(dtype):
             assert words_per_samples(dtype, n) == per_type(n), (dtype, n)
 
     @pytest.mark.parametrize("n", [1, 3, 17])

@@ -13,19 +13,15 @@ from fdsim.harness import FftRunSpec, InputSpec, run_fft_experiment
 from fdsim.membank import IDLE, N_BANKS, WRITE_COLUMN, BankedMemory, Request
 from fdsim.schedule import (REGISTER_CAPACITY, THROUGHPUT, bit_reverse_index,
                             dump_reorder_schedule, dump_stage_schedule,
-                            schedule_reorder, schedule_stage,
+                            fft_sizes, schedule_reorder, schedule_stage,
                             total_cycle_model)
 
 ALL_DTYPES = list(DataType)
 
 
 def sizes_for(dtype, subset=True):
-    sizes = []
-    n = 8
-    while n <= dtype.max_points:
-        sizes.append(n)
-        n *= 2
-    return [8, 64, dtype.max_points] if subset else sizes
+    sizes = fft_sizes(dtype)
+    return [sizes[0], 64, sizes[-1]] if subset else sizes
 
 
 def stage_count(n):
@@ -72,6 +68,22 @@ GOLDEN_REORDER = {
     DataType.C16: ((8, 2, 0), (16, 4, 0), (32, 4, 0), (64, 8, 0), (128, 16, 2),
                    (256, 32, 6), (512, 64, 8), (1024, 128, 20), (2048, 256, 102)),
 }
+
+
+class TestSizes:
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_sizes_run_from_8_to_the_type_limit(self, dtype):
+        every = (8, 16, 32, 64, 128, 256, 512, 1024, 2048)
+        assert fft_sizes(dtype) == every[:every.index(dtype.max_points) + 1]
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    @pytest.mark.parametrize("build", [lambda n, dtype: schedule_stage(n, dtype, 0),
+                                       schedule_reorder, total_cycle_model],
+                             ids=["schedule_stage", "schedule_reorder", "total_cycle_model"])
+    def test_sizes_outside_the_range_rejected(self, build, dtype):
+        for n in (4, 2 * dtype.max_points):
+            with pytest.raises(ValueError, match=f"{n} points invalid for {dtype.name}"):
+                build(n, dtype)
 
 
 class TestStageSchedule:
