@@ -24,12 +24,14 @@ from .fixedpoint import (DataType, FixedComplex, OverflowFlag, ScalingPolicy,
 from .membank import (IDLE, WRITE_COLUMN, BankedMemory, CycleStats, sample_array,
                       words_per_samples)
 from .schedule import (MIN_POINTS, compile_reorder, compile_stage,
-                       schedule_reorder, schedule_stage)
+                       schedule_reorder, schedule_stages)
 
 # The scalar forms stay importable from here; the run path uses the arrays.
 from .fixedpoint import butterfly, quantize  # noqa: F401
 from .membank import (load_samples, pack_samples, read_samples,  # noqa: F401
                       unpack_samples)
+# perfbench's tracer wraps the per-stage plan builder by this name
+from .schedule import schedule_stage  # noqa: F401
 
 
 class ConfigurationError(ValueError):
@@ -163,22 +165,22 @@ def _program(n_points: int, dtype: DataType):
     after s constant-geometry passes hold block q mod 2^s of the in-place
     stage, so column q of its twiddles is that block's twiddle.
     """
-    m = n_points.bit_length() - 1
-    stages = [schedule_stage(n_points, dtype, s) for s in range(m)]
+    stages = schedule_stages(n_points, dtype)
+    blocks = compile_stage(stages)
     reorder = schedule_reorder(n_points, dtype)
-    phases = [p.ports for p in stages] + [reorder.ports]
-    conflicts, _ = BankedMemory().access_batch(np.concatenate(phases), WRITE_COLUMN)
-    stalls = np.add.reduceat(conflicts, np.cumsum([0] + [len(p) for p in phases[:-1]]))
-    reading = np.array([(p[:, ~WRITE_COLUMN] != IDLE).any(axis=1).sum() for p in phases])
+    staged = stages.ports.shape[0] * stages.ports.shape[1]
+    ports = np.concatenate([stages.ports.reshape(staged, -1), reorder.ports])
+    conflicts, _ = BankedMemory().access_batch(ports, WRITE_COLUMN)
+    reading = (ports[:, ~WRITE_COLUMN] != IDLE).any(axis=1)
     stats = MappingProxyType({
-        "butterfly_cycles": int(reading[:-1].sum()), "reorder_cycles": int(reading[-1]),
-        "stall_cycles": int(stalls.sum()),
-        "overhead_cycles": sum(map(len, phases)) - int(reading.sum()),
-        "conflicts": int(stalls.sum()), "stage_conflicts": int(stalls[:-1].sum())})
+        "butterfly_cycles": int(reading[:staged].sum()),
+        "reorder_cycles": int(reading[staged:].sum()),
+        "stall_cycles": int(conflicts.sum()), "overhead_cycles": len(ports) - int(reading.sum()),
+        "conflicts": int(conflicts.sum()), "stage_conflicts": int(conflicts[:staged].sum())})
+    # pair q of pass s takes the twiddle of block q mod 2^s
     pair = np.arange(n_points // 2)
-    table = twiddle_table(dtype).astype(dtype.register)
-    twiddles = np.stack([pass_twiddles(table[:, compile_stage(p)[pair % (1 << s)]])
-                         for s, p in enumerate(stages)])
+    mod = (1 << np.arange(len(stages.ports)))[:, None] - 1
+    twiddles = pass_twiddles(twiddle_table(dtype).astype(dtype.register)[:, blocks[pair & mod]])
     twiddles.flags.writeable = False
     return stats, tuple(map(tuple, twiddles)), compile_reorder(reorder)
 

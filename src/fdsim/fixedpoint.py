@@ -347,9 +347,10 @@ def butterfly_array(x, twiddles, dtype: DataType,
 
 def pass_twiddles(w) -> np.ndarray:
     """The ``butterfly_array`` twiddle array of one pass from the ``(2, k)``
-    (re, im) twiddles of its k pairs."""
+    (re, im) twiddles of its k pairs; ``(2, passes, k)`` twiddles give one
+    array per pass."""
     re, im = w
-    return np.concatenate([re, re, im, -im]).reshape(2, -1)
+    return np.concatenate([re, re, im, -im], axis=-1).reshape(*re.shape[:-1], 2, -1)
 
 
 # Sample packing into 32-bit memory words:

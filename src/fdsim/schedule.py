@@ -23,6 +23,8 @@ what the ports carry, as moving it cycle by cycle would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import indexOf
 
 import numpy as np
 
@@ -61,6 +63,14 @@ def bit_reverse_index(i, bits: int):
     return r
 
 
+@lru_cache(maxsize=None)
+def _bit_reversal(bits: int) -> np.ndarray:
+    """``bit_reverse_index`` of 0 .. 2^bits - 1, read-only."""
+    table = bit_reverse_index(np.arange(1 << bits, dtype=np.int32), bits)
+    table.flags.writeable = False
+    return table
+
+
 def _check_size(n_points: int, dtype: DataType) -> int:
     """log2 of ``n_points``, one of ``fft_sizes(dtype)``."""
     if n_points not in fft_sizes(dtype):
@@ -70,15 +80,19 @@ def _check_size(n_points: int, dtype: DataType) -> int:
 
 def _port_plan(reads, write_lag):
     """(cycles x 8) ports: each row of ``reads`` (read-stream words, 4
-    ports) is read at its cycle and written back ``write_lag`` cycles later."""
-    ports = np.full((len(reads) + write_lag, N_PORTS), IDLE, dtype=np.int32)
-    ports[:len(reads), ~WRITE_COLUMN] = reads
-    ports[write_lag:, WRITE_COLUMN] = reads
+    ports) is read at its cycle and written back ``write_lag`` cycles later.
+    A stack of read streams gives a stack of port plans."""
+    ports = np.full(reads.shape[:-2] + (reads.shape[-2] + write_lag, N_PORTS), IDLE,
+                    dtype=np.int32)
+    ports[..., :reads.shape[-2], ~WRITE_COLUMN] = reads
+    ports[..., write_lag:, WRITE_COLUMN] = reads
     return ports
 
 
 @dataclass(frozen=True)
 class StageSchedule:
+    """One stage's plan, or the plans of consecutive stages from ``stage``
+    on, stacked along a leading axis (``schedule_stages``)."""
     n_points: int
     dtype: DataType
     stage: int
@@ -86,35 +100,46 @@ class StageSchedule:
     butterflies: np.ndarray    # (n/2 x 4) rows (cycle, sample_a, sample_b, twiddle_exp)
 
 
-def schedule_stage(n_points: int, dtype: DataType, stage: int) -> StageSchedule:
-    """Built afresh on every call; the executor caches only its compiled
-    arrays (``compile_stage``).
+def schedule_stages(n_points: int, dtype: DataType) -> StageSchedule:
+    """The plans of all m stages, stacked: (m x cycles x 8) ports and
+    (m x n/2 x 4) butterflies.  Built afresh on every call; the executor
+    caches only its compiled arrays (``compile_stage``).
 
-    Butterfly u pairs sample a = the u-th left-half sample of the blocks of
-    2h with a + h, h being the half-span.  Wing-pair spans (h >= one group)
+    Butterfly u of stage s pairs sample a = the u-th left-half sample of
+    the blocks of 2h with a + h, h = n / 2^(s+1) being the half-span; its
+    block c = u // h takes twiddle exponent bit_reverse(c, s) * h, which is
+    bit_reverse(c, m-1) at every stage.  Wing-pair spans (h >= one group)
     read left and right wing groups alternately; a pair's butterflies split
     into two engine-rate batches on the two cycles after the right wing
     lands.  Smaller spans pack whole blocks per group and compute the cycle
-    after the read.
+    after the read.  Every stage reads n / (samples per group) groups.
     """
     m = _check_size(n_points, dtype)
-    if not 0 <= stage < m:
-        raise ValueError(f"stage {stage} invalid for {n_points} points")
-    h = n_points >> (stage + 1)
     spg = 4 * 32 // (2 * dtype.part_width)        # samples per 4-word port group
-    u = np.arange(n_points // 2)
-    a = u // h * 2 * h + u % h
-    exp = bit_reverse_index(a // (2 * h), stage) * h
-    if h >= spg:
-        block, group, wing = np.indices((n_points // (2 * h), h // spg, 2)).reshape(3, -1)
-        first = block * 2 * h + group * spg + wing * h     # first sample of each read
-        fly_at = u // spg * 2 + 2 + u % spg // THROUGHPUT[dtype]
-    else:
-        first = np.arange(0, n_points, spg)
-        fly_at = a // spg + 1
-    reads = (first * 4 // spg)[:, None] + np.arange(4)
-    return StageSchedule(n_points, dtype, stage, _port_plan(reads, WRITE_LAG_STAGE),
-                         np.stack([fly_at, a, a + h, exp], axis=1))
+    h = (n_points >> np.arange(1, m + 1, dtype=np.int32))[:, None]
+    wings = h >= spg
+    u = np.arange(n_points // 2, dtype=np.int32)
+    block = u // h
+    a = block * h + u
+    exp = _bit_reversal(m - 1)[block]
+    fly_at = np.where(wings, u // spg * 2 + 2 + u % spg // THROUGHPUT[dtype], a // spg + 1)
+    # read group r (spg samples, 4 words) is group `first` of the array: in
+    # a wing stage, wing r % 2 of group pair g = r // 2, that is group
+    # g + (g // groups + wing) * groups with groups = h / spg; else group r
+    r = np.arange(n_points // spg, dtype=np.int32)
+    groups = np.maximum(h // spg, 1)
+    first = np.where(wings, r // 2 + (r // 2 // groups + r % 2) * groups, r)
+    reads = 4 * first[..., None] + np.arange(4, dtype=np.int32)
+    return StageSchedule(n_points, dtype, 0, _port_plan(reads, WRITE_LAG_STAGE),
+                         np.stack([fly_at, a, a + h, exp], axis=-1))
+
+
+def schedule_stage(n_points: int, dtype: DataType, stage: int) -> StageSchedule:
+    """Stage ``stage``'s plan: its slice of ``schedule_stages``."""
+    plans = schedule_stages(n_points, dtype)
+    if not 0 <= stage < len(plans.ports):
+        raise ValueError(f"stage {stage} invalid for {n_points} points")
+    return StageSchedule(n_points, dtype, stage, plans.ports[stage], plans.butterflies[stage])
 
 
 # -- final bit-reversed reorder ----------------------------------------------
@@ -129,97 +154,88 @@ class ReorderSchedule:
     entries: np.ndarray        # (k x 2) rows (src sample, dst sample), whole permutation
 
 
-def _unit(words, moves):
-    """A swap unit: the words it reads and the sample moves it carries."""
-    banks = {w % N_BANKS for w in words}
-    return {"words": words, "moves": moves, "banks": banks,
-            "self_conflicts": len(words) - len(banks)}
+def _unit_keys(words):
+    """The greedy's key of each swap unit (a row of ``words``, the words it
+    reads): the 16-bit mask of its banks, under one bit per self conflict."""
+    masks = np.bitwise_or.reduce(1 << words % N_BANKS, axis=1).tolist()
+    return [((1 << words.shape[1] - mask.bit_count()) - 1) << N_BANKS | mask for mask in masks]
 
 
-def _pick_unit(pending, occupied_banks):
-    """Index of the pending unit with fewest bank collisions (stable)."""
-    best_i = 0
-    best_cost = None
-    for i, unit in enumerate(pending):
-        cost = unit["self_conflicts"] + len(unit["banks"] & occupied_banks)
-        if best_cost is None or cost < best_cost:
-            best_i, best_cost = i, cost
-            if cost == 0:
-                break
-    return best_i
+def _pick_unit(pending, occupied):
+    """Index of the first pending unit key with the fewest collisions: its
+    self conflicts plus its banks in the ``occupied`` bank mask."""
+    collisions = (occupied | -1 << N_BANKS).__and__
+    try:        # a unit that collides nowhere
+        return indexOf(map(collisions, pending), 0)
+    except ValueError:
+        costs = list(map(int.bit_count, map(collisions, pending)))
+        return costs.index(min(costs))
 
 
-def _sample_swap_units(n_points, m, words_per_sample):
-    i = np.arange(n_points)
-    j = bit_reverse_index(i, m)
-    i, j = i[i < j], j[i < j]
-    words = (np.stack([i, j], axis=1)[..., None] * words_per_sample
-             + np.arange(words_per_sample)).reshape(len(i), -1)
-    return [_unit(tuple(w), ((a, b), (b, a)))
-            for w, a, b in zip(words.tolist(), i.tolist(), j.tolist())]
-
-
-def _word_pair_units(n_points, m):
-    """C16 units: bit reversal maps word pair (s, s+q) onto (d, d+q)."""
-    q = n_points // 4
-    s = np.arange(q)
-    d = bit_reverse_index(2 * s, m) >> 1
-    # samples 2s and 2s+n/2+1 of a pair with d = s are palindromes; a
-    # fix-up swaps 2s+1 <-> 2s+n/2
-    f = s[d == s]
-    fixups = [_unit((w, w + q), ((a, b), (b, a))) for w, a, b in
-              zip(f.tolist(), (2 * f + 1).tolist(), (2 * f + n_points // 2).tolist())]
-    s, d = s[s < d], d[s < d]
-    half = n_points // 2
-    samples = (2 * np.stack([s, d], axis=1)[..., None] + [0, 1, half, half + 1]).reshape(-1, 8)
-    moves = np.stack([samples, bit_reverse_index(samples, m)], axis=2)
-    pair_units = [_unit((a, b), tuple(map(tuple, mv)))
-                  for a, b, mv in zip(s.tolist(), d.tolist(), moves.tolist())]
-    return pair_units, fixups, q
-
-
-def _greedy_slots(units, per_slot, lag):
+def _greedy_slots(keys, per_slot, lag):
     """Deterministic greedy grouping of units into slots of up to
     ``per_slot``: each pick keeps the slot's banks clear of those of the
-    slot ``lag`` slots back, whose writes echo beside its reads."""
-    slots, banks = [], [set()] * lag
-    while units:
-        occupied = set(banks[-lag])
-        slot = []
-        for _ in range(min(per_slot, len(units))):
-            slot.append(units.pop(_pick_unit(units, occupied)))
-            occupied |= slot[-1]["banks"]
-        slots.append(slot)
-        banks.append(set().union(*(u["banks"] for u in slot)))
-    return slots
+    slot ``lag`` slots back, whose writes echo beside its reads.  Returns
+    the unit indices in slot order, -1 filling the last slot."""
+    pending, units, order = list(keys), list(range(len(keys))), []
+    slot_banks = [0] * lag
+    while pending:
+        banks = 0
+        for _ in range(min(per_slot, len(pending))):
+            i = _pick_unit(pending, slot_banks[-lag] | banks)
+            banks |= pending.pop(i) & (1 << N_BANKS) - 1
+            order.append(units.pop(i))
+        slot_banks.append(banks)
+    return np.array(order + [-1] * (-len(order) % per_slot), dtype=np.intp)
+
+
+# the strobes of a group of four fix-ups' two read cycles
+_FIXUP_STROBES = np.array([[HI_HALF_STROBE] * 2 + [LO_HALF_STROBE] * 2,
+                           [LO_HALF_STROBE] * 2 + [HI_HALF_STROBE] * 2])
 
 
 def _reorder_read_cycles(n_points, dtype):
-    """Swap units grouped into read cycles: (cycles, entries), cycles as
-    lists of (word, strobe) reads and entries as the units' moves."""
+    """Swap units grouped into read cycles: the (cycles x 4) words and
+    strobes of the reads, and the (k x 2) sample moves of the units."""
     m = n_points.bit_length() - 1
     if dtype is not DataType.C16:
         # one slot per cycle, as many swap units as fill the read ports
         per_sample = words_per_samples(dtype, 1)
-        slots = _greedy_slots(_sample_swap_units(n_points, m, per_sample),
-                              WRITE_PORTS.start // (2 * per_sample), WRITE_LAG_REORDER)
-        read_cycles = [[(w, FULL_STROBE) for u in slot for w in u["words"]]
-                       for slot in slots]
+        i = np.arange(n_points)
+        j = _bit_reversal(m)
+        i, j = i[i < j], j[i < j]
+        words = (np.stack([i, j], axis=1)[..., None] * per_sample
+                 + np.arange(per_sample)).reshape(len(i), -1)
+        moves = np.stack([i, j, j, i], axis=1)
+        per_slot, lag = WRITE_PORTS.start // (2 * per_sample), WRITE_LAG_REORDER
     else:
-        # a slot reads its units' base words, then the words q above them
-        pair_units, fixups, q = _word_pair_units(n_points, m)
-        slots = _greedy_slots(pair_units, 2, WRITE_LAG_REORDER // 2)
-        read_cycles = [[(w + offset, FULL_STROBE) for u in slot for w in u["words"]]
-                       for slot in slots for offset in (0, q)]
-        # fixups: half-word swaps, four per two cycles with staggered halves
-        for i in range(0, len(fixups), 4):
-            lo, hi = fixups[i:i + 2], fixups[i + 2:i + 4]
-            read_cycles.append([(u["words"][0], HI_HALF_STROBE) for u in lo]
-                               + [(u["words"][1], LO_HALF_STROBE) for u in hi])
-            read_cycles.append([(u["words"][1], LO_HALF_STROBE) for u in lo]
-                               + [(u["words"][0], HI_HALF_STROBE) for u in hi])
-        slots.append(fixups)
-    return read_cycles, [move for slot in slots for u in slot for move in u["moves"]]
+        # bit reversal maps word pair (s, s+q) onto (d, d+q); a slot reads
+        # its units' base words, then the words q above them
+        q, half = n_points // 4, n_points // 2
+        s = np.arange(q)
+        d = _bit_reversal(m)[2 * s] >> 1
+        words = np.stack([s[s < d], d[s < d]], axis=1)
+        samples = 2 * words[..., None] + [0, 1, half, half + 1]
+        moves = np.stack([samples, _bit_reversal(m)[samples]], axis=-1)
+        per_slot, lag = 2, WRITE_LAG_REORDER // 2
+    order = _greedy_slots(_unit_keys(words), per_slot, lag)
+    reads = np.vstack([words, np.full(words.shape[1], IDLE)])[order].reshape(-1, 4)
+    moves = moves[order[order >= 0]].reshape(-1, 2)
+    if dtype is not DataType.C16:
+        return reads, np.where(reads == IDLE, 0, FULL_STROBE), moves
+    reads = np.stack([reads, np.where(reads == IDLE, IDLE, reads + q)], axis=1).reshape(-1, 4)
+    # samples 2s and 2s+n/2+1 of a pair with d = s are palindromes; a
+    # fix-up swaps 2s+1 <-> 2s+n/2, a half-word of words s and s+q each.
+    # Four fix-ups take two cycles with staggered halves: the first two
+    # read s, then s+q, the others s+q, then s.
+    f = s[d == s]
+    group = np.concatenate([f, np.full(-len(f) % 4, IDLE)]).reshape(-1, 1, 4)
+    fixups = np.where(group == IDLE, IDLE, group + [[0, 0, q, q], [q, q, 0, 0]])
+    strobes = np.where(fixups == IDLE, 0, _FIXUP_STROBES).reshape(-1, 4)
+    swaps = np.stack([2 * f + 1, 2 * f + half, 2 * f + half, 2 * f + 1], axis=1)
+    return (np.vstack([reads, fixups.reshape(-1, 4)]),
+            np.vstack([np.where(reads == IDLE, 0, FULL_STROBE), strobes]),
+            np.vstack([moves, swaps.reshape(-1, 2)]))
 
 
 def schedule_reorder(n_points: int, dtype: DataType) -> ReorderSchedule:
@@ -227,15 +243,12 @@ def schedule_reorder(n_points: int, dtype: DataType) -> ReorderSchedule:
     arrays (``compile_reorder``).  Each read cycle's words are written back,
     with the strobes they were read with, ``WRITE_LAG_REORDER`` cycles later."""
     _check_size(n_points, dtype)
-    read_cycles, entries = _reorder_read_cycles(n_points, dtype)
-    reads = np.full((len(read_cycles), len(WRITE_PORTS), 2), (IDLE, 0), dtype=np.int32)
-    for t, cycle in enumerate(read_cycles):
-        reads[t, :len(cycle)] = cycle
-    lag = WRITE_LAG_REORDER if read_cycles else 0
+    reads, read_strobes, entries = _reorder_read_cycles(n_points, dtype)
+    lag = WRITE_LAG_REORDER if len(reads) else 0
     strobes = np.zeros((len(reads) + lag, len(WRITE_PORTS)), dtype=np.int32)
-    strobes[lag:] = reads[..., 1]
-    return ReorderSchedule(n_points, dtype, _port_plan(reads[..., 0], lag), strobes,
-                           np.array(entries, dtype=np.int32).reshape(-1, 2))
+    strobes[lag:] = read_strobes
+    return ReorderSchedule(n_points, dtype, _port_plan(reads, lag), strobes,
+                           entries.astype(np.int32).reshape(-1, 2))
 
 
 # -- compiled programs ----------------------------------------------------------
@@ -246,50 +259,137 @@ def _check(ok, message):
         raise AssertionError(message)
 
 
+def _fail(failing, names, message):
+    """Raise ``message`` for the first failing phase of a stack, if there
+    is one: ``failing`` is a verdict per phase or the phases that fail, and
+    ``names`` names each phase."""
+    if failing.dtype == bool:
+        failing = failing.nonzero()[0]
+    if len(failing):
+        raise AssertionError(names[failing.min()] + message)
+
+
 def _streams(ports):
-    """(cycle, word) of the read and the write stream, in port order."""
-    reads, writes = ports[:, ~WRITE_COLUMN], ports[:, WRITE_COLUMN]
-    r_cycle, r_port = np.nonzero(reads != IDLE)
-    w_cycle, w_port = np.nonzero(writes != IDLE)
-    return ((r_cycle, reads[r_cycle, r_port]),
-            (w_cycle, writes[w_cycle, w_port]))
+    """(phase, cycle, word) of each request of the read and of the write
+    stream of a stack of phases, in phase, cycle and port order."""
+    for side in (ports[..., ~WRITE_COLUMN], ports[..., WRITE_COLUMN]):
+        index = (side != IDLE).reshape(-1).nonzero()[0]
+        yield (*np.divmod((index // len(WRITE_PORTS)).astype(np.int32), ports.shape[1]),
+               side.reshape(-1)[index])
 
 
-def _check_batchable(what, ports):
+def _check_batchable(names, ports):
     """A phase may move its data in one batch only if no word is written
-    twice and every word is read before it is written.
-    Returns ``_streams(ports)``."""
-    _check(ports.ndim == 2 and ports.shape[1] == N_PORTS,
-           f"{what} needs more than the port budget")
-    (r_cycle, r_word), (w_cycle, w_word) = _streams(ports)
-    _check(np.bincount(w_word, minlength=1).max() <= 1, f"{what} writes a word twice")
-    written_at = np.full(ports.max() + 1, np.iinfo(np.int32).max)
-    written_at[w_word] = w_cycle
-    _check(not (r_cycle == written_at[r_word]).any(),
-           f"{what} reads and writes one word in one cycle")
-    _check(not (r_cycle > written_at[r_word]).any(),
-           f"{what} reads a word after writing it")
-    return (r_cycle, r_word), (w_cycle, w_word)
+    twice and every word is read before it is written.  ``ports`` is a
+    stack of phases.  Returns ``_streams(ports)``."""
+    (r_phase, r_cycle, r_word), (w_phase, w_cycle, w_word) = _streams(ports)
+    k, span = len(names), max(int(ports.max()), 0) + 1
+    w_key = w_phase * span + w_word
+    written = np.zeros((k, span), dtype=bool)
+    written.reshape(-1)[w_key] = True
+    _fail(written.sum(axis=1) < np.bincount(w_phase, minlength=k), names,
+          " writes a word twice")
+    written_at = np.full(k * span, np.iinfo(np.int32).max, dtype=np.int32)
+    written_at[w_key] = w_cycle
+    written_at = written_at[r_phase * span + r_word]
+    _fail(r_phase[r_cycle == written_at], names, " reads and writes one word in one cycle")
+    _fail(r_phase[r_cycle > written_at], names, " reads a word after writing it")
+    return (r_phase, r_cycle, r_word), (w_phase, w_cycle, w_word)
 
 
-def _stream_samples(cycles, words, dtype):
-    """(sample index, cycle its last word moves) per sample a word stream
-    carries, in unpack order."""
-    per_word = 32 // dtype.part_width
-    parts = (words[:, None] * per_word + np.arange(per_word)).ravel()
-    cycles = np.repeat(cycles, per_word)
-    re, im = parts[0::2], parts[1::2]
-    _check(len(re) == len(im) and (re % 2 == 0).all() and (im == re + 1).all(),
+def _check_block_layout(names, sched, k):
+    """Checks that a stack of ``k`` stage plans is in the block layout
+    (``compile_stage``).  Returns the butterflies' (cycle, a, b) and the
+    twiddle exponent of block c at entry c."""
+    n = sched.n_points
+    fly_at, a, b, exp = sched.butterflies.reshape(k, -1, 4).transpose(2, 0, 1)
+    h = (n >> np.arange(sched.stage + 1, sched.stage + k + 1, dtype=np.int32))[:, None]
+    u = np.arange(n // 2, dtype=np.int32)
+    block = u // h
+    # a butterfly table of another size fails at every stage
+    in_layout = a.shape == block.shape and ((a == block * h + u) & (b == a + h)).all(axis=1)
+    _fail(~np.broadcast_to(in_layout, k), names,
+          " has a butterfly outside the block layout")
+    twiddle = _bit_reversal(n.bit_length() - 2)     # bit_reverse(c, s) * h, any s
+    _fail((exp != twiddle[block]).any(axis=1), names,
+          " has a twiddle exponent other than bit_reverse(block) * h")
+    return (fly_at, a, b), twiddle
+
+
+def _samples_per_unit(dtype):
+    return max(32 // dtype.part_width // 2, 1)
+
+
+def _stream_units(phases, cycles, words, dtype):
+    """(phase, unit, cycle its last word moves) per unit a word stream
+    carries, in stream order.  A unit is the least run of words that holds
+    whole samples: a C64 sample's (re, im) word pair, which must come in
+    turn in one phase, or one word of C32 or C16 samples."""
+    if dtype.part_width < 32:
+        return phases, words, cycles
+    re, im = words[0::2], words[1::2]
+    _check(len(re) == len(im) and (phases[0::2] == phases[1::2]).all()
+           and (re % 2 == 0).all() and (im == re + 1).all(),
            f"{dtype.name} words must come as (re, im) pairs")
-    return re // 2, np.maximum(cycles[0::2], cycles[1::2])
+    return phases[0::2], re // 2, np.maximum(cycles[0::2], cycles[1::2])
 
 
-def _is_permutation(values, n):
-    return len(values) == n and np.array_equal(np.sort(values), np.arange(n))
+def _check_in_place(names, reads, writes, n, dtype):
+    """Checks that each phase of a stack of stage plans reads every sample
+    once and writes each back to its words in read order.  Returns the
+    units (``_stream_units``) of the read stream and their write cycles."""
+    k, n_units = len(names), n // _samples_per_unit(dtype)
+    phase, unit, read_at = _stream_units(*reads, dtype)
+    once = np.bincount((phase * n_units + unit)[unit < n_units],
+                       minlength=k * n_units).reshape(k, n_units) == 1
+    _fail(~once.all(axis=1) | (np.bincount(phase, minlength=k) != n_units),
+          names, " does not read every sample once")
+    w_phase, written, written_at = _stream_units(*writes, dtype)
+    # the streams are aligned up to the first phase that writes other
+    # than n_units units
+    same = min(len(written), len(unit))
+    _fail(np.concatenate([np.flatnonzero(np.bincount(w_phase, minlength=k) != n_units),
+                          phase[:same][written[:same] != unit[:same]]]),
+          names, " writes a butterfly output to a word other than its operand's")
+    return (phase, unit, read_at), written_at
+
+
+def _check_timing(names, units, written_at, flies, n, cycles, dtype):
+    """Checks that each unit's samples are computed after it is read and
+    before it is written, and that no register set of a stack of stage
+    plans holds more than REGISTER_CAPACITY samples."""
+    (phase, unit, read_at), (fly_at, a, b) = units, flies
+    k, per_unit = len(names), _samples_per_unit(dtype)
+    done_at = np.empty(k * n, dtype=np.int32)      # each sample's butterfly cycle
+    first = np.arange(0, k * n, n, dtype=np.int32)[:, None]
+    done_at[a + first] = done_at[b + first] = fly_at
+    done_at = done_at.reshape(-1, per_unit)
+    key = phase * (n // per_unit) + unit
+    _fail(phase[read_at >= done_at.min(axis=1)[key]], names,
+          " computes a butterfly before its operands are read")
+    _fail(phase[done_at.max(axis=1)[key] > written_at], names,
+          " writes a sample before its butterfly")
+
+    # samples each register set holds after each cycle
+    row = np.arange(0, k * cycles, cycles, dtype=np.int32)     # each phase's first
+
+    def moved(at):
+        return np.bincount(at.ravel(), minlength=k * cycles)
+
+    done = 2 * moved(fly_at + row[:, None])
+    held = np.stack([per_unit * moved(row[phase] + read_at) - done,
+                     done - per_unit * moved(row[phase] + written_at)])
+    peak = held.reshape(2, k, cycles).cumsum(axis=2).max(axis=2)
+    capacity = REGISTER_CAPACITY[dtype]
+    for s in np.flatnonzero((peak > capacity).any(axis=0))[:1]:
+        side = int(peak[0, s] <= capacity)
+        raise AssertionError(f"{names[s]}: {('input', 'output')[side]} register overflow "
+                             f"{peak[side, s]} > {capacity}")
 
 
 def compile_stage(sched: StageSchedule) -> np.ndarray:
-    """Stage plan -> the twiddle table index of each of its 2^s blocks.
+    """Stage plans -> entry c: the twiddle table index of block c in every
+    stage that has a block c (stage s has 2^s).
 
     The executor runs stage s on the samples viewed as (blocks, 2, h): block
     c pairs sample c*2h + j with the one h above it, j < h, under twiddle
@@ -298,55 +398,36 @@ def compile_stage(sched: StageSchedule) -> np.ndarray:
     in a word read and a word written; each sample is read, used by one
     butterfly and written back in place (the k-th write stores the result
     of the k-th read) once, in that order; and no register set holds more
-    than REGISTER_CAPACITY samples."""
+    than REGISTER_CAPACITY samples.
+
+    ``sched`` is one stage's plan or a stack of them (``schedule_stages``).
+    Each check runs once over the stack and names the first stage that
+    fails it."""
     n, dtype, ports = sched.n_points, sched.dtype, sched.ports
-    what = f"stage {sched.stage} of {n}-point {dtype.name}"
-    (r_cycle, r_word), (w_cycle, w_word) = _check_batchable(what, ports)
-    fly_at, a, b, exp = sched.butterflies.astype(np.int64).T
-    h, u = n >> (sched.stage + 1), np.arange(n // 2)
-    _check(np.array_equal(a, u // h * 2 * h + u % h) and np.array_equal(b, a + h),
-           f"{what} has a butterfly outside the block layout")
-    block_exp = bit_reverse_index(np.arange(n // (2 * h)), sched.stage) * h
-    _check(np.array_equal(exp, np.repeat(block_exp, h)),
-           f"{what} has a twiddle exponent other than bit_reverse(block) * h")
-    parts = 2 * np.stack([a, a, b, b]) + np.array([[0], [1], [0], [1]])
-    word = parts * dtype.part_width // 32
-    _check(np.isin(word, r_word).all(), f"{what} gathers a part outside its read stream")
-    _check(np.isin(word, w_word).all(), f"{what} scatters a part outside its write stream")
-    samples, read_at = _stream_samples(r_cycle, r_word, dtype)
-    _check(_is_permutation(samples, n), f"{what} does not read every sample once")
-    written, written_at = _stream_samples(w_cycle, w_word, dtype)
-    _check(np.array_equal(written, samples),
-           f"{what} writes a butterfly output to a word other than its operand's")
-    position = np.empty(n, dtype=np.int64)
-    position[samples] = np.arange(n)
-
-    a, b = position[a], position[b]
-    _check(_is_permutation(np.concatenate([a, b]), n),
-           f"{what} does not use every sample in one butterfly")
-    _check((read_at[a] < fly_at).all() and (read_at[b] < fly_at).all(),
-           f"{what} computes a butterfly before its operands are read")
-    done_at = np.empty(n, dtype=np.int64)
-    done_at[a] = done_at[b] = fly_at
-    _check((done_at <= written_at).all(), f"{what} writes a sample before its butterfly")
-
-    def per_cycle(at):
-        return np.cumsum(np.bincount(at, minlength=len(ports)))
-
-    held_in = per_cycle(read_at) - per_cycle(np.concatenate([fly_at, fly_at]))
-    held_out = per_cycle(np.concatenate([fly_at, fly_at])) - per_cycle(written_at)
-    capacity = REGISTER_CAPACITY[dtype]
-    _check(held_in.max() <= capacity, f"{what}: input register overflow "
-           f"{held_in.max()} > {capacity}")
-    _check(held_out.max() <= capacity, f"{what}: output register overflow "
-           f"{held_out.max()} > {capacity}")
-
-    return block_exp * (dtype.max_points // n)     # the table serves all sizes
+    k = len(ports) if ports.ndim == 3 else 1
+    names = [f"stage {s} of {n}-point {dtype.name}" for s in range(sched.stage, sched.stage + k)]
+    _check(ports.ndim in (2, 3) and ports.shape[-1] == N_PORTS,
+           f"{names[0]} needs more than the port budget")
+    ports = ports.reshape(k, -1, N_PORTS)
+    reads, writes = _check_batchable(names, ports)
+    flies, twiddle = _check_block_layout(names, sched, k)
+    # the butterflies' operands are then samples 0..n-1: every word of the
+    # sample array must be in both streams
+    n_words = words_per_samples(dtype, n)
+    for (phase, _, word), action in ((reads, " gathers a part outside its read stream"),
+                                     (writes, " scatters a part outside its write stream")):
+        carried = np.zeros((k, n_words + 1), dtype=bool)
+        carried[phase, np.minimum(word, n_words)] = True
+        _fail(~carried[:, :n_words].all(axis=1), names, action)
+    units, written_at = _check_in_place(names, reads, writes, n, dtype)
+    _check_timing(names, units, written_at, flies, n, ports.shape[1], dtype)
+    return twiddle * (dtype.max_points // n)       # the table serves all sizes
 
 
 # the halves (lo, hi) of a word that each supported strobe writes
 _STROBE_HALVES = {FULL_STROBE: (True, True), LO_HALF_STROBE: (True, False),
                   HI_HALF_STROBE: (False, True)}
+_HALVES_BY_STROBE = np.array([_STROBE_HALVES.get(s, (False, False)) for s in range(16)])
 
 
 def compile_reorder(sched: ReorderSchedule) -> tuple[np.ndarray, np.ndarray]:
@@ -357,7 +438,9 @@ def compile_reorder(sched: ReorderSchedule) -> tuple[np.ndarray, np.ndarray]:
     returned."""
     dtype, ports = sched.dtype, sched.ports
     what = f"reorder of {sched.n_points}-point {dtype.name}"
-    (r_cycle, r_word), (w_cycle, w_word) = _check_batchable(what, ports)
+    _check(ports.ndim == 2 and ports.shape[1] == N_PORTS,
+           f"{what} needs more than the port budget")
+    (_, r_cycle, r_word), (_, w_cycle, w_word) = _check_batchable([what], ports[None])
     strobes = sched.strobes[ports[:, WRITE_COLUMN] != IDLE]
     unsupported = set(strobes.tolist()) - _STROBE_HALVES.keys()
     _check(not unsupported, f"{what}: unsupported strobe {min(unsupported, default=0):#x}")
@@ -366,10 +449,11 @@ def compile_reorder(sched: ReorderSchedule) -> tuple[np.ndarray, np.ndarray]:
     per_sample = dtype.part_width // 8      # a sample's half-words are consecutive
     src, dst = (sched.entries.T[..., None] * per_sample
                 + np.arange(per_sample)).reshape(2, -1)
-    k, half = np.nonzero(np.array([_STROBE_HALVES[s] for s in strobes.tolist()],
-                                  dtype=bool).reshape(-1, 2))
+    k, half = np.nonzero(_HALVES_BY_STROBE[strobes])
     written = 2 * w_word[k] + half
-    _check(np.isin(dst, written).all(),
+    strobed = np.zeros(n_halves + 1, dtype=bool)
+    strobed[written] = True
+    _check(strobed[np.minimum(dst, n_halves)].all(),
            f"{what} moves a half-word outside the strobed halves it writes")
     source = np.full(n_halves, -1)
     source[dst] = src

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from fdsim.membank import (_STROBE_MASKS, FULL_STROBE, HI_HALF_STROBE, IDLE,
 from fdsim.schedule import (WRITE_LAG_REORDER, WRITE_LAG_STAGE,
                             bit_reverse_index, compile_reorder, compile_stage,
                             fft_sizes, schedule_reorder, schedule_stage,
-                            total_cycle_model)
+                            schedule_stages, total_cycle_model)
 from reference_packing import pack_parts, unpack_parts
 from test_fixedpoint import one_pass
 
@@ -441,9 +442,60 @@ def executor_digest():
     return digest.hexdigest()
 
 
+# sha256 of each compiled program (``_program``: its statistics, twiddle
+# rows and reorder half-words) and of its reorder plan (ports, strobes and
+# moves), computed before the stages were compiled in one pass
+GOLDEN_PROGRAM_SHA256 = {
+    DataType.C64: (
+        (8, "370e9c2b5b8949a66703054dff575477182e618c113cab8c2f5bf4adb3d5535e"),
+        (16, "dc735ecf967222c429b433e6b7408faf972779f1f416a93afa588e7128febd91"),
+        (32, "6b9d8ae67f5ca08610a729461653d23b0d2734148a4a7c29bd5b920ecb6abd3e"),
+        (64, "2b7f6c2e0e5716c8fcfb631a1d64616697f64eb069450196b467ffeeed6aa7f4"),
+        (128, "7c9e1e528531d594d77eccc0deb13c6840ec21a80410bd18888d746c2eaa771c"),
+        (256, "61ddb1ca9589b5e5c3ffe9ab1e57390db3027e0e879e640e9545cc03787781fd"),
+        (512, "26b889be17653e2b5fe0a8546df3bc51ff51fb6e9136ed4e5baae4d6ea638057")),
+    DataType.C32: (
+        (8, "4c7329d240713ab5a95f9fa26a015ab291bab12279ede80a55028dd8866e69ae"),
+        (16, "a0f1e11b9f19af51379aba18b4cf42ea9d45b479581697b35587a96603ace9ac"),
+        (32, "4d134e963a637aa0d8b6a578d7f0a5bdc7c937c9e73d4f2cb645b25e90fcc6f4"),
+        (64, "a288fa2c0bad87cccfe6c6e443f77cc0c5470a4bf93c48a8c42cb6ae941ea8d5"),
+        (128, "4ba470849af257280ac93231bf3722460a78eb31224e057ca8caf73b7e726e06"),
+        (256, "1d5691a047ee02c2937332f83b81d4f9569664178db9918d0be728b5ad1c7290"),
+        (512, "5be0c86418dcc7443da18a1527b51379332d86437300b58e5ec8b7d0166419ba"),
+        (1024, "91a173ede3a527fc7de7e6409cd7f3155f442f42ac6d51e7c886aef954b4e83e")),
+    DataType.C16: (
+        (8, "b74682d7082681f80aa4426ada12fd7c9f709323bd5b8b47b7d620c3f8584a3c"),
+        (16, "86f2b717d102efeab82e9f7a1f9803d75bdf20fa74355cc64dbabccbfdcb2063"),
+        (32, "4d404687a73829345a88115788bb8ec580494877e5e1921bc8b3edebeccac1c6"),
+        (64, "15befb67216253af7dc3806be8a9ded80012ee55f07349477af00bdeed54810e"),
+        (128, "54bb8b75f0c84e014177e4e9c99936d3726ba6085ea113d2dfd3ff5a8df0e856"),
+        (256, "fb3ecb2cc3e104ac9d1f4df3fe75f304106289e1e0ee8c9432cea0e528d97c29"),
+        (512, "da05b30bfaeef9b20caae21f3047a9f6b243bb5cb367dd3df9d914363f9a9e90"),
+        (1024, "647f41d67e7d4f8d6b28b81e113e8c3ade3fc424726fd4c965ef6f51995feed8"),
+        (2048, "ad34f0e4ffa484c97b63d83970d1697912f1d16ecb96663186051d83b1484c4c")),
+}
+
+
+def program_digest(n, dtype):
+    stats, twiddles, (dst, src) = fdsim.fft._program(n, dtype)
+    reorder = schedule_reorder(n, dtype)
+    digest = hashlib.sha256(json.dumps(dict(stats), sort_keys=True).encode())
+    for row in (row for rows in twiddles for row in rows):
+        digest.update(row.dtype.str.encode())
+        digest.update(row.tobytes())
+    for array in (dst, src, reorder.ports, reorder.strobes, reorder.entries):
+        digest.update(array.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
 class TestFrozenOutput:
     def test_executor_output_frozen(self):
         assert executor_digest() == GOLDEN_EXECUTOR_SHA256
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_compiled_programs_frozen(self, dtype):
+        assert [(n, program_digest(n, dtype)) for n in fft_sizes(dtype)] == \
+            list(GOLDEN_PROGRAM_SHA256[dtype])
 
 
 class TestCompiledPrograms:
@@ -562,6 +614,61 @@ class TestCompiledPrograms:
         flies[:h, 3] = bit_reverse_index(1, 2) * h
         with pytest.raises(AssertionError, match="twiddle exponent other than"):
             compile_stage(dataclasses.replace(sched, butterflies=flies))
+
+    @pytest.mark.parametrize("stage", [3, 5], ids=["middle", "last"])
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    @pytest.mark.parametrize("mutation, message", [
+        ("swap_butterflies", "has a butterfly outside the block layout"),
+        ("other_block_twiddle", "has a twiddle exponent other than"),
+        ("drop_read", "gathers a part outside its read stream"),
+        ("drop_write", "scatters a part outside its write stream"),
+    ])
+    def test_stack_rejection_names_the_stage(self, mutation, message, dtype, stage):
+        # one stage of a whole 64-point program is broken as in the tests
+        # above; the stacked compile must name that stage
+        plans = schedule_stages(64, dtype)
+        ports, flies, h = plans.ports.copy(), plans.butterflies.copy(), 64 >> (stage + 1)
+        if mutation == "swap_butterflies":
+            flies[stage, [0, 1]] = flies[stage, [1, 0]]
+        elif mutation == "other_block_twiddle":
+            flies[stage, :h, 3] = bit_reverse_index(1, stage) * h
+        elif mutation == "drop_read":
+            ports[stage, 0, 0] = IDLE
+        else:
+            ports[stage, WRITE_LAG_STAGE, 4] = IDLE
+        with pytest.raises(AssertionError, match=f"^stage {stage} of 64-point {dtype.name} "
+                                                 f"{message}"):
+            compile_stage(dataclasses.replace(plans, ports=ports, butterflies=flies))
+
+    @pytest.mark.parametrize("stage", [3, 5], ids=["middle", "last"])
+    def test_stack_register_overflow_names_the_stage(self, stage, monkeypatch):
+        # the stack is planned one write cycle late, then every stage but
+        # one writes on time again; a C16 stage of spans below one port
+        # group then overfills its output registers
+        monkeypatch.setattr(fdsim.schedule, "WRITE_LAG_STAGE", WRITE_LAG_STAGE + 1)
+        plans = schedule_stages(64, DataType.C16)
+        ports = plans.ports.copy()
+        on_time = np.arange(len(ports)) != stage
+        ports[on_time, :-1, 4:] = ports[on_time, 1:, 4:]
+        ports[on_time, -1, 4:] = IDLE
+        with pytest.raises(AssertionError,
+                           match=f"^stage {stage} of 64-point C16: output register overflow"):
+            compile_stage(dataclasses.replace(plans, ports=ports))
+
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    def test_program_build_peak_memory(self, dtype):
+        # traced peak bytes of building the largest program, measured before
+        # the stages were compiled in one pass, plus 10%
+        bound = {DataType.C64: 757_874, DataType.C32: 911_496, DataType.C16: 1_197_462}
+        build = fdsim.fft._program.__wrapped__
+        build(dtype.max_points, dtype)      # imports and the type's tables
+        tracemalloc.start()
+        try:
+            build(dtype.max_points, dtype)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * bound[dtype]
 
     def test_move_outside_strobed_half_rejected(self):
         # a fix-up write that strobes the other half of its word: the move

@@ -257,11 +257,9 @@ class TestCycleModel:
     def test_changed_greedy_fails_cycle_model_match(self, monkeypatch, fresh_programs):
         # taking the last lowest-cost unit instead of the first moves the
         # C64-512 reorder stalls from 70 to 80; the pinned model must notice
-        def last_lowest(pending, occupied_banks):
-            costs = []
-            for unit in pending:
-                banks = [w % N_BANKS for w in unit["words"]]
-                costs.append(len(banks) - len(set(banks)) + len(set(banks) & occupied_banks))
+        def last_lowest(pending, occupied):
+            # a key is a unit's bank mask under one bit per self conflict
+            costs = [(key & (occupied | -1 << N_BANKS)).bit_count() for key in pending]
             return len(costs) - 1 - costs[::-1].index(min(costs))
 
         spec = FftRunSpec(FftJob(512, DataType.C64),
