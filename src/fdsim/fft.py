@@ -21,8 +21,8 @@ import numpy as np
 from .fixedpoint import (DataType, FixedComplex, OverflowFlag, ScalingPolicy,
                          butterfly_array, complex_pairs, dequantize_parts,
                          pass_twiddles, quantize_pairs, quantize_parts)
-from .membank import (IDLE, WRITE_COLUMN, BankedMemory, CycleStats, sample_array,
-                      words_per_samples)
+from .membank import (IDLE, WRITE_COLUMN, BankedMemory, CycleStats, arbitrate,
+                      sample_array, words_per_samples)
 from .schedule import (MIN_POINTS, compile_reorder, compile_stage,
                        schedule_reorder, schedule_stages)
 
@@ -154,7 +154,7 @@ def _program(n_points: int, dtype: DataType):
     ``pass_twiddles`` array (read-only, in ``dtype.register``), and the
     reorder's (dst, src) half-words.
 
-    The program is arbitrated here, once, in one ``access_batch`` call over
+    The program is arbitrated here, once, in one ``arbitrate`` call over
     the port matrix of every stage and then the reorder, at base address 0.
     A base address b moves bank k to (k + b) mod 16, a bijection, so which
     requests share a bank, and with that every stall, is the same at every
@@ -170,7 +170,7 @@ def _program(n_points: int, dtype: DataType):
     reorder = schedule_reorder(n_points, dtype)
     staged = stages.ports.shape[0] * stages.ports.shape[1]
     ports = np.concatenate([stages.ports.reshape(staged, -1), reorder.ports])
-    conflicts, _ = BankedMemory().access_batch(ports, WRITE_COLUMN)
+    conflicts, _ = arbitrate(ports, WRITE_COLUMN)
     reading = (ports[:, ~WRITE_COLUMN] != IDLE).any(axis=1)
     stats = MappingProxyType({
         "butterfly_cycles": int(reading[:staged].sum()),

@@ -64,9 +64,9 @@ def ops_count(n_points: int) -> int:
 
 # one second of frames at the fastest sample rate
 MAX_PERIODS = MAX_SAMPLE_RATE_HZ
-# Timeline length budget of one I2S run.  A run holds about 7.6 bytes of
+# Timeline length budget of one I2S run.  A run holds about 6.1 bytes of
 # arrays per tick at its peak (tracemalloc, 16 devices x 32 bits), so this
-# bounds it near 32 MB: 4095 periods of 16 devices x 32 bits.
+# bounds it near 25 MB: 4095 periods of 16 devices x 32 bits.
 MAX_TIMELINE_TICKS = 1 << 22
 
 

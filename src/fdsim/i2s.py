@@ -26,6 +26,9 @@ MAX_DEVICES = 16
 MAX_SAMPLE_RATE_HZ = 48000
 FRAME_BITS_CHOICES = (16, 24, 32)
 NO_DRIVER = -1
+# _find_frame_start looks at the first 64 sampled slots, then 16x as many
+FRAME_SEARCH_PREFIX = 64
+FRAME_SEARCH_GROWTH = 16
 
 
 class BusMode(Enum):
@@ -213,18 +216,20 @@ def encode(config: BusConfig, words: np.ndarray) -> Timeline:
     """
     _check_words(config, words)
     device, channel = _slot_words(config)
-    # every level is built per tick: a bit slot is two ticks
+    # the slot-ordered words as big-endian 16-bit words expand MSB first in
+    # one flat unpackbits; each word keeps its low k bits
     k = config.channel_bits
-    shifts = np.repeat(np.arange(k - 1, -1, -1, dtype=np.uint16), 2)
-    slots = words[:, device, channel].astype(np.uint16)
-    bits = ((slots[..., None] >> shifts) & 1).astype(np.int8)
+    slots = words[:, device, channel].astype(">u2", order="C")
+    bits = np.unpackbits(slots.view(np.uint8)).reshape(-1, 16)[:, 16 - k:]
 
     periods = len(words)
     first = 2 * (LEAD_IN_SLOTS + config.data_delay)
     data = slice(first, first + 2 * periods * config.frame_slots)
     n_ticks = timeline_ticks(config, periods)
     sd = np.zeros(n_ticks, dtype=np.int8)
-    sd[data] = bits.ravel()
+    # every level is built per tick: a bit slot is two ticks, and bit b
+    # times 257 is the 16-bit word of two bytes (b, b)
+    sd[data] = np.multiply(bits, 257, dtype=np.uint16).view(np.int8).ravel()
     driver = np.full(n_ticks, NO_DRIVER, dtype=np.int16)
     driver[data].reshape(periods, -1)[:] = np.repeat(device, 2 * k)
     # FSYNC is driven on the opposite half-edge, half a slot (one tick) ahead
@@ -257,13 +262,25 @@ def _sampled(timeline: Timeline, config: BusConfig):
 
 
 def _find_frame_start(fsync_bits: np.ndarray, config: BusConfig) -> int:
-    """Index of the first sampled slot where FSYNC leaves its idle level."""
-    active = fsync_bits != config.idle_fsync
-    starts = active[1:] > active[:-1]
-    if not starts.any():
-        raise FramingError("frame sync never asserted",
-                           partial=np.zeros((0, config.n_devices, 2), dtype=np.int64))
-    return int(starts.argmax()) + 1
+    """Index of the first sampled slot where FSYNC leaves its idle level.
+
+    That is the first active slot after the first idle one.  A well-formed
+    line rises a few slots in, so prefixes of growing length are searched
+    rather than the whole line; a rise inside a prefix is the line's first.
+    """
+    length = FRAME_SEARCH_PREFIX
+    while len(fsync_bits):
+        active = fsync_bits[:length] != config.idle_fsync
+        idle = int(active.argmin())
+        # 0 when the prefix is all active or stays idle from its first idle slot
+        rise = int(active[idle:].argmax())
+        if rise:
+            return idle + rise
+        if length >= len(fsync_bits):
+            break
+        length *= FRAME_SEARCH_GROWTH
+    raise FramingError("frame sync never asserted",
+                       partial=np.zeros((0, config.n_devices, 2), dtype=np.int64))
 
 
 def decode_words(timeline: Timeline, config: BusConfig) -> np.ndarray:
@@ -282,11 +299,13 @@ def decode_words(timeline: Timeline, config: BusConfig) -> np.ndarray:
     complete = max(available // per, 0)
     tail = available - complete * per
 
-    window = sd_bits[base:base + complete * per].reshape(complete, 2 * K, k)
+    # each word's k bits, left-padded to 16, pack MSB first in one flat
+    # packbits into big-endian 16-bit words
+    padded = np.zeros((complete * 2 * K, 16), dtype=np.uint8)
+    padded[:, 16 - k:] = sd_bits[base:base + complete * per].reshape(-1, k)
     device, channel = _slot_words(config)
     words = np.empty((complete, K, 2), dtype=np.int64)
-    # words are below 2^16, so int32 weights are exact
-    words[:, device, channel] = window @ (1 << np.arange(k - 1, -1, -1, dtype=np.int32))
+    words[:, device, channel] = np.packbits(padded).view(">u2").reshape(complete, 2 * K)
     if complete == 0:
         raise FramingError("timeline ends before one complete frame", partial=words)
     if tail > 0:

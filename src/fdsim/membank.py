@@ -88,6 +88,40 @@ IDLE = -1                                   # address of an idle port
 WRITE_COLUMN = np.arange(N_PORTS) >= WRITE_PORTS.start
 
 
+def arbitrate(ports, write_column,
+              total_words: int = DEFAULT_TOTAL_WORDS) -> tuple[np.ndarray, np.ndarray]:
+    """Arbitrate many cycles of port requests, one cycle per row.
+
+    ``ports`` is (cycles x 8): column p is port p, ``IDLE`` marks an idle
+    port.  ``write_column`` marks the writes.  In every row the lowest port
+    wins its bank and each other request to that bank is rejected, costing
+    one stall cycle for its solo retry.  Returns the per-cycle conflict
+    counts and the rejected mask.  Moves no data, so it needs no memory
+    image, only the capacity the addresses are checked against.
+    """
+    ports = np.asarray(ports)
+    if ports.ndim != 2 or ports.shape[1] != N_PORTS:
+        raise ValueError(f"port requests must be (cycles x {N_PORTS})")
+    active = ports != IDLE
+    mismatch = np.asarray(write_column) != WRITE_COLUMN
+    if mismatch.any() and (wrong := active & mismatch).any():
+        raise ValueError("write on a read port" if (wrong & ~WRITE_COLUMN).any()
+                         else "read on a write port")
+    if ports.size and (ports.min() < IDLE or ports.max() >= total_words):
+        raise MemoryModelError(f"word address outside capacity {total_words}")
+    # each active port's one-hot bank bit, one row per port; port by port
+    # over all cycles at once, a port is rejected iff a lower port has
+    # already taken its bank
+    bank = (ports & (N_BANKS - 1)).astype(np.uint16)
+    bits = np.left_shift(active, bank, dtype=np.uint16).T.copy()
+    taken = np.zeros(len(ports), dtype=np.uint16)
+    rejected = np.empty(bits.shape, dtype=bool)
+    for port, bit in enumerate(bits):
+        np.not_equal(bit & taken, 0, out=rejected[port])
+        taken |= bit
+    return rejected.sum(axis=0), rejected.T
+
+
 class BankedMemory:
     """16 word-interleaved banks behind the 8-port accelerator interface."""
 
@@ -116,35 +150,8 @@ class BankedMemory:
     # -- the port interface --
 
     def access_batch(self, addresses, write_mask) -> tuple[np.ndarray, np.ndarray]:
-        """Arbitrate many cycles of port requests, one cycle per row.
-
-        ``addresses`` is (cycles x 8): column p is port p, ``IDLE`` marks
-        an idle port.  ``write_mask`` marks the writes.  In every row the
-        lowest port wins its bank and each other request to that bank is
-        rejected, costing one stall cycle for its solo retry.  Returns the
-        per-cycle conflict counts and the rejected mask.  Moves no data.
-        """
-        addresses = np.asarray(addresses)
-        if addresses.ndim != 2 or addresses.shape[1] != N_PORTS:
-            raise ValueError(f"port requests must be (cycles x {N_PORTS})")
-        active = addresses != IDLE
-        mismatch = np.asarray(write_mask) != WRITE_COLUMN
-        if mismatch.any() and (wrong := active & mismatch).any():
-            raise ValueError("write on a read port" if (wrong & ~WRITE_COLUMN).any()
-                             else "read on a write port")
-        if addresses.size and (addresses.min() < IDLE or addresses.max() >= self.total_words):
-            raise MemoryModelError(f"word address outside capacity {self.total_words}")
-        # each active port's one-hot bank bit, one row per port; port by
-        # port over all cycles at once, a port is rejected iff a lower port
-        # has already taken its bank
-        bank = (addresses & (N_BANKS - 1)).astype(np.uint16)
-        bits = np.left_shift(active, bank, dtype=np.uint16).T.copy()
-        taken = np.zeros(len(addresses), dtype=np.uint16)
-        rejected = np.empty(bits.shape, dtype=bool)
-        for port, bit in enumerate(bits):
-            np.not_equal(bit & taken, 0, out=rejected[port])
-            taken |= bit
-        return rejected.sum(axis=0), rejected.T
+        """``arbitrate`` against this memory's capacity."""
+        return arbitrate(addresses, write_mask, self.total_words)
 
     def access(self, cycle: int, requests: list[Request]) -> AccessResult:
         """One cycle of up to 8 port requests: the one-row ``access_batch``.

@@ -31,7 +31,7 @@ import numpy as np
 from .fixedpoint import DataType
 from .membank import (FULL_STROBE, HI_HALF_STROBE, IDLE, LO_HALF_STROBE,
                       N_BANKS, N_PORTS, WRITE_COLUMN, WRITE_PORTS,
-                      BankedMemory, CycleStats, words_per_samples)
+                      CycleStats, arbitrate, words_per_samples)
 
 WRITE_LAG_STAGE = 3
 WRITE_LAG_REORDER = 2
@@ -545,7 +545,7 @@ def dump_stage_schedule(sched: StageSchedule) -> str:
 
 def dump_reorder_schedule(sched: ReorderSchedule) -> str:
     """The plan, headed by the stalls one arbitration pass over it counts."""
-    conflicts, _ = BankedMemory().access_batch(sched.ports, WRITE_COLUMN)
+    conflicts, _ = arbitrate(sched.ports, WRITE_COLUMN)
     lines = [f"# reorder of {sched.n_points}-point {sched.dtype.name}"
              f" (expected stalls {conflicts.sum()})"]
     for t, row in enumerate(sched.ports.tolist()):

@@ -330,11 +330,11 @@ class TestSpectra:
         # either direction gets wrong; the program arbitrates once
         calls = []
 
-        def one_stall_per_cycle(memory, addresses, write_mask):
-            calls.append(len(addresses))
-            return np.ones(len(addresses), dtype=np.int64), None
+        def one_stall_per_cycle(ports, write_column):
+            calls.append(len(ports))
+            return np.ones(len(ports), dtype=np.int64), None
 
-        monkeypatch.setattr(BankedMemory, "access_batch", one_stall_per_cycle)
+        monkeypatch.setattr(fdsim.fft, "arbitrate", one_stall_per_cycle)
         for n in fft_sizes(dtype):
             stages = sum(len(schedule_stage(n, dtype, s).ports)
                          for s in range(n.bit_length() - 1))
@@ -349,13 +349,13 @@ class TestSpectra:
     def test_program_arbitrates_once(self, dtype, monkeypatch, fresh_programs):
         # the first op of a program arbitrates all of it in one call; any
         # later op, at any base, takes its statistics from the program
-        calls, arbitrate = [], BankedMemory.access_batch
+        calls, arbitrate = [], fdsim.fft.arbitrate
 
-        def counting(memory, addresses, write_mask):
-            calls.append(len(addresses))
-            return arbitrate(memory, addresses, write_mask)
+        def counting(ports, write_column):
+            calls.append(len(ports))
+            return arbitrate(ports, write_column)
 
-        monkeypatch.setattr(BankedMemory, "access_batch", counting)
+        monkeypatch.setattr(fdsim.fft, "arbitrate", counting)
         n = 64
         rows = sum(len(schedule_stage(n, dtype, s).ports) for s in range(6)) \
             + len(schedule_reorder(n, dtype).ports)
@@ -657,9 +657,9 @@ class TestCompiledPrograms:
 
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
     def test_program_build_peak_memory(self, dtype):
-        # traced peak bytes of building the largest program, measured before
-        # the stages were compiled in one pass, plus 10%
-        bound = {DataType.C64: 757_874, DataType.C32: 911_496, DataType.C16: 1_197_462}
+        # traced peak bytes of building the largest program, measured once
+        # the arbitration stopped building a memory image, plus 10%
+        bound = {DataType.C64: 560_513, DataType.C32: 692_302, DataType.C16: 896_298}
         build = fdsim.fft._program.__wrapped__
         build(dtype.max_points, dtype)      # imports and the type's tables
         tracemalloc.start()

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import wave
 from collections import defaultdict
 
@@ -20,7 +21,7 @@ from fdsim.harness import (FftRunSpec, FftSweepSpec, I2sRunSpec, I2sSweepSpec,
                            build_payloads, load_config, ops_count, parse_config,
                            run_fft_experiment, run_fft_sweep, run_i2s_scenario,
                            run_i2s_sweep)
-from fdsim.i2s import BusConfig, BusMode, frames_from_array
+from fdsim.i2s import BusConfig, BusMode, frames_from_array, timeline_ticks
 
 
 def fft_config(**over):
@@ -568,6 +569,21 @@ class TestSizeBudget:
                 parse_config(i2s_config(mode=mode, n_devices=16, frame_bits=32,
                                         periods=48, alignment=alignment))
         parse_config({"version": 1, "kind": "i2s-sweep"})
+
+    @pytest.mark.parametrize("mode", [BusMode.TDM_DSP, BusMode.TDM_I2S])
+    def test_peak_memory_per_tick(self, mode):
+        # MAX_TIMELINE_TICKS is sized on this figure: 6.07 traced bytes per
+        # tick at 2048 periods of 16 devices x 32 bits, the decode's padded
+        # bit window on top of the timeline's 5 bytes per tick
+        spec = I2sRunSpec(BusConfig(mode, 16, 32), 2048)
+        run_i2s_scenario(spec, 0)           # imports and first-call set-up
+        tracemalloc.start()
+        try:
+            run_i2s_scenario(spec, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.1 * timeline_ticks(spec.bus, spec.periods)
 
     def test_wav_payload_checked_before_encode(self, tmp_path, monkeypatch, capsys):
         def write_wav(path, periods):

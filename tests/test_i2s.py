@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdsim.i2s import (LEAD_IN_SLOTS, Alignment, BusConfig, BusMode,
+from fdsim.i2s import (FRAME_SEARCH_GROWTH, FRAME_SEARCH_PREFIX, LEAD_IN_SLOTS,
+                       Alignment, BusConfig, BusMode,
                        FramePayload, FramingError, FsyncStyle, Polarity,
                        bclk_frequency, decode, decode_words, encode,
                        frames_from_array, latency_dsp, latency_tdm,
@@ -327,6 +330,65 @@ class TestDecodeErrors:
         with pytest.raises(FramingError) as err:
             decode(cut, cfg)
         assert frames_from_array(err.value.partial) == frames[:2]
+
+
+MAX_LINE = 5000
+# the prefix lengths _find_frame_start searches below MAX_LINE
+SEARCH_BOUNDARIES = [FRAME_SEARCH_PREFIX * FRAME_SEARCH_GROWTH ** j for j in range(2)]
+assert SEARCH_BOUNDARIES[-1] < MAX_LINE < SEARCH_BOUNDARIES[-1] * FRAME_SEARCH_GROWTH
+
+
+def whole_line_frame_start(fsync_bits, idle):
+    """The first rise from idle to active over the whole line, or None."""
+    active = fsync_bits != idle
+    starts = active[1:] > active[:-1]
+    return int(starts.argmax()) + 1 if starts.any() else None
+
+
+@st.composite
+def fsync_lines(draw):
+    """(line, idle level): empty, all idle, all active, a rise at or one slot
+    either side of a search boundary (optionally active from slot 0), or
+    random runs of idle and active slots."""
+    idle = draw(st.integers(0, 1))
+    shape = draw(st.sampled_from(["empty", "all-idle", "all-active", "boundary", "runs"]))
+    n = draw(st.integers(1, MAX_LINE))
+    if shape == "empty":
+        active = np.zeros(0, dtype=bool)
+    elif shape in ("all-idle", "all-active"):
+        active = np.full(n, shape == "all-active")
+    elif shape == "boundary":
+        rise = draw(st.sampled_from([b + d for b in SEARCH_BOUNDARIES for d in (-1, 0, 1)]))
+        active = np.zeros(draw(st.integers(rise + 1, MAX_LINE)), dtype=bool)
+        active[:draw(st.integers(0, rise - 1))] = True    # active from slot 0
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        active[rise:] = rng.integers(0, 2, len(active) - rise)
+        active[rise] = True
+    else:
+        runs = draw(st.lists(st.integers(1, 2000), max_size=6))
+        active = np.repeat(np.arange(len(runs)) % 2 == draw(st.integers(0, 1)),
+                           runs)[:MAX_LINE]
+    line = np.where(active, 1 - idle, idle).astype(np.int8)
+    # the decoder sees every other tick of the FSYNC line
+    return (np.repeat(line, 2)[::2] if draw(st.booleans()) else line), idle
+
+
+class TestFrameStart:
+    @settings(max_examples=300, deadline=None)
+    @given(fsync_lines())
+    def test_prefix_search_matches_whole_line(self, case):
+        from fdsim.i2s import _find_frame_start
+        line, idle = case
+        cfg = BusConfig(BusMode.TDM_DSP if idle == 0 else BusMode.TDM_I2S, 3, 16)
+        assert cfg.idle_fsync == idle
+        expected = whole_line_frame_start(line, idle)
+        if expected is None:
+            with pytest.raises(FramingError, match="frame sync never asserted") as err:
+                _find_frame_start(line, cfg)
+            assert err.value.partial.shape == (0, 3, 2)
+            assert err.value.partial.dtype == np.int64
+        else:
+            assert _find_frame_start(line, cfg) == expected
 
 
 class TestMeasureLatency:

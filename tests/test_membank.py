@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsim.fixedpoint import DataType, FixedComplex, sample_parts
-from fdsim.membank import (HI_HALF_STROBE, IDLE, LO_HALF_STROBE, N_BANKS, N_PORTS,
-                           WRITE_COLUMN, BankedMemory, MemoryModelError,
-                           Request, bandwidth_bytes_per_s,
+from fdsim.membank import (DEFAULT_TOTAL_WORDS, HI_HALF_STROBE, IDLE, LO_HALF_STROBE,
+                           N_BANKS, N_PORTS, WRITE_COLUMN, BankedMemory,
+                           MemoryModelError, Request, arbitrate, bandwidth_bytes_per_s,
                            bank_of, export_image, import_image, load_samples,
                            pack_samples, read_samples, unpack_samples,
                            words_per_samples)
@@ -151,6 +151,20 @@ class TestAccessBatch:
         for bad in (64, IDLE - 1):
             with pytest.raises(MemoryModelError, match="outside capacity"):
                 mem.access_batch(np.full((1, 8), bad, dtype=np.int32), WRITE_COLUMN)
+
+    def test_arbitrate_needs_no_memory(self):
+        # a memory's access_batch is arbitrate at its capacity, which
+        # defaults to the default memory's
+        rows = np.array([[0, 16, IDLE, 3, 1, 17, 33, IDLE]])
+        conflicts, rejected = arbitrate(rows, WRITE_COLUMN, total_words=64)
+        want = BankedMemory(total_words=64).access_batch(rows, WRITE_COLUMN)
+        assert conflicts.tolist() == want[0].tolist() == [3]
+        assert rejected.tolist() == want[1].tolist()
+        arbitrate(np.full((1, 8), DEFAULT_TOTAL_WORDS - 1), WRITE_COLUMN)
+        with pytest.raises(MemoryModelError, match=f"outside capacity {DEFAULT_TOTAL_WORDS}"):
+            arbitrate(np.full((1, 8), DEFAULT_TOTAL_WORDS), WRITE_COLUMN)
+        with pytest.raises(MemoryModelError, match="outside capacity 64"):
+            arbitrate(rows + 32, WRITE_COLUMN, total_words=64)
 
 
 class TestPacking:
