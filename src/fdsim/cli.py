@@ -28,38 +28,44 @@ EXIT_CONFIG = 2
 
 
 def _add_common(parser):
+    """Add the options every experiment verb takes; returns ``parser``."""
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="stdout report format")
+    return parser
 
 
 @lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built once per process; parsing leaves it unchanged."""
+def _parsers():
+    """The argument tree and its ``(group, verb) -> verb parser`` map, built
+    once per process; parsing leaves both unchanged."""
     parser = argparse.ArgumentParser(
         prog="fdsim",
         description="Cycle-level FFT engine / banked memory / audio bus model")
     top = parser.add_subparsers(dest="group", required=True)
+    verbs = {}
 
     fft = top.add_parser("fft", help="fixed-point FFT experiments")
     fft_sub = fft.add_subparsers(dest="verb", required=True)
-    _add_common(fft_sub.add_parser("run", help="one end-to-end FFT run"))
-    _add_common(fft_sub.add_parser("sweep", help="size/dtype sweep"))
+    verbs["fft", "run"] = _add_common(fft_sub.add_parser("run", help="one end-to-end FFT run"))
+    verbs["fft", "sweep"] = _add_common(fft_sub.add_parser("sweep", help="size/dtype sweep"))
 
     i2s = top.add_parser("i2s", help="audio bus scenarios")
     i2s_sub = i2s.add_subparsers(dest="verb", required=True)
-    run = i2s_sub.add_parser("run", help="encode/decode one scenario")
-    _add_common(run)
+    verbs["i2s", "run"] = run = _add_common(
+        i2s_sub.add_parser("run", help="encode/decode one scenario"))
     run.add_argument("--timeline-dump", action="store_true",
                      help="write timeline.vcd to the output directory")
-    _add_common(i2s_sub.add_parser("sweep", help="mode/device-count sweep"))
+    verbs["i2s", "sweep"] = _add_common(
+        i2s_sub.add_parser("sweep", help="mode/device-count sweep"))
 
     sched = top.add_parser("schedule", help="inspect port schedules")
     sched_sub = sched.add_subparsers(dest="verb", required=True)
-    dump = sched_sub.add_parser("dump", help="print per-cycle transactions")
+    verbs["schedule", "dump"] = dump = sched_sub.add_parser(
+        "dump", help="print per-cycle transactions")
     dump.add_argument("--config", required=True,
                       help="fft-run config naming n_points and dtype")
     only = dump.add_mutually_exclusive_group()
@@ -68,7 +74,32 @@ def build_parser() -> argparse.ArgumentParser:
     only.add_argument("--reorder", action="store_true",
                       help="dump only the reorder pass")
     dump.add_argument("--out", default=None, help="output directory")
-    return parser
+    return parser, verbs
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; parsing leaves it unchanged."""
+    return _parsers()[0]
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one argparse pass when it can be.
+
+    An argv that starts with a known group and verb, and holds no ``--``,
+    goes straight to that verb's parser, the one the tree would hand the
+    rest to.  Anything else, and arguments that parser leaves over, go
+    through the whole tree, so help, usage errors and exit codes stay
+    argparse's own.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    tree, verbs = _parsers()
+    parser = verbs.get(tuple(argv[:2]))
+    if parser is not None and "--" not in argv:
+        args, extras = parser.parse_known_args(
+            argv[2:], argparse.Namespace(group=argv[0], verb=argv[1]))
+        if not extras:
+            return args
+    return tree.parse_args(argv)
 
 
 def _expected_kind(config, expected):
@@ -113,8 +144,8 @@ def _cmd_schedule_dump(args):
     return EXIT_OK
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def run_command(args) -> int:
+    """Run the command that parsed ``args`` name; returns the exit code."""
     try:
         if args.group == "schedule":
             return _cmd_schedule_dump(args)
@@ -126,6 +157,14 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"invalid argument: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as e:
+        # every read maps its own OSError, so one that gets here is a write
+        print(f"configuration error: cannot write output: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
+def main(argv=None) -> int:
+    return run_command(parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -397,7 +397,9 @@ def payloads_to_wav(path, words: np.ndarray, config: BusConfig) -> None:
     words = words.reshape(-1, 2 * K)
     sign = 1 << (k - 1)
     data = ((words ^ sign) - sign).astype("<i2")
-    with wave.open(str(path), "wb") as w:
+    # wave.open(path) would leave a half-built writer that complains when
+    # collected if the file cannot be opened
+    with open(path, "wb") as f, wave.open(f, "wb") as w:
         w.setnchannels(2 * K)
         w.setsampwidth(2)
         w.setframerate(config.sample_rate)

@@ -698,6 +698,34 @@ class TestCli:
                                 f"[Errno 17] File exists: '{taken}'\n")
         assert taken.read_text() == ""
 
+    # output file -> (argv, config of a run that writes it)
+    OUTPUT_FILES = {
+        "report.json": (["fft", "run"], fft_config(n_points=8)),
+        "report.txt": (["fft", "run"], fft_config(n_points=8)),
+        "memory.bin": (["fft", "run"], fft_config(n_points=8, dump_memory_image=True)),
+        "memory.bin.json": (["fft", "run"], fft_config(n_points=8, dump_memory_image=True)),
+        "timeline.vcd": (["i2s", "run", "--timeline-dump"], i2s_config(periods=1)),
+        "payloads.wav": (["i2s", "run"], i2s_config(periods=1, payload={"export_wav": True})),
+        "summary.csv": (["fft", "sweep"], {"version": 1, "kind": "fft-sweep",
+                                           "sweep": {"dtypes": ["C64"], "n_points": [8]}}),
+        "schedule.txt": (["schedule", "dump"], fft_config(n_points=8)),
+    }
+
+    @pytest.mark.parametrize("name", OUTPUT_FILES)
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, name):
+        # each used to exit 1 with an IsADirectoryError traceback; the error
+        # filter fails a writer that is left to complain when collected
+        argv, doc = self.OUTPUT_FILES[name]
+        cfg = self._write(tmp_path, doc)
+        taken = tmp_path / "out" / name
+        taken.mkdir(parents=True)
+        assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: cannot write output: "
+                                f"[Errno 21] Is a directory: '{taken}'\n")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("kind", ["fft-run", "fft-sweep"])
     @pytest.mark.parametrize("clock_hz", [0, float("nan"), -1.0, float("inf")])
     def test_bad_clock_exits_2(self, tmp_path, capsys, kind, clock_hz):
