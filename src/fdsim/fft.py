@@ -21,10 +21,10 @@ import numpy as np
 from .fixedpoint import (DataType, FixedComplex, OverflowFlag, ScalingPolicy,
                          butterfly_array, complex_pairs, dequantize_parts,
                          pass_twiddles, quantize_pairs, quantize_parts)
-from .membank import (IDLE, WRITE_COLUMN, BankedMemory, CycleStats, arbitrate,
+from .membank import (DEFAULT_TOTAL_WORDS, HI_HALF_STROBE, IDLE, LO_HALF_STROBE,
+                      WRITE_COLUMN, BankedMemory, CycleStats, arbitrate,
                       sample_array, words_per_samples)
-from .schedule import (MIN_POINTS, compile_reorder, compile_stage,
-                       schedule_reorder, schedule_stages)
+from .schedule import MIN_POINTS, bit_reversal, schedule_reorder, schedule_stages
 
 # The scalar forms stay importable from here; the run path uses the arrays.
 from .fixedpoint import butterfly, quantize  # noqa: F401
@@ -125,7 +125,9 @@ class FftJob:
     base_address: int = 0
     scaling: ScalingPolicy = ScalingPolicy.DIVIDE_BY_TWO_PER_STAGE
 
-    def validate(self, memory: BankedMemory) -> None:
+    def validate(self, memory: BankedMemory | None = None) -> None:
+        """Checks the size and alignment rules, and that the sample array
+        fits in ``memory``, by default one of ``DEFAULT_TOTAL_WORDS``."""
         n = self.n_points
         if n < MIN_POINTS or n & (n - 1):
             raise ConfigurationError(f"n_points {n} must be a power of two >= {MIN_POINTS}")
@@ -136,7 +138,8 @@ class FftJob:
             raise ConfigurationError(
                 f"base_address {self.base_address} not {BASE_ALIGN_WORDS}-word aligned")
         end = self.base_address + words_per_samples(self.dtype, n)
-        if self.base_address < 0 or end > memory.total_words:
+        total_words = DEFAULT_TOTAL_WORDS if memory is None else memory.total_words
+        if self.base_address < 0 or end > total_words:
             raise ConfigurationError("sample array does not fit in memory")
 
 
@@ -163,10 +166,16 @@ def _program(n_points: int, dtype: DataType):
 
     Stage s of ``fft_fixed`` pairs register positions q and q + n/2, which
     after s constant-geometry passes hold block q mod 2^s of the in-place
-    stage, so column q of its twiddles is that block's twiddle.
+    stage, so column q of its twiddles is that block's twiddle: entry
+    bit_reverse(c, m-1) * max_points/n of the table for block c.  The
+    reorder moves half-word ``dst[k]`` of the sample array from half-word
+    ``src[k]``: ``dst`` is the strobed halves of the plan's written words in
+    write order, and ``src`` what the plan's moves send there.
+
+    Both are read off the plans unchecked; ``tests/test_validator.py``
+    proves every one of the 24 programs against the plan validator.
     """
     stages = schedule_stages(n_points, dtype)
-    blocks = compile_stage(stages)
     reorder = schedule_reorder(n_points, dtype)
     staged = stages.ports.shape[0] * stages.ports.shape[1]
     ports = np.concatenate([stages.ports.reshape(staged, -1), reorder.ports])
@@ -178,11 +187,22 @@ def _program(n_points: int, dtype: DataType):
         "stall_cycles": int(conflicts.sum()), "overhead_cycles": len(ports) - int(reading.sum()),
         "conflicts": int(conflicts.sum()), "stage_conflicts": int(conflicts[:staged].sum())})
     # pair q of pass s takes the twiddle of block q mod 2^s
+    m = len(stages.ports)
+    blocks = bit_reversal(m - 1) * (dtype.max_points // n_points)
     pair = np.arange(n_points // 2)
-    mod = (1 << np.arange(len(stages.ports)))[:, None] - 1
+    mod = (1 << np.arange(m))[:, None] - 1
     twiddles = pass_twiddles(twiddle_table(dtype).astype(dtype.register)[:, blocks[pair & mod]])
     twiddles.flags.writeable = False
-    return stats, tuple(map(tuple, twiddles)), compile_reorder(reorder)
+
+    per_sample = dtype.part_width // 8      # a sample's half-words are consecutive
+    src, dst = (reorder.entries.T[..., None] * per_sample
+                + np.arange(per_sample)).reshape(2, -1)
+    source = np.empty(n_points * per_sample, dtype=np.intp)
+    source[dst] = src
+    words = reorder.ports[:, WRITE_COLUMN, None]
+    strobed = (reorder.strobes[..., None] & [LO_HALF_STROBE, HI_HALF_STROBE] != 0) & (words != IDLE)
+    written = (2 * words + np.arange(2, dtype=np.intp))[strobed]
+    return stats, tuple(map(tuple, twiddles)), (written, source[written])
 
 
 def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
@@ -193,9 +213,9 @@ def fft_fixed(job: FftJob, memory: BankedMemory) -> FftResultSummary:
     work that depends on its samples.  The stages run on a register image
     of the sample array (``butterfly_array``) whose m constant-geometry
     passes leave every sample at its in-place position; the image is
-    stored back once, and the reorder moves half-words.  The compiled
-    programs prove that this equals moving the data cycle by cycle through
-    the ports.  On return the memory holds the natural-order spectrum
+    stored back once, and the reorder moves half-words.  The tests prove,
+    for every program, that this equals moving the data cycle by cycle
+    through the ports.  On return the memory holds the natural-order spectrum
     scaled by 2**-scaling_stages; the summary carries the sticky overflow
     flag and the cycle statistics.
     """

@@ -236,19 +236,6 @@ def _rounding(register: np.dtype, width: int, shift: int, floor_safe: bool = Fal
     return round_
 
 
-def sat_round_array(values, width: int, shift: int = 0,
-                    flag: OverflowFlag | None = None) -> np.ndarray:
-    """Element-wise ``sat_round`` on an integer array; the flag is set if any
-    element saturates.  An integer ``values`` is rounded in place, at its
-    own integer width (see ``_rounding``), and returned; any other input is
-    converted to a new int64 array first.
-    """
-    q = np.asarray(values)
-    if q.dtype.kind != "i":
-        q = q.astype(np.int64)
-    return _rounding(q.dtype, width, shift)(q, None, flag)
-
-
 def quantize_pairs(pairs: np.ndarray, dtype: DataType,
                    flag: OverflowFlag | None = None) -> np.ndarray:
     """``quantize`` on the interleaved ``(samples, 2)`` float64 (re, im) view

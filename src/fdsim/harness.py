@@ -95,6 +95,9 @@ class InputSpec:
             raise ConfigurationError(f"unknown input source {self.source!r}")
         if self.source == "file" and not self.path:
             raise ConfigurationError("file input needs a path")
+        if self.source == "noise" and self.amplitude < 0:
+            raise ConfigurationError(
+                f"noise amplitude must be non-negative, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,12 @@ class FftRunSpec:
     clock_hz: float = DEFAULT_CLOCK_HZ
     input: InputSpec = field(default_factory=InputSpec)
     dump_memory_image: bool = False
+
+    def __post_init__(self):
+        # checked here, so a bad run config exits before --out is made
+        self.job.validate()
+        if self.input.source == "tone" and not 0 <= self.input.bin < self.job.n_points:
+            raise ConfigurationError(f"tone bin {self.input.bin} out of range")
 
 
 @dataclass(frozen=True)
@@ -454,8 +463,6 @@ def build_fft_input(spec: InputSpec, n_points: int, seed: int) -> np.ndarray:
         x[0] = spec.amplitude
         return x
     if spec.source == "tone":
-        if not 0 <= spec.bin < n_points:
-            raise ConfigurationError(f"tone bin {spec.bin} out of range")
         t = np.arange(n_points)
         return spec.amplitude * np.exp(2j * np.pi * spec.bin * t / n_points)
     if spec.source == "noise":
@@ -485,7 +492,6 @@ def run_fft_experiment(spec: FftRunSpec, seed: int,
                        out_dir: Path | None = None) -> Report:
     job = spec.job
     memory = BankedMemory()
-    job.validate(memory)
     x = build_fft_input(spec.input, job.n_points, seed)
 
     input_flag = OverflowFlag()

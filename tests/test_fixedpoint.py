@@ -7,11 +7,17 @@ from hypothesis import strategies as st
 
 from fdsim.fft import twiddle_lookup
 from fdsim.fixedpoint import (DataType, FixedComplex, OverflowFlag,
-                              ScalingPolicy, butterfly, butterfly_array, cmul,
-                              dequantize, one, pass_twiddles, quantize,
-                              quantize_parts, sat_round, sat_round_array, zero)
+                              ScalingPolicy, _rounding, butterfly, butterfly_array,
+                              cmul, dequantize, one, pass_twiddles, quantize,
+                              quantize_parts, sat_round, zero)
 
 ALL_DTYPES = list(DataType)
+
+
+def sat_round_array(values, width, shift, flag):
+    """``sat_round`` over an integer array as the executor rounds: in place,
+    at the array's own integer width."""
+    return _rounding(values.dtype, width, shift)(values, None, flag)
 
 
 class TestDataType:

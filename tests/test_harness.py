@@ -917,6 +917,24 @@ class TestCli:
             "configuration error: seed must be a non-negative integer, got -1\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        (fft_config(n_points=48), "n_points 48 must be a power of two >= 8"),
+        (fft_config(n_points=2048), "2048 points exceed the C32 limit of 1024"),
+        (fft_config(base_address=2), "base_address 2 not 4-word aligned"),
+        (fft_config(base_address=65536 - 60), "sample array does not fit in memory"),
+        (fft_config(input={"source": "tone", "bin": 64}), "tone bin 64 out of range"),
+        (fft_config(input={"source": "noise", "amplitude": -0.5}),
+         "noise amplitude must be non-negative, got -0.5"),
+    ], ids=["n_points-48", "n_points-over-limit", "base_address-2", "base_address-past-end",
+            "tone-bin-64", "noise-amplitude-negative"])
+    def test_bad_run_config_exits_2_before_out(self, tmp_path, capsys, doc, message):
+        # these used to pass the parse and fail in the run, leaving an empty
+        # output directory; a negative amplitude reached numpy's uniform
+        cfg = self._write(tmp_path, doc)
+        assert cli.main(["fft", "run", "--config", cfg, "--out", str(tmp_path / "outb")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "outb").exists()
+
     def test_kind_mismatch_exits_2(self, tmp_path):
         cfg = self._write(tmp_path, fft_config())
         assert cli.main(["i2s", "run", "--config", cfg]) == 2
