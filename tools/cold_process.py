@@ -1,6 +1,6 @@
 """Cold-process benchmark: what a user's ``fdsim`` command costs, end to end.
 
-    python3 tools/cold_process.py --parent HEAD~1 --pairs 10 --out BENCH_x.json
+    python3 tools/cold_process.py --parent HEAD~1 --out BENCH_x.json
 
 Times fresh ``python -m fdsim.cli`` processes, wall clock from start to
 exit, for these cases:
@@ -13,21 +13,23 @@ exit, for these cases:
 It also times a cold build of all 24 FFT programs (``fft._program``) inside
 one fresh interpreter, as the child itself measures it.
 
-The parent tree is ``git archive`` of ``--parent``; the change is
-``--change`` the same way, or the working tree's ``src`` when that is not
-given.  Both are extracted into a temporary directory, so neither run reads
-a ``__pycache__`` of the repository and nothing is written into it.  Each
-pair runs every case on both trees back to back, alternating which tree
-goes first, in two modes:
+The parent tree is ``git archive`` of ``--parent``; the change is the
+working tree's ``src``.  Both are copied into a temporary directory, so
+neither run reads a ``__pycache__`` of the repository and nothing is written
+into it.  Each of the 10 pairs runs every case on both trees back to back,
+alternating which tree goes first, in two modes:
 
 - ``source``: ``PYTHONDONTWRITEBYTECODE=1``, so fdsim is compiled from
   source in every process (the installed packages keep their own bytecode);
 - ``bytecode``: bytecode cached under a temporary ``PYTHONPYCACHEPREFIX``,
   filled by one untimed run of each case first.
 
-A case's stdout must be byte-identical between the two trees.  The JSON
-written to ``--out`` holds every time, and per case and mode each side's
-median and quartiles, the change's wins and the ratio of the medians.
+Every process must exit 0, and a case's stdout must be byte-identical
+between the two trees and across runs; the tool stops with an error
+otherwise, so it never reports a speedup for a change that alters output or
+fails its checks (exit 1).  The JSON written to ``--out`` holds every time,
+and per case and mode each side's median and quartiles, the change's wins
+and the ratio of the medians.
 """
 
 from __future__ import annotations
@@ -74,19 +76,15 @@ for dtype in DataType:
 print(time.perf_counter() - start)
 """
 MODES = ("source", "bytecode")
+PAIRS = 10
 
 
-def extract(rev: str | None, into: Path) -> Path:
-    """The ``src`` of ``rev`` (or of the working tree) under ``into``."""
-    into.mkdir(parents=True)
-    if rev is None:
-        shutil.copytree(ROOT / "src", into / "src",
-                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    else:
-        archive = subprocess.run(["git", "archive", "--format=tar", rev, "src"],
-                                 cwd=ROOT, check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=BytesIO(archive)) as tar:
-            tar.extractall(into, filter="data")
+def extract(rev: str, into: Path) -> Path:
+    """The ``src`` of git revision ``rev`` under ``into``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev, "src"],
+                             cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
     return into / "src"
 
 
@@ -113,7 +111,7 @@ def run_once(argv, env, cwd) -> tuple[float, bytes]:
     start = time.perf_counter()
     done = subprocess.run(argv, env=env, cwd=cwd, capture_output=True)
     elapsed = time.perf_counter() - start
-    if done.returncode not in (0, 1):
+    if done.returncode != 0:
         raise RuntimeError(f"{argv} exited {done.returncode}: {done.stderr.decode()[-500:]}")
     return elapsed, done.stdout
 
@@ -126,19 +124,16 @@ def summary(times: list[float]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent tree")
-    parser.add_argument("--change", default=None,
-                        help="git revision of the change (default: the working tree)")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
 
     cases = [*CONFIGS, "build-24"]
     with tempfile.TemporaryDirectory(prefix="cold-process-") as tmp:
         tmp = Path(tmp)
         trees = {"parent": extract(args.parent, tmp / "parent"),
-                 "change": extract(args.change, tmp / "change")}
+                 "change": Path(shutil.copytree(
+                     ROOT / "src", tmp / "change" / "src",
+                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info")))}
         configs, work = tmp / "configs", tmp / "cwd"
         configs.mkdir()
         work.mkdir()
@@ -149,16 +144,18 @@ def main(argv=None) -> int:
         def env(side, mode):
             return environment(trees[side], mode, pycache)
 
-        identical = {}
+        expected = {}
         for case in CONFIGS:       # also fills the bytecode cache
             outputs = {side: run_once(command(case, configs), env(side, "bytecode"), work)[1]
                        for side in trees}
-            identical[case] = outputs["parent"] == outputs["change"]
+            if outputs["parent"] != outputs["change"]:
+                raise RuntimeError(f"{case}: stdout differs between parent and change")
+            expected[case] = outputs["parent"]
         for side in trees:
             run_once(command("build-24", configs), env(side, "bytecode"), work)
 
         times = {case: {mode: {"parent": [], "change": []} for mode in MODES} for case in cases}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for case in cases:
                 for mode in MODES:
@@ -166,8 +163,10 @@ def main(argv=None) -> int:
                         elapsed, out = run_once(command(case, configs), env(side, mode), work)
                         if case == "build-24":
                             elapsed = float(out)
+                        elif out != expected[case]:
+                            raise RuntimeError(f"{case}: {side} stdout changed in pair {pair + 1}")
                         times[case][mode][side].append(elapsed)
-            print(f"pair {pair + 1} of {args.pairs} done", file=sys.stderr)
+            print(f"pair {pair + 1} of {PAIRS} done", file=sys.stderr)
 
     results = {}
     for case in cases:
@@ -182,8 +181,8 @@ def main(argv=None) -> int:
     record = {
         "what": "wall seconds of fresh `python -m fdsim.cli` processes (build-24: the "
                 "child's own seconds to build all 24 programs after its imports)",
-        "parent": args.parent, "change": args.change or "working tree",
-        "pairs": args.pairs, "stdout_identical": identical,
+        "parent": args.parent, "change": "working tree",
+        "pairs": PAIRS,
         "host": {"python": platform.python_version(), "numpy": numpy.__version__,
                  "machine": platform.machine(), "cpus": os.cpu_count()},
         "results": results,
@@ -192,7 +191,7 @@ def main(argv=None) -> int:
     for key, r in results.items():
         print(f"{key:28s} parent {r['parent']['median'] * 1e3:8.1f} ms  "
               f"change {r['change']['median'] * 1e3:8.1f} ms  "
-              f"x{r['speedup']:.3f}  wins {r['change_wins']}/{args.pairs}")
+              f"x{r['speedup']:.3f}  wins {r['change_wins']}/{PAIRS}")
     return 0
 
 
