@@ -6,7 +6,9 @@
     fdsim i2s sweep  --config cfg.json ...
     fdsim schedule dump --config cfg.json [--stage N | --reorder] [--out DIR]
 
-Exit codes: 0 all checks pass, 1 invariant failure, 2 configuration error.
+Exit codes: 0 all checks pass, 1 invariant failure, 2 configuration error
+(a ``ConfigurationError``, or an output file that cannot be written).  Any
+other exception is a defect of the model and propagates: a traceback, exit 1.
 """
 
 from __future__ import annotations
@@ -124,17 +126,15 @@ def _cmd_experiment(args, expected_kind):
 def _cmd_schedule_dump(args):
     config = load_config(args.config)
     _expected_kind(config, "fft-run")
-    job = config.spec.job      # a parsed fft-run config holds a valid job
-    pieces = []
-    if not args.reorder:
-        stages = ([args.stage] if args.stage is not None
-                  else range(job.n_points.bit_length() - 1))
-        for s in stages:
-            pieces.append(dump_stage_schedule(
-                schedule_stage(job.n_points, job.dtype, s)))
-    if args.reorder or args.stage is None:
-        pieces.append(dump_reorder_schedule(
-            schedule_reorder(job.n_points, job.dtype)))
+    n, dtype = config.spec.job.n_points, config.spec.job.dtype   # a parsed job is valid
+    stages = range(n.bit_length() - 1)
+    if args.stage is not None and args.stage not in stages:
+        raise ConfigurationError(f"stage {args.stage} invalid for {n} points")
+    pieces = [] if args.reorder else [
+        dump_stage_schedule(schedule_stage(n, dtype, s))
+        for s in (stages if args.stage is None else [args.stage])]
+    if args.stage is None:      # --reorder, or the whole program
+        pieces.append(dump_reorder_schedule(schedule_reorder(n, dtype)))
     text = "\n".join(pieces)
     if args.out is not None:
         (make_out_dir(args.out) / "schedule.txt").write_text(text)
@@ -151,9 +151,6 @@ def run_command(args) -> int:
         return _cmd_experiment(args, kind)
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as e:
-        print(f"invalid argument: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:
         # every read maps its own OSError, so one that gets here is a write

@@ -11,8 +11,10 @@ import csv
 import io
 import json
 import math
+import os
+import sys
 import wave
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import repeat
@@ -64,6 +66,8 @@ def ops_count(n_points: int) -> int:
 
 # one second of frames at the fastest sample rate
 MAX_PERIODS = MAX_SAMPLE_RATE_HZ
+# numpy's uniform draw needs its range, twice the amplitude, to be finite
+MAX_NOISE_AMPLITUDE = sys.float_info.max / 2
 # Timeline length budget of one I2S run.  A run holds about 6.1 bytes of
 # arrays per tick at its peak (tracemalloc, 16 devices x 32 bits), so this
 # bounds it near 25 MB: 4095 periods of 16 devices x 32 bits.
@@ -95,9 +99,12 @@ class InputSpec:
             raise ConfigurationError(f"unknown input source {self.source!r}")
         if self.source == "file" and not self.path:
             raise ConfigurationError("file input needs a path")
-        if self.source == "noise" and self.amplitude < 0:
+        # numpy's uniform rejects a -0.0 amplitude as it does a negative one
+        if self.source == "noise" and math.copysign(1.0, self.amplitude) < 0:
+            raise ConfigurationError(f"noise amplitude must be non-negative, got {self.amplitude}")
+        if self.source == "noise" and self.amplitude > MAX_NOISE_AMPLITUDE:
             raise ConfigurationError(
-                f"noise amplitude must be non-negative, got {self.amplitude}")
+                f"noise amplitude must be at most {MAX_NOISE_AMPLITUDE}, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -114,12 +121,29 @@ class FftRunSpec:
             raise ConfigurationError(f"tone bin {self.input.bin} out of range")
 
 
+def _set_members(spec, kind: str, members: list) -> None:
+    """Give a sweep its runs, each checked as its spec was built."""
+    if not members:
+        raise ConfigurationError(f"{kind} config selects no runs")
+    object.__setattr__(spec, "members", tuple(members))
+
+
 @dataclass(frozen=True)
 class FftSweepSpec:
     dtypes: tuple[DataType, ...] = (DataType.C64, DataType.C32, DataType.C16)
     n_points: tuple[int, ...] | None = None   # None: full grid per dtype
     clock_hz: float = DEFAULT_CLOCK_HZ
     input: InputSpec = field(default_factory=InputSpec)
+    # (row key, run spec) of each run; a size above a type's limit is skipped
+    members: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _set_members(self, "fft-sweep", [
+            ({"dtype": dtype.name, "n_points": n},
+             FftRunSpec(FftJob(n, dtype), self.clock_hz, self.input))
+            for dtype in self.dtypes
+            for n in (fft_sizes(dtype) if self.n_points is None else self.n_points)
+            if n <= dtype.max_points])
 
 
 @dataclass(frozen=True)
@@ -155,10 +179,16 @@ class I2sSweepSpec:
     frame_bits: tuple[int, ...] = (16, 24, 32)
     sample_rate: int = 48000
     periods: int = 2
+    # (row key, run spec) of each run; standard I2S runs one device only
+    members: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_periods(self.periods)
-        _i2s_sweep_members(self)    # each member run checks its own size
+        _set_members(self, "i2s-sweep", [
+            ({"mode": mode.value, "n_devices": k_dev, "frame_bits": n},
+             I2sRunSpec(BusConfig(mode, k_dev, n, self.sample_rate), self.periods))
+            for mode in self.modes for n in self.frame_bits for k_dev in self.n_devices
+            if mode is not BusMode.STANDARD_I2S or k_dev == 1])
 
 
 @dataclass(frozen=True)
@@ -201,8 +231,11 @@ def _bool(value, key) -> bool:
 
 
 def _path(value, key) -> str | None:
+    """Null, or a file name the OS can take (``os.fsencode`` raises on one it cannot)."""
     if value is not None and not isinstance(value, str):
         raise ConfigurationError(f"{key} must be a string, got {value!r}")
+    if value is not None and b"\0" in os.fsencode(value):
+        raise ConfigurationError(f"{key} must not hold a NUL byte, got {value!r}")
     return value
 
 
@@ -306,7 +339,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not isinstance(kind, str) or kind not in KINDS:
             raise ConfigurationError(f"unknown experiment kind {kind!r}")
         return ExperimentConfig(kind, KINDS[kind][0](raw), **seed)
-    except (TypeError, ValueError, OverflowError) as e:
+    # RecursionError: a message's repr of a value nested nearly too deep for json.loads
+    except (TypeError, ValueError, OverflowError, RecursionError) as e:
         if isinstance(e, ConfigurationError):
             raise
         raise ConfigurationError(str(e)) from None
@@ -323,10 +357,12 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(text)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
-    except OSError as e:
-        raise ConfigurationError(f"cannot read config: {e}") from None
-    except json.JSONDecodeError as e:
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"config is not valid UTF-8: {e}") from None
+    except (json.JSONDecodeError, RecursionError) as e:    # RecursionError: nested too deep
         raise ConfigurationError(f"config is not valid JSON: {e}") from None
+    except (OSError, ValueError) as e:      # ValueError: a path open cannot take
+        raise ConfigurationError(f"cannot read config: {e}") from None
     return parse_config(raw)
 
 
@@ -410,28 +446,26 @@ def _indented_json(value, level: int = 0) -> str:
 
 
 def _echo(value):
-    """A parsed config value as the report echoes it: a dataclass as its
-    fields, a DataType by name, any other enum by value, a tuple as a list."""
+    """A parsed config value as the report echoes it: a dataclass as the
+    fields a config sets, a DataType by name, any other enum by value, a
+    tuple as a list."""
     if isinstance(value, Enum):
         return value.name if isinstance(value, DataType) else value.value
     if isinstance(value, tuple):
         return [_echo(v) for v in value]
     if is_dataclass(value):
-        return {key: _echo(v) for key, v in vars(value).items()}
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(value) if f.init}
     return value
 
 
-def _run_sweep(kind: str, echo: dict, run, members: list, columns: dict,
-               order: tuple, series_checks, seed: int,
-               out_dir) -> tuple[Report, list[dict]]:
+def _run_sweep(kind: str, echo: dict, run, members: tuple, columns: dict,
+               order: tuple, series_checks, seed: int, out_dir) -> Report:
     """Run each ``(row key, member spec)`` pair with ``run`` and report.
 
     A row is the key, the member metrics named by ``columns`` (column:
     metric) and ``passed``; rows are sorted on the ``order`` columns.
     ``series_checks`` maps the finished rows to the sweep's own checks.
     """
-    if not members:
-        raise ConfigurationError(f"{kind} config selects no runs")
     rows = []
     for key, member_spec in members:
         member = run(member_spec, seed)
@@ -442,7 +476,7 @@ def _run_sweep(kind: str, echo: dict, run, members: list, columns: dict,
     report = Report(kind, seed, echo, {"runs": len(rows)}, checks)
     if out_dir is not None:
         write_csv(out_dir / "summary.csv", rows)
-    return report, rows
+    return report
 
 
 def _rising(rows, group: str, x: str, y: str) -> bool:
@@ -481,6 +515,8 @@ def build_fft_input(spec: InputSpec, n_points: int, seed: int) -> np.ndarray:
         raise ConfigurationError(f"cannot read WAV input: {e}") from None
     if width != 2:
         raise ConfigurationError("only 16-bit WAV input is supported")
+    if len(raw) % (2 * channels):
+        raise ConfigurationError("WAV input ends inside a frame")
     data = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)[:, 0]
     if len(data) < n_points:
         raise ConfigurationError(
@@ -544,18 +580,12 @@ def run_fft_experiment(spec: FftRunSpec, seed: int,
     return report
 
 
-def run_fft_sweep(spec: FftSweepSpec, seed: int,
-                  out_dir: Path | None = None) -> tuple[Report, list[dict]]:
-    members = [({"dtype": dtype.name, "n_points": n},
-                FftRunSpec(FftJob(n, dtype), spec.clock_hz, spec.input))
-               for dtype in spec.dtypes
-               for n in (fft_sizes(dtype) if spec.n_points is None else spec.n_points)
-               if n <= dtype.max_points]
+def run_fft_sweep(spec: FftSweepSpec, seed: int, out_dir: Path | None = None) -> Report:
     echo = {**_echo(spec), "n_points": "full"} if spec.n_points is None else _echo(spec)
     columns = {c: c for c in ("butterfly_cycles", "reorder_cycles", "stall_cycles",
                               "overhead_cycles", "total_cycles", "conflicts",
                               "stage_conflicts", "snr_db", "gops")}
-    return _run_sweep("fft-sweep", echo, run_fft_experiment, members, columns,
+    return _run_sweep("fft-sweep", echo, run_fft_experiment, spec.members, columns,
                       ("dtype", "n_points"), _fft_series_checks, seed, out_dir)
 
 
@@ -577,7 +607,7 @@ def build_payloads(spec: I2sRunSpec, seed: int) -> np.ndarray:
     if spec.payload.source == "wav":
         try:
             words = wav_to_payloads(spec.payload.path, spec.bus)
-        except WAV_READ_ERRORS as e:
+        except (*WAV_READ_ERRORS, ValueError) as e:     # ValueError: not this bus's words
             raise ConfigurationError(f"cannot read payload WAV: {e}") from None
         if not len(words):
             raise ConfigurationError("payload WAV holds no frames")
@@ -630,18 +660,9 @@ def run_i2s_scenario(spec: I2sRunSpec, seed: int, out_dir: Path | None = None,
                   metrics, checks)
 
 
-def _i2s_sweep_members(spec: I2sSweepSpec) -> list[tuple[dict, I2sRunSpec]]:
-    return [({"mode": mode.value, "n_devices": k_dev, "frame_bits": n},
-             I2sRunSpec(BusConfig(mode, k_dev, n, spec.sample_rate), spec.periods))
-            for mode in spec.modes for n in spec.frame_bits for k_dev in spec.n_devices
-            if mode is not BusMode.STANDARD_I2S or k_dev == 1]
-
-
-def run_i2s_sweep(spec: I2sSweepSpec, seed: int,
-                  out_dir: Path | None = None) -> tuple[Report, list[dict]]:
-    members = _i2s_sweep_members(spec)
+def run_i2s_sweep(spec: I2sSweepSpec, seed: int, out_dir: Path | None = None) -> Report:
     columns = {"bclk_hz": "bclk_hz", "latency_tclk": "latency_tclk_measured"}
-    return _run_sweep("i2s-sweep", _echo(spec), run_i2s_scenario, members, columns,
+    return _run_sweep("i2s-sweep", _echo(spec), run_i2s_scenario, spec.members, columns,
                       ("mode", "frame_bits", "n_devices"), _i2s_series_checks,
                       seed, out_dir)
 
@@ -674,7 +695,7 @@ def make_out_dir(out_dir: str) -> Path:
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
+    except (OSError, ValueError) as e:      # ValueError: a path mkdir cannot take
         raise ConfigurationError(f"cannot create output directory: {e}") from None
     return out_dir
 
@@ -697,10 +718,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
 # run functions up when they are called, so a patched one is the one run.
 KINDS = {
     "fft-run": (_read_fft_run, lambda spec, seed, out, dump: run_fft_experiment(spec, seed, out)),
-    "fft-sweep": (_read_fft_sweep,
-                  lambda spec, seed, out, dump: run_fft_sweep(spec, seed, out)[0]),
+    "fft-sweep": (_read_fft_sweep, lambda spec, seed, out, dump: run_fft_sweep(spec, seed, out)),
     "i2s-run": (_read_i2s_run, lambda spec, seed, out, dump:
                 run_i2s_scenario(spec, seed, out, dump)),
-    "i2s-sweep": (_read_i2s_sweep,
-                  lambda spec, seed, out, dump: run_i2s_sweep(spec, seed, out)[0]),
+    "i2s-sweep": (_read_i2s_sweep, lambda spec, seed, out, dump: run_i2s_sweep(spec, seed, out)),
 }

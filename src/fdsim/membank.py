@@ -32,10 +32,6 @@ class MemoryModelError(Exception):
     """Address or capacity violation against the memory model."""
 
 
-def bank_of(address: int) -> int:
-    return address % N_BANKS
-
-
 @dataclass(frozen=True)
 class Request:
     """One port transaction for a single cycle."""
@@ -149,12 +145,9 @@ class BankedMemory:
 
     # -- the port interface --
 
-    def access_batch(self, addresses, write_mask) -> tuple[np.ndarray, np.ndarray]:
-        """``arbitrate`` against this memory's capacity."""
-        return arbitrate(addresses, write_mask, self.total_words)
-
     def access(self, cycle: int, requests: list[Request]) -> AccessResult:
-        """One cycle of up to 8 port requests: the one-row ``access_batch``.
+        """One cycle of up to 8 port requests: one row of ``arbitrate`` at
+        this memory's capacity.
 
         Completed writes are applied and completed reads returned, in
         port order; rejected requests are returned for the caller to retry.
@@ -170,7 +163,7 @@ class BankedMemory:
             self._check_address(r.address)
             row[0, r.port] = r.address
             write_mask[0, r.port] = r.write
-        _, rejected = self.access_batch(row, write_mask)
+        _, rejected = arbitrate(row, write_mask, self.total_words)
 
         read_data: dict[int, int] = {}
         completed, refused = [], []
@@ -259,15 +252,3 @@ def export_image(memory: BankedMemory, path: str | Path, dtype: DataType,
     }
     path.with_suffix(path.suffix + ".json").write_text(
         json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-
-
-def import_image(path: str | Path) -> tuple[BankedMemory, dict]:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    words = np.fromfile(path, dtype="<u4")
-    if len(words) != sidecar["total_words"]:
-        raise MemoryModelError("image size disagrees with its descriptor")
-    memory = BankedMemory(total_words=len(words))
-    memory.words[:] = words
-    sidecar["dtype"] = DataType.from_tag(sidecar["dtype"])
-    return memory, sidecar

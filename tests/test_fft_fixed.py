@@ -18,7 +18,7 @@ from fdsim.fixedpoint import (DataType, OverflowFlag, ScalingPolicy,
 from fdsim.harness import SNR_FLOORS_DB
 from fdsim.membank import (_STROBE_MASKS, FULL_STROBE, HI_HALF_STROBE, IDLE,
                            LO_HALF_STROBE, WRITE_COLUMN, BankedMemory, CycleStats,
-                           MemoryModelError, pack_samples, read_samples,
+                           MemoryModelError, arbitrate, pack_samples, read_samples,
                            words_per_samples)
 from fdsim.schedule import (bit_reverse_index, fft_sizes, schedule_reorder,
                             schedule_stage, total_cycle_model)
@@ -586,8 +586,8 @@ def reference_fft(phases, job, memory):
     table, flag, stats = twiddle_table(dtype), OverflowFlag(), CycleStats()
     for i, (plan, *routing) in enumerate(phases):
         ports = plan.ports
-        stalls = int(memory.access_batch(np.where(ports == IDLE, IDLE, ports + base),
-                                         WRITE_COLUMN)[0].sum())
+        stalls = int(arbitrate(np.where(ports == IDLE, IDLE, ports + base), WRITE_COLUMN,
+                               memory.total_words)[0].sum())
         reading = int((ports[:, ~WRITE_COLUMN] != IDLE).any(axis=1).sum())
         stats.overhead_cycles += len(ports) - reading
         stats.conflicts += stalls

@@ -1,8 +1,13 @@
+import contextlib
 import copy
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
+import random
+import sys
 import tracemalloc
 import wave
 from collections import defaultdict
@@ -15,13 +20,14 @@ from hypothesis import strategies as st
 import fdsim.cli as cli
 import fdsim.harness as harness
 from fdsim.fft import ConfigurationError, FftJob
-from fdsim.fixedpoint import DataType
+from fdsim.fixedpoint import DataType, ScalingPolicy
 from fdsim.harness import (FftRunSpec, FftSweepSpec, I2sRunSpec, I2sSweepSpec,
                            InputSpec, PayloadSpec, Report, build_fft_input,
                            build_payloads, load_config, ops_count, parse_config,
                            run_fft_experiment, run_fft_sweep, run_i2s_scenario,
                            run_i2s_sweep)
-from fdsim.i2s import BusConfig, BusMode, frames_from_array, timeline_ticks
+from fdsim.i2s import (Alignment, BusConfig, BusMode, FsyncStyle, Polarity,
+                       frames_from_array, timeline_ticks)
 
 
 def fft_config(**over):
@@ -149,6 +155,57 @@ def _with_key_replaced(case, value) -> dict:
     return doc
 
 
+# what a mutated key takes: boundary and huge ints, a signed zero, extreme
+# floats, bools, null, strings with a NUL byte, nested containers, sweep axes
+# and every enum value a config names
+MUTATION_POOL = [
+    -1, 0, 1, 2, 3, 7, 8, 16, 17, 4096, 2 ** 31 - 1, 2 ** 63, 10 ** 400,
+    -0.0, 0.5, 1e308, -1e308, 5e-324, True, False, None, "", "\0", "in\0.wav",
+    [], [[]], [1, [2, [3]]], {}, {"a": [None]}, [8, 48], [16, 17], ["C16"], ["standard-i2s"],
+    *sorted({m.value for e in (BusMode, Polarity, Alignment, FsyncStyle, ScalingPolicy)
+             for m in e} | {t.name for t in DataType} | set(harness.KINDS)
+            | {"noise", "tone", "impulse", "file", "random", "wav"}),
+]
+# verb -> the valid config it mutates; schedule dump reads an fft-run config
+MUTATED_VERBS = {"fft run": VALID_CONFIGS[0], "fft sweep": VALID_CONFIGS[1],
+                 "i2s run": VALID_CONFIGS[2], "i2s sweep": VALID_CONFIGS[3],
+                 "schedule dump": VALID_CONFIGS[0]}
+# the exit 2 messages of a run that reads or writes a file the config or
+# argv names, after --out is made
+FILE_MESSAGES = ("configuration error: cannot read WAV input: ",
+                 "configuration error: cannot read payload WAV: ",
+                 "configuration error: cannot write output: ")
+
+
+def _mutated(doc, rng: random.Random, value=None) -> dict:
+    """``doc`` with one or two keys deleted or replaced, by values from the
+    pool or by ``value``."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.choice((1, 2))):
+        *outer, key = rng.choice(list(_key_paths(doc)))
+        target = doc
+        for part in outer:
+            target = target[part]
+        if value is None and rng.random() < 0.2:
+            del target[key]
+        else:
+            target[key] = copy.deepcopy(rng.choice(MUTATION_POOL) if value is None else value)
+    return doc
+
+
+def _deepest_json_list() -> int:
+    """The deepest nested JSON list ``json.loads`` reads at this stack depth."""
+    low, high = 1, 4 * sys.getrecursionlimit()
+    while low < high:
+        mid = (low + high + 1) // 2
+        try:
+            json.loads("[" * mid + "]" * mid)
+            low = mid
+        except RecursionError:
+            high = mid - 1
+    return low
+
+
 class TestConfigRobustness:
     @pytest.mark.parametrize("doc", VALID_CONFIGS, ids=lambda d: d["kind"])
     def test_valid_configs_parse(self, doc):
@@ -181,6 +238,35 @@ class TestConfigRobustness:
         verb = case[0]["kind"].split("-")
         argv = verb + ["--config", str(cfg), "--out", str(tmp_path / "out")]
         assert cli.main(argv) in (0, 1, 2)
+
+    @pytest.mark.parametrize("verb", MUTATED_VERBS)
+    def test_mutated_configs_keep_the_exit_contract(self, tmp_path, monkeypatch, verb):
+        # 100 seeded mutations of the verb's valid config, and 40 more that
+        # put a list nested nearly as deep as json.loads reads, whose repr in
+        # a message once overflowed the stack
+        monkeypatch.chdir(tmp_path)     # a relative path in the pool opens nothing
+        rng = random.Random(f"{verb} 16")
+        deepest = _deepest_json_list()
+        texts = [json.dumps(_mutated(MUTATED_VERBS[verb], rng)) for _ in range(100)]
+        texts += [json.dumps(_mutated(MUTATED_VERBS[verb], rng, "DEEP")).replace(
+            '"DEEP"', "[" * depth + "]" * depth) for depth in range(deepest - 40, deepest)]
+        argv, kind = verb.split(), MUTATED_VERBS[verb]["kind"]
+        for i, text in enumerate(texts):
+            cfg, out = tmp_path / f"{i}.json", tmp_path / f"out{i}"
+            cfg.write_text(text)
+            try:
+                accepted = load_config(cfg).kind == kind
+            except ConfigurationError:
+                accepted = False
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv + ["--config", str(cfg), "--out", str(out)])
+            err = err.getvalue()
+            case = f"case {i}: {text[:300]} -> {code} {err[:300]!r}"
+            assert code in ((0, 1) if accepted else (2,)) or err.startswith(FILE_MESSAGES), case
+            if code == 2:
+                assert err.startswith("configuration error: ") and err.count("\n") == 1, case
+                assert err.startswith(FILE_MESSAGES) or not out.exists(), case
 
     @pytest.mark.parametrize("key, value", [
         ("n_points", 64.5), ("n_points", float("inf")), ("n_points", float("nan")),
@@ -377,17 +463,19 @@ class TestSweeps:
     def test_fft_sweep_rows_and_checks(self, tmp_path):
         spec = FftSweepSpec(dtypes=(DataType.C64, DataType.C32, DataType.C16),
                             n_points=(8, 16, 32, 64))
-        report, rows = run_fft_sweep(spec, seed=2, out_dir=tmp_path)
+        report = run_fft_sweep(spec, seed=2, out_dir=tmp_path)
         assert report.passed
-        assert len(rows) == 12
+        rows = _summary_rows(tmp_path)
+        assert len(rows) == report.metrics["runs"] == 12
         assert rows == sorted(rows, key=lambda r: (r["dtype"], r["n_points"]))
         assert (tmp_path / "summary.csv").read_text().startswith("dtype,")
 
     def test_i2s_sweep_dsp_flat(self, tmp_path):
         spec = I2sSweepSpec(modes=(BusMode.TDM_I2S, BusMode.TDM_DSP),
                             n_devices=(1, 2, 4, 8, 16), frame_bits=(32,))
-        report, rows = run_i2s_sweep(spec, seed=0, out_dir=tmp_path)
+        report = run_i2s_sweep(spec, seed=0, out_dir=tmp_path)
         assert report.passed
+        rows = _summary_rows(tmp_path)
         dsp = [r["latency_tclk"] for r in rows if r["mode"] == "tdm-dsp"]
         assert len(set(dsp)) == 1
         tdm = [(r["n_devices"], r["latency_tclk"]) for r in rows
@@ -433,6 +521,13 @@ class TestSweeps:
         assert report2.passed
         assert report2.metrics["periods"] == 4
         assert report2.config["periods"] == 4
+
+
+def _summary_rows(out_dir) -> list[dict]:
+    """The rows of a sweep's summary.csv, integer cells as ints."""
+    with open(out_dir / "summary.csv", newline="") as f:
+        return [{key: int(cell) if cell.isdigit() else cell for key, cell in row.items()}
+                for row in csv.DictReader(f)]
 
 
 def _fft_member(spec, defect):
@@ -509,7 +604,7 @@ class TestSweepChecks:
     def test_fft_defect_fails_its_own_check(self, monkeypatch, defect, check):
         monkeypatch.setattr(harness, "run_fft_experiment",
                             lambda spec, seed: _fft_member(spec, defect))
-        report, _ = run_fft_sweep(FftSweepSpec(
+        report = run_fft_sweep(FftSweepSpec(
             dtypes=(DataType.C64, DataType.C32, DataType.C16), n_points=(8, 16, 32)), 0)
         assert _failed(report) == ({check} if check else set())
 
@@ -519,7 +614,7 @@ class TestSweepChecks:
     def test_i2s_defect_fails_its_own_check(self, monkeypatch, defect, check):
         monkeypatch.setattr(harness, "run_i2s_scenario",
                             lambda spec, seed: _i2s_member(spec, defect))
-        report, _ = run_i2s_sweep(I2sSweepSpec(
+        report = run_i2s_sweep(I2sSweepSpec(
             modes=(BusMode.TDM_I2S, BusMode.TDM_DSP), n_devices=(1, 2, 4),
             frame_bits=(16, 32)), 0)
         assert _failed(report) == ({check} if check else set())
@@ -609,6 +704,15 @@ class TestSizeBudget:
             "timeline ticks, over the budget of 4194304\n")
 
 
+DEEP_JSON = '{"version": 1, "kind": "fft-run", "seed": ' + "[" * 1000 + "]" * 1000 + "}"
+
+
+def _recursion_error(text) -> str:
+    with pytest.raises(RecursionError) as raised:
+        json.loads(text)
+    return str(raised.value)
+
+
 class TestCli:
     def _write(self, tmp_path, doc):
         p = tmp_path / "cfg.json"
@@ -644,15 +748,21 @@ class TestCli:
         cfg = self._write(tmp_path, {"version": 1, "kind": "nope"})
         assert cli.main(["fft", "run", "--config", cfg]) == 2
 
-    @pytest.mark.parametrize("where", ["directory", "under-a-file"])
+    @pytest.mark.parametrize("where", ["directory", "under-a-file", "nul-byte"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, where):
-        # a directory used to exit 1 with an IsADirectoryError traceback
+        # a directory used to exit 1 with an IsADirectoryError traceback, and a
+        # NUL byte to reach the CLI's catch-all as "invalid argument"
         path = tmp_path
         if where == "under-a-file":
             (tmp_path / "file").write_text("{}")
             path = tmp_path / "file" / "cfg.json"
+        if where == "nul-byte":
+            path = tmp_path / "cfg\0.json"
         assert cli.main(["fft", "run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
+        if where == "nul-byte":
+            assert err == "configuration error: cannot read config: embedded null byte\n"
+            return
         assert err.startswith("configuration error: cannot read config: [Errno ")
         assert err.endswith(f"'{path}'\n") and err.count("\n") == 1
 
@@ -661,9 +771,12 @@ class TestCli:
          "configuration error: config is not valid JSON: Unexpected UTF-8 BOM "
          "(decode using utf-8-sig): line 1 column 1 (char 0)\n"),
         (b'{"version": 1, "kind": "\xff"}',
-         "invalid argument: 'utf-8' codec can't decode byte 0xff in position 24: "
-         "invalid start byte\n"),
-    ], ids=["bom", "invalid-utf-8"])
+         "configuration error: config is not valid UTF-8: 'utf-8' codec can't decode "
+         "byte 0xff in position 24: invalid start byte\n"),
+        # json.loads recurses once per level, and runs out of stack near 1000
+        (DEEP_JSON.encode(), f"configuration error: config is not valid JSON: "
+                             f"{_recursion_error(DEEP_JSON)}\n"),
+    ], ids=["bom", "invalid-utf-8", "nested-1000-deep"])
     def test_undecodable_config_exits_2(self, tmp_path, capsys, raw, message):
         p = tmp_path / "cfg.json"
         p.write_bytes(raw)
@@ -682,9 +795,13 @@ class TestCli:
             load_config(p)
         assert str(got.value) == f"config is not valid JSON: {want.value}"
 
-    @pytest.mark.parametrize("verb", ["fft run", "schedule dump"])
-    def test_out_path_of_a_file_exits_2(self, tmp_path, capsys, monkeypatch, verb):
-        # used to exit 1 with a FileExistsError traceback
+    @pytest.mark.parametrize("verb, out", [
+        ("fft run", "file"), ("schedule dump", "file"),
+        ("fft run", "nul-byte"), ("schedule dump", "nul-byte"),
+    ], ids=["fft run", "schedule dump", "fft run-nul-byte", "schedule dump-nul-byte"])
+    def test_out_path_of_a_file_exits_2(self, tmp_path, capsys, monkeypatch, verb, out):
+        # a file used to exit 1 with a FileExistsError traceback, and a NUL
+        # byte to reach the CLI's catch-all as "invalid argument"
         def must_not_run(*args):
             raise AssertionError("ran with an unusable output directory")
 
@@ -692,11 +809,41 @@ class TestCli:
         cfg = self._write(tmp_path, fft_config(n_points=8))
         taken = tmp_path / "taken"
         taken.write_text("")
-        assert cli.main(verb.split() + ["--config", cfg, "--out", str(taken)]) == 2
+        path, why = {"file": (str(taken), f"[Errno 17] File exists: '{taken}'"),
+                     "nul-byte": (f"{tmp_path}/out\0", "embedded null byte")}[out]
+        assert cli.main(verb.split() + ["--config", cfg, "--out", path]) == 2
         captured = capsys.readouterr()
-        assert captured.err == ("configuration error: cannot create output directory: "
-                                f"[Errno 17] File exists: '{taken}'\n")
-        assert taken.read_text() == ""
+        assert captured.err == f"configuration error: cannot create output directory: {why}\n"
+        assert taken.read_text() == "" and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
+    @pytest.mark.parametrize("verb, channels, width, cut, message", [
+        ("i2s run", 1, 2, 0, "cannot read payload WAV: expected 4 channels, file has 1"),
+        ("i2s run", 4, 1, 0, "cannot read payload WAV: expected 16-bit PCM"),
+        ("i2s run", 4, 2, 2, "cannot read payload WAV: "),
+        ("fft run", 4, 1, 0, "only 16-bit WAV input is supported"),
+        ("fft run", 4, 2, 2, "WAV input ends inside a frame"),
+    ], ids=["payload-channels", "payload-8-bit", "payload-cut", "input-8-bit", "input-cut"])
+    def test_unreadable_wav_exits_2(self, tmp_path, capsys, verb, channels, width, cut,
+                                    message):
+        # a WAV is read in the run, after --out is made; the payload errors
+        # and a file cut inside a frame used to reach the CLI's catch-all
+        path = tmp_path / "in.wav"
+        with wave.open(str(path), "wb") as w:
+            w.setnchannels(channels)
+            w.setsampwidth(width)
+            w.setframerate(48000)
+            w.writeframes(bytes(100 * channels * width))
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) - cut])
+        doc = (i2s_config(payload={"source": "wav", "path": str(path)}) if verb == "i2s run"
+               else fft_config(input={"source": "file", "path": str(path)}))
+        out = tmp_path / "out"
+        assert cli.main(verb.split() + ["--config", self._write(tmp_path, doc),
+                                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     # output file -> (argv, config of a run that writes it)
     OUTPUT_FILES = {
@@ -771,13 +918,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "amplitude" in err and "Traceback" not in err
 
-    def test_non_finite_samples_exit_2(self, tmp_path, capsys, monkeypatch):
-        # samples that reach the quantizer by any other route
+    def test_non_finite_samples_propagate(self, tmp_path, capsys, monkeypatch):
+        # the parse rejects every non-finite input, so NaN samples at the
+        # quantizer are a defect of the model: it propagates, not exit 2
         monkeypatch.setattr(harness, "build_fft_input",
                             lambda spec, n, seed: np.full(n, np.nan, dtype=complex))
         cfg = self._write(tmp_path, fft_config())
-        assert cli.main(["fft", "run", "--config", cfg]) == 2
-        assert "NaN" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="cannot quantize NaN") as raised:
+            cli.main(["fft", "run", "--config", cfg])
+        assert not isinstance(raised.value, ConfigurationError)
+        assert capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize("verb, text, message", [
         ("fft run", json.dumps(fft_config(input="noise")),
@@ -917,21 +1067,47 @@ class TestCli:
             "configuration error: seed must be a non-negative integer, got -1\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("doc, message", [
-        (fft_config(n_points=48), "n_points 48 must be a power of two >= 8"),
-        (fft_config(n_points=2048), "2048 points exceed the C32 limit of 1024"),
-        (fft_config(base_address=2), "base_address 2 not 4-word aligned"),
-        (fft_config(base_address=65536 - 60), "sample array does not fit in memory"),
-        (fft_config(input={"source": "tone", "bin": 64}), "tone bin 64 out of range"),
-        (fft_config(input={"source": "noise", "amplitude": -0.5}),
+    @pytest.mark.parametrize("verb, doc, message", [
+        ("fft run", fft_config(n_points=48), "n_points 48 must be a power of two >= 8"),
+        ("fft run", fft_config(n_points=2048), "2048 points exceed the C32 limit of 1024"),
+        ("fft run", fft_config(base_address=2), "base_address 2 not 4-word aligned"),
+        ("fft run", fft_config(base_address=65536 - 60), "sample array does not fit in memory"),
+        ("fft run", fft_config(input={"source": "tone", "bin": 64}), "tone bin 64 out of range"),
+        ("fft run", fft_config(input={"source": "noise", "amplitude": -0.5}),
          "noise amplitude must be non-negative, got -0.5"),
+        # numpy's uniform rejects a -0.0 range, and overflows on one over DBL_MAX
+        ("fft run", fft_config(input={"source": "noise", "amplitude": -0.0}),
+         "noise amplitude must be non-negative, got -0.0"),
+        ("fft run", fft_config(input={"source": "noise", "amplitude": 1e308}),
+         f"noise amplitude must be at most {harness.MAX_NOISE_AMPLITUDE}, got 1e+308"),
+        ("fft run", fft_config(input={"source": "file", "path": "in\0.wav"}),
+         "path must not hold a NUL byte, got 'in\\x00.wav'"),
+        ("i2s run", i2s_config(payload={"source": "wav", "path": "in\0.wav"}),
+         "path must not hold a NUL byte, got 'in\\x00.wav'"),
+        ("fft sweep", {"version": 1, "kind": "fft-sweep", "sweep": {"n_points": [8, 48]}},
+         "n_points 48 must be a power of two >= 8"),
+        ("fft sweep", {"version": 1, "kind": "fft-sweep",
+                       "fft": {"input": {"source": "tone", "bin": 12}}},
+         "tone bin 12 out of range"),
+        ("fft sweep", {"version": 1, "kind": "fft-sweep", "sweep": {"dtypes": []}},
+         "fft-sweep config selects no runs"),
+        ("fft sweep", {"version": 1, "kind": "fft-sweep",
+                       "sweep": {"dtypes": ["C64"], "n_points": [1024]}},
+         "fft-sweep config selects no runs"),
+        ("i2s sweep", {"version": 1, "kind": "i2s-sweep", "sweep": {"modes": []}},
+         "i2s-sweep config selects no runs"),
+        ("i2s sweep", {"version": 1, "kind": "i2s-sweep", "sweep": {"n_devices": [16, 17]}},
+         "n_devices 17 outside 1..16"),
     ], ids=["n_points-48", "n_points-over-limit", "base_address-2", "base_address-past-end",
-            "tone-bin-64", "noise-amplitude-negative"])
-    def test_bad_run_config_exits_2_before_out(self, tmp_path, capsys, doc, message):
+            "tone-bin-64", "noise-amplitude-negative", "noise-amplitude-minus-zero",
+            "noise-amplitude-huge", "input-path-nul", "payload-path-nul",
+            "fft-sweep-n_points-48", "fft-sweep-tone-bin-12", "fft-sweep-no-dtype",
+            "fft-sweep-C64-1024", "i2s-sweep-no-mode", "i2s-sweep-n_devices-17"])
+    def test_bad_run_config_exits_2_before_out(self, tmp_path, capsys, verb, doc, message):
         # these used to pass the parse and fail in the run, leaving an empty
-        # output directory; a negative amplitude reached numpy's uniform
+        # output directory, or reach numpy or open and the CLI's catch-all
         cfg = self._write(tmp_path, doc)
-        assert cli.main(["fft", "run", "--config", cfg, "--out", str(tmp_path / "outb")]) == 2
+        assert cli.main(verb.split() + ["--config", cfg, "--out", str(tmp_path / "outb")]) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not (tmp_path / "outb").exists()
 

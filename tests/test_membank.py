@@ -7,10 +7,11 @@ from fdsim.fixedpoint import DataType, FixedComplex, sample_parts
 from fdsim.membank import (DEFAULT_TOTAL_WORDS, HI_HALF_STROBE, IDLE, LO_HALF_STROBE,
                            N_BANKS, N_PORTS, WRITE_COLUMN, BankedMemory,
                            MemoryModelError, Request, arbitrate, bandwidth_bytes_per_s,
-                           bank_of, export_image, import_image, load_samples,
+                           export_image, load_samples,
                            pack_samples, read_samples, unpack_samples,
                            words_per_samples)
 from fdsim.schedule import fft_sizes
+from reference.image import import_image
 from reference_packing import pack_parts, unpack_parts
 
 
@@ -101,19 +102,18 @@ class TestAccess:
             return
         res = mem.access(0, reqs)
         assert len(res.completed) + len(res.rejected) == len(reqs)
-        banks = [bank_of(r.address) for r in res.completed]
+        banks = [r.address % N_BANKS for r in res.completed]
         assert len(banks) == len(set(banks))
         assert res.conflicts == len(res.rejected)
 
 
-class TestAccessBatch:
+class TestArbitrate:
     @given(st.lists(st.lists(st.one_of(st.just(IDLE), st.integers(0, 63)),
                              min_size=N_PORTS, max_size=N_PORTS),
                     min_size=1, max_size=6))
     @settings(max_examples=60)
     def test_rows_match_single_cycle_access(self, rows):
-        mem = BankedMemory(total_words=64)
-        conflicts, rejected = mem.access_batch(np.array(rows), WRITE_COLUMN)
+        conflicts, rejected = arbitrate(np.array(rows), WRITE_COLUMN, total_words=64)
         for t, row in enumerate(rows):
             reqs = [Request(p, a, write=p >= 4) for p, a in enumerate(row) if a != IDLE]
             res = BankedMemory(total_words=64).access(t, reqs)
@@ -128,38 +128,28 @@ class TestAccessBatch:
     def test_matches_same_bank_cube(self, rows):
         # addresses span 16 banks 16 times over, so rows mix same-bank and
         # same-address collisions with idle ports
-        conflicts, rejected = BankedMemory(total_words=256).access_batch(
-            np.array(rows), WRITE_COLUMN)
+        conflicts, rejected = arbitrate(np.array(rows), WRITE_COLUMN, total_words=256)
         want_conflicts, want_rejected = same_bank_cube(rows)
         assert conflicts.tolist() == want_conflicts.tolist()
         assert rejected.tolist() == want_rejected.tolist()
 
-    def test_moves_no_data(self):
-        mem = BankedMemory(total_words=64)
-        mem.access_batch(np.array([[0, 16, IDLE, IDLE, 1, 17, IDLE, IDLE]]),
-                         WRITE_COLUMN)
-        assert not mem.words.any()
-
     def test_validation(self):
-        mem = BankedMemory(total_words=64)
         with pytest.raises(ValueError, match="port requests must be"):
-            mem.access_batch(np.zeros((2, 4), dtype=int), WRITE_COLUMN)
+            arbitrate(np.zeros((2, 4), dtype=int), WRITE_COLUMN, total_words=64)
         with pytest.raises(ValueError, match="write on a read port"):
-            mem.access_batch(np.zeros((1, 8), dtype=int), np.ones(8, dtype=bool))
+            arbitrate(np.zeros((1, 8), dtype=int), np.ones(8, dtype=bool), total_words=64)
         with pytest.raises(ValueError, match="read on a write port"):
-            mem.access_batch(np.zeros((1, 8), dtype=int), np.zeros(8, dtype=bool))
+            arbitrate(np.zeros((1, 8), dtype=int), np.zeros(8, dtype=bool), total_words=64)
         for bad in (64, IDLE - 1):
             with pytest.raises(MemoryModelError, match="outside capacity"):
-                mem.access_batch(np.full((1, 8), bad, dtype=np.int32), WRITE_COLUMN)
+                arbitrate(np.full((1, 8), bad, dtype=np.int32), WRITE_COLUMN, total_words=64)
 
     def test_arbitrate_needs_no_memory(self):
-        # a memory's access_batch is arbitrate at its capacity, which
-        # defaults to the default memory's
+        # its capacity defaults to the default memory's
         rows = np.array([[0, 16, IDLE, 3, 1, 17, 33, IDLE]])
         conflicts, rejected = arbitrate(rows, WRITE_COLUMN, total_words=64)
-        want = BankedMemory(total_words=64).access_batch(rows, WRITE_COLUMN)
-        assert conflicts.tolist() == want[0].tolist() == [3]
-        assert rejected.tolist() == want[1].tolist()
+        assert conflicts.tolist() == [3]
+        assert rejected.tolist() == [[False, True, False, False, False, True, True, False]]
         arbitrate(np.full((1, 8), DEFAULT_TOTAL_WORDS - 1), WRITE_COLUMN)
         with pytest.raises(MemoryModelError, match=f"outside capacity {DEFAULT_TOTAL_WORDS}"):
             arbitrate(np.full((1, 8), DEFAULT_TOTAL_WORDS), WRITE_COLUMN)

@@ -10,7 +10,7 @@ from fdsim import cli
 from fdsim.fft import FftJob
 from fdsim.fixedpoint import DataType
 from fdsim.harness import FftRunSpec, InputSpec, run_fft_experiment
-from fdsim.membank import IDLE, N_BANKS, WRITE_COLUMN, BankedMemory, Request
+from fdsim.membank import IDLE, N_BANKS, WRITE_COLUMN, BankedMemory, Request, arbitrate
 from fdsim.schedule import (REGISTER_CAPACITY, THROUGHPUT, bit_reverse_index,
                             dump_reorder_schedule, dump_stage_schedule,
                             fft_sizes, schedule_reorder, schedule_stage,
@@ -214,7 +214,7 @@ class TestReorderSchedule:
         for dtype, n, reorder_cycles, stalls in (
                 (dtype, *row) for dtype, rows in GOLDEN_REORDER.items() for row in rows):
             sched = schedule_reorder(n, dtype)
-            conflicts, _ = BankedMemory().access_batch(sched.ports, WRITE_COLUMN)
+            conflicts, _ = arbitrate(sched.ports, WRITE_COLUMN)
             assert (read_cycles(sched.ports), conflicts.sum()) == (reorder_cycles, stalls)
             model = total_cycle_model(n, dtype)
             assert (model.reorder_cycles, model.stall_cycles) == (reorder_cycles, stalls)
