@@ -123,15 +123,6 @@ class FixedComplex:
         return dequantize(self)
 
 
-def zero(dtype: DataType) -> FixedComplex:
-    return FixedComplex(0, 0, dtype)
-
-
-def one(dtype: DataType) -> FixedComplex:
-    """Largest representable positive real (~1.0; exact 1.0 does not exist)."""
-    return FixedComplex(dtype.max_raw, 0, dtype)
-
-
 def quantize(x: complex, dtype: DataType, flag: OverflowFlag | None = None) -> FixedComplex:
     """Round a double-precision complex to Q1.(w-1), saturating outside [-1, 1)."""
     x = complex(x)

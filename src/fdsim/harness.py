@@ -33,7 +33,7 @@ from .i2s import (MAX_SAMPLE_RATE_HZ, Alignment, BusConfig, BusMode, FsyncStyle,
 # Not on the run path: the benchmark's span tracer (perfbench/spans.py)
 # looks the list decoder up under this name.
 from .i2s import decode  # noqa: F401
-from .membank import BankedMemory, bandwidth_bytes_per_s, export_image
+from .membank import N_BANKS, BankedMemory, bandwidth_bytes_per_s, export_image
 from .schedule import THROUGHPUT, fft_sizes, total_cycle_model
 
 CONFIG_VERSION = 1
@@ -54,6 +54,12 @@ SNR_CALIBRATION = {"seed": 1234, "amplitude": 0.9,
 WAV_READ_ERRORS = (OSError, EOFError, wave.Error)
 
 
+def _wav_reason(error: Exception) -> str:
+    """An error's message; ``wave`` raises an EOFError with none when the
+    file ends inside its header, a 0-byte file included."""
+    return str(error) or "file ends inside its WAV header"
+
+
 def ops_count(n_points: int) -> int:
     return OPS_PER_BUTTERFLY * (n_points // 2) * (n_points.bit_length() - 1)
 
@@ -68,6 +74,9 @@ def ops_count(n_points: int) -> int:
 MAX_PERIODS = MAX_SAMPLE_RATE_HZ
 # numpy's uniform draw needs its range, twice the amplitude, to be finite
 MAX_NOISE_AMPLITUDE = sys.float_info.max / 2
+# the peak memory bandwidth, 16 banks x 4 bytes per cycle, must be finite;
+# GOPS, at most 40 ops per cycle, then is too
+MAX_CLOCK_HZ = sys.float_info.max / (N_BANKS * 4)
 # Timeline length budget of one I2S run.  A run holds about 6.1 bytes of
 # arrays per tick at its peak (tracemalloc, 16 devices x 32 bits), so this
 # bounds it near 25 MB: 4095 periods of 16 devices x 32 bits.
@@ -221,6 +230,8 @@ def _clock(value, key) -> float:
     clock_hz = _number(value, key)
     if clock_hz <= 0:
         raise ConfigurationError(f"{key} must be positive, got {clock_hz}")
+    if clock_hz > MAX_CLOCK_HZ:
+        raise ConfigurationError(f"{key} must be at most {MAX_CLOCK_HZ}, got {clock_hz}")
     return clock_hz
 
 
@@ -512,7 +523,7 @@ def build_fft_input(spec: InputSpec, n_points: int, seed: int) -> np.ndarray:
             channels = w.getnchannels()
             raw = w.readframes(w.getnframes())
     except WAV_READ_ERRORS as e:
-        raise ConfigurationError(f"cannot read WAV input: {e}") from None
+        raise ConfigurationError(f"cannot read WAV input: {_wav_reason(e)}") from None
     if width != 2:
         raise ConfigurationError("only 16-bit WAV input is supported")
     if len(raw) % (2 * channels):
@@ -608,7 +619,7 @@ def build_payloads(spec: I2sRunSpec, seed: int) -> np.ndarray:
         try:
             words = wav_to_payloads(spec.payload.path, spec.bus)
         except (*WAV_READ_ERRORS, ValueError) as e:     # ValueError: not this bus's words
-            raise ConfigurationError(f"cannot read payload WAV: {e}") from None
+            raise ConfigurationError(f"cannot read payload WAV: {_wav_reason(e)}") from None
         if not len(words):
             raise ConfigurationError("payload WAV holds no frames")
         _check_size(spec.bus, len(words))

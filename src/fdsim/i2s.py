@@ -124,10 +124,6 @@ class Timeline:
     def n_ticks(self) -> int:
         return len(self.bclk)
 
-    def truncated(self, n_ticks: int) -> "Timeline":
-        return Timeline(self.bclk[:n_ticks].copy(), self.fsync[:n_ticks].copy(),
-                        self.sd[:n_ticks].copy(), self.driver[:n_ticks].copy())
-
 
 def bclk_frequency(n_devices: int, frame_bits: int, sample_rate: float) -> float:
     """BCLK needed to move every device's frame each sample period."""

@@ -8,10 +8,19 @@ from hypothesis import strategies as st
 from fdsim.fft import twiddle_lookup
 from fdsim.fixedpoint import (DataType, FixedComplex, OverflowFlag,
                               ScalingPolicy, _rounding, butterfly, butterfly_array,
-                              cmul, dequantize, one, pass_twiddles, quantize,
-                              quantize_parts, sat_round, zero)
+                              cmul, dequantize, pass_twiddles, quantize,
+                              quantize_parts, sat_round)
 
 ALL_DTYPES = list(DataType)
+
+
+def zero(dtype):
+    return FixedComplex(0, 0, dtype)
+
+
+def one(dtype):
+    """Largest representable positive real (~1.0; exact 1.0 does not exist)."""
+    return FixedComplex(dtype.max_raw, 0, dtype)
 
 
 def sat_round_array(values, width, shift, flag):

@@ -823,7 +823,11 @@ class TestCli:
         ("i2s run", 4, 2, 2, "cannot read payload WAV: "),
         ("fft run", 4, 1, 0, "only 16-bit WAV input is supported"),
         ("fft run", 4, 2, 2, "WAV input ends inside a frame"),
-    ], ids=["payload-channels", "payload-8-bit", "payload-cut", "input-8-bit", "input-cut"])
+        # wave raises an EOFError with no message on a file that ends in its header
+        ("i2s run", 4, 2, None, "cannot read payload WAV: file ends inside its WAV header\n"),
+        ("fft run", 4, 2, None, "cannot read WAV input: file ends inside its WAV header\n"),
+    ], ids=["payload-channels", "payload-8-bit", "payload-cut", "input-8-bit", "input-cut",
+            "payload-empty", "input-empty"])
     def test_unreadable_wav_exits_2(self, tmp_path, capsys, verb, channels, width, cut,
                                     message):
         # a WAV is read in the run, after --out is made; the payload errors
@@ -835,7 +839,7 @@ class TestCli:
             w.setframerate(48000)
             w.writeframes(bytes(100 * channels * width))
         data = path.read_bytes()
-        path.write_bytes(data[:len(data) - cut])
+        path.write_bytes(b"" if cut is None else data[:len(data) - cut])
         doc = (i2s_config(payload={"source": "wav", "path": str(path)}) if verb == "i2s run"
                else fft_config(input={"source": "file", "path": str(path)}))
         out = tmp_path / "out"
@@ -1098,11 +1102,17 @@ class TestCli:
          "i2s-sweep config selects no runs"),
         ("i2s sweep", {"version": 1, "kind": "i2s-sweep", "sweep": {"n_devices": [16, 17]}},
          "n_devices 17 outside 1..16"),
+        # the report's bandwidth and GOPS would be Infinity, which is not JSON
+        ("fft run", fft_config(clock_hz=1e308),
+         f"clock_hz must be at most {harness.MAX_CLOCK_HZ}, got 1e+308"),
+        ("fft sweep", {"version": 1, "kind": "fft-sweep", "fft": {"clock_hz": 1e308}},
+         f"clock_hz must be at most {harness.MAX_CLOCK_HZ}, got 1e+308"),
     ], ids=["n_points-48", "n_points-over-limit", "base_address-2", "base_address-past-end",
             "tone-bin-64", "noise-amplitude-negative", "noise-amplitude-minus-zero",
             "noise-amplitude-huge", "input-path-nul", "payload-path-nul",
             "fft-sweep-n_points-48", "fft-sweep-tone-bin-12", "fft-sweep-no-dtype",
-            "fft-sweep-C64-1024", "i2s-sweep-no-mode", "i2s-sweep-n_devices-17"])
+            "fft-sweep-C64-1024", "i2s-sweep-no-mode", "i2s-sweep-n_devices-17",
+            "clock_hz-huge", "fft-sweep-clock_hz-huge"])
     def test_bad_run_config_exits_2_before_out(self, tmp_path, capsys, verb, doc, message):
         # these used to pass the parse and fail in the run, leaving an empty
         # output directory, or reach numpy or open and the CLI's catch-all
@@ -1110,6 +1120,19 @@ class TestCli:
         assert cli.main(verb.split() + ["--config", cfg, "--out", str(tmp_path / "outb")]) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not (tmp_path / "outb").exists()
+
+    @pytest.mark.parametrize("n_points, dtype", [(8, "C64"), (1024, "C32"), (8, "C16"),
+                                                 (2048, "C16")])
+    def test_clock_at_its_bound_writes_finite_json(self, tmp_path, n_points, dtype):
+        def not_json(constant):
+            raise AssertionError(f"report.json holds {constant}")
+
+        cfg = self._write(tmp_path, fft_config(n_points=n_points, dtype=dtype,
+                                               clock_hz=harness.MAX_CLOCK_HZ))
+        assert cli.main(["fft", "run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                            parse_constant=not_json)
+        assert report["metrics"]["clock_hz"] == harness.MAX_CLOCK_HZ
 
     def test_kind_mismatch_exits_2(self, tmp_path):
         cfg = self._write(tmp_path, fft_config())

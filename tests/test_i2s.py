@@ -10,7 +10,7 @@ from fdsim.i2s import (FRAME_SEARCH_GROWTH, FRAME_SEARCH_PREFIX, LEAD_IN_SLOTS,
                        frames_from_array, latency_dsp, latency_tdm,
                        measure_latency, payloads_to_wav, timeline_ticks,
                        wav_to_payloads, write_vcd)
-from test_i2s_reference import words_from_frames
+from test_i2s_reference import truncated, words_from_frames
 
 
 def random_frames(config, periods, seed=0):
@@ -302,7 +302,7 @@ class TestDecodeErrors:
     def test_partial_before_one_frame_is_empty_words(self, cut):
         # 2 devices x 16 bits: 4 lead-in ticks, then 64 ticks a frame
         cfg = BusConfig(BusMode.TDM_DSP, 2, 16)
-        tl = encode_frames(cfg, random_frames(cfg, 2)).truncated(cut)
+        tl = truncated(encode_frames(cfg, random_frames(cfg, 2)), cut)
         with pytest.raises(FramingError) as err:
             decode_words(tl, cfg)
         assert err.value.partial.shape == (0, 2, 2)
@@ -312,7 +312,7 @@ class TestDecodeErrors:
         words = words_from_frames(cfg, random_frames(cfg, 3, seed=4))
         tl = encode(cfg, words)
         with pytest.raises(FramingError, match="truncated") as err:
-            decode_words(tl.truncated(tl.n_ticks - 2), cfg)
+            decode_words(truncated(tl, tl.n_ticks - 2), cfg)
         assert np.array_equal(err.value.partial, words[:2])
 
     def test_no_fsync(self):
@@ -326,7 +326,7 @@ class TestDecodeErrors:
         cfg = BusConfig(BusMode.TDM_DSP, 2, 16)
         frames = random_frames(cfg, 3, seed=9)
         tl = encode_frames(cfg, frames)
-        cut = tl.truncated(tl.n_ticks - cfg.frame_slots)  # lose half a frame
+        cut = truncated(tl, tl.n_ticks - cfg.frame_slots)  # lose half a frame
         with pytest.raises(FramingError) as err:
             decode(cut, cfg)
         assert frames_from_array(err.value.partial) == frames[:2]
@@ -413,7 +413,7 @@ class TestMeasureLatency:
         cfg = BusConfig(BusMode.TDM_I2S, 4, 32)
         tl = encode_frames(cfg, random_frames(cfg, 1))
         with pytest.raises(FramingError):
-            measure_latency(tl.truncated(cfg.frame_slots), cfg)
+            measure_latency(truncated(tl, cfg.frame_slots), cfg)
 
 
 class TestWaveformExport:

@@ -57,6 +57,12 @@ def words_from_frames(config, frames) -> np.ndarray:
     return np.take_along_axis(words, order[..., None], axis=1)
 
 
+def truncated(timeline, n_ticks):
+    """The first ``n_ticks`` ticks of ``timeline``, as a copy."""
+    return Timeline(timeline.bclk[:n_ticks].copy(), timeline.fsync[:n_ticks].copy(),
+                    timeline.sd[:n_ticks].copy(), timeline.driver[:n_ticks].copy())
+
+
 def listed_decode(timeline, config):
     """``decode_words`` with its words, and any ``.partial``, as payload lists."""
     try:
@@ -272,7 +278,7 @@ class TestAgainstReference:
         assert all(type(p) is FramePayload and all(type(v) is int for v in p)
                    for period in decoded for p in period)
         json.dumps(decoded)
-        cut = timeline.truncated(data.draw(st.integers(0, timeline.n_ticks)))
+        cut = truncated(timeline, data.draw(st.integers(0, timeline.n_ticks)))
         # the opposite polarity samples the other edge: odd ticks
         for polarity in Polarity:
             sampler = dataclasses.replace(config, polarity=polarity)
@@ -297,7 +303,7 @@ class TestAgainstReference:
             config, [[FramePayload(d, 0xA5 ^ d, 0x3C + p) for d in range(K)]
                      for p in range(periods)]))
         if cut is not None:
-            timeline = timeline.truncated(cut)
+            timeline = truncated(timeline, cut)
         write_vcd(timeline, tmp_path / "got.vcd")
         ref_write_vcd(timeline, tmp_path / "want.vcd")
         assert (tmp_path / "got.vcd").read_bytes() == (tmp_path / "want.vcd").read_bytes()
